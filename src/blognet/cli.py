@@ -197,9 +197,13 @@ def cmd_prep(cfg: PipelineConfig) -> dict:
     vocab = textprep.build_vocabulary(
         docs, cfg.min_df, cfg.max_df_ratio, cfg.vocab_top_k
     )
+    documents = len(docs)
     vectors = [
-        textprep.vectorize_tfidf(d, vocab, len(docs), cfg.tfidf_variant) for d in docs
+        textprep.vectorize_tfidf(d, vocab, documents, cfg.tfidf_variant) for d in docs
     ]
+    # the token tuples and raw posts are the bulk of memory; free them
+    # before the N x N similarity accumulator is allocated
+    del docs, loaded
     matrix = textprep.similarity_matrix(vectors)
 
     stage_dir = _stage_dir(cfg, "prep")
@@ -226,7 +230,7 @@ def cmd_prep(cfg: PipelineConfig) -> dict:
     )
 
     counts = {
-        "documents": len(docs),
+        "documents": documents,
         "vocabulary_terms": len(vocab.terms),
         "stopwords": len(stopwords),
     }
@@ -312,10 +316,14 @@ def _read_merged_graph(
         header = next(reader, None)
         if header != ["src", "dst", "layer", "weight"]:
             raise ArtifactError(f"unexpected edge CSV header in {edges_path}: {header}")
-        for row in reader:
-            src, dst, _layer, weight = row
-            key = (src, dst)
-            weights[key] = weights.get(key, 0) + int(weight)
+        try:
+            for src, dst, _layer, weight in reader:
+                key = (src, dst)
+                weights[key] = weights.get(key, 0) + int(weight)
+        except ValueError as err:
+            raise ArtifactError(
+                f"{edges_path}:{reader.line_num}: malformed edge row: {err}"
+            ) from None
     graph = graphclean.SimpleDigraph.from_arcs(labels, sorted(weights))
     index = {label: i for i, label in enumerate(labels)}
     # collapsed multiplicities, kept for the weighted ranking variant
@@ -429,9 +437,18 @@ def _read_cleaned_graph(cfg: PipelineConfig):
         header = next(reader, None)
         if header != ["src", "dst", "weight"]:
             raise ArtifactError(f"unexpected arc CSV header in {arcs_path}: {header}")
-        for src, dst, weight in reader:
-            arcs.append((src, dst))
-            weights[(index[src], index[dst])] = float(weight)
+        try:
+            for src, dst, weight in reader:
+                arcs.append((src, dst))
+                weights[(index[src], index[dst])] = float(weight)
+        except KeyError as err:
+            raise ArtifactError(
+                f"{arcs_path}:{reader.line_num}: node {err} is not in {nodes_path.name}"
+            ) from None
+        except ValueError as err:
+            raise ArtifactError(
+                f"{arcs_path}:{reader.line_num}: malformed arc row: {err}"
+            ) from None
     graph = graphclean.SimpleDigraph.from_arcs(labels, arcs)
     return graph, weights, {"nodes": nodes_path, "arcs": arcs_path}
 

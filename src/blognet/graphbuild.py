@@ -173,17 +173,19 @@ def _candidate_links(html: str) -> list[tuple[str, bool]]:
     is not counted twice.
     """
     out: list[tuple[str, bool]] = []
-    spans: list[tuple[int, int]] = []
+    pieces: list[str] = []   # the text between href matches, and blanks over them
+    prev = 0
     for m in _HREF_RE.finditer(html):
-        spans.append(m.span())
+        start, end = m.span()
+        pieces += (html[prev:start], " " * (end - start))
+        prev = end
         value = (m.group(1) or m.group(2) or m.group(3) or "").strip()
         if not value or value.startswith("#"):
             continue
         absolute = bool(_SCHEME_RE.match(value)) or value.startswith("//")
         out.append((value, not absolute))
-    masked = html
-    for start, end in reversed(spans):
-        masked = masked[:start] + " " * (end - start) + masked[end:]
+    pieces.append(html[prev:])
+    masked = "".join(pieces)
     for m in _BARE_URL_RE.finditer(masked):
         out.append((m.group(), False))
     return out

@@ -9,6 +9,7 @@ running it twice never changes the result.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import unicodedata
@@ -18,6 +19,8 @@ from importlib import resources
 from html.parser import HTMLParser
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 ZWNJ = "‌"  # zero-width non-joiner: word-internal in Persian compounds
 
@@ -36,6 +39,17 @@ _DIGIT_MAP.update({0x06F0 + i: ord("0") + i for i in range(10)})
 
 _TABLE_WITH_ALEF = {**_LETTER_MAP, **_ALEF_MAP, **_REMOVALS, **_DIGIT_MAP}
 _TABLE_NO_ALEF = {**_LETTER_MAP, **_REMOVALS, **_DIGIT_MAP}
+
+
+def _replacement_chain(table: dict) -> tuple[tuple[str, str], ...]:
+    # No value in the tables is also a key, so replacing one source
+    # codepoint after another gives what one ``str.translate`` pass gives,
+    # without a dict lookup per character.
+    return tuple((chr(src), chr(dst) if dst is not None else "") for src, dst in table.items())
+
+
+_CHAIN_WITH_ALEF = _replacement_chain(_TABLE_WITH_ALEF)
+_CHAIN_NO_ALEF = _replacement_chain(_TABLE_NO_ALEF)
 
 _TOKEN_RE = re.compile(r"[\w‌]+")
 
@@ -125,14 +139,16 @@ def strip_html(raw: str) -> str:
 
 # --- character normalization ------------------------------------------------
 
-def _unify_chars(text: str, table: dict) -> str:
+def _unify_chars(text: str, chain: tuple[tuple[str, str], ...]) -> str:
     # NFC can re-create mapped codepoints by composing a base letter with a
     # stray combining mark (e.g. alef + madda), so iterate to a fixpoint.
     # Every changing pass shortens the string; this terminates quickly.
     prev = None
     while text != prev:
         prev = text
-        text = unicodedata.normalize("NFC", text).translate(table)
+        text = unicodedata.normalize("NFC", text)
+        for src, dst in chain:
+            text = text.replace(src, dst)
     return text
 
 
@@ -147,13 +163,13 @@ def normalize(
     ``equivalences`` must come from :func:`load_equivalences`, which
     pre-normalizes both columns so that this function stays idempotent.
     """
-    table = _TABLE_WITH_ALEF if unify_alef else _TABLE_NO_ALEF
-    text = _unify_chars(text, table)
+    chain = _CHAIN_WITH_ALEF if unify_alef else _CHAIN_NO_ALEF
+    text = _unify_chars(text, chain)
     if equivalences:
         text = _TOKEN_RE.sub(
             lambda m: equivalences.get(m.group().lower(), m.group()), text
         )
-        text = _unify_chars(text, table)
+        text = _unify_chars(text, chain)
     return text.lower()
 
 
@@ -309,7 +325,14 @@ def vectorize_tfidf(
 def _norm(weights: dict[int, float]) -> float:
     # Summation in sorted index order keeps every call over the same support
     # bit-identical, which makes cosine symmetric and the matrix reproducible.
-    return math.sqrt(sum(weights[i] * weights[i] for i in sorted(weights)))
+    # The sums here are plain left folds rather than ``sum()``: from Python
+    # 3.12 ``sum()`` over floats is compensated, so it would round
+    # differently from the accumulator in ``similarity_matrix`` on some
+    # interpreters.
+    acc = 0.0
+    for i in sorted(weights):
+        acc += weights[i] * weights[i]
+    return math.sqrt(acc)
 
 
 def cosine_similarity(a: DocumentVector, b: DocumentVector) -> float:
@@ -319,24 +342,66 @@ def cosine_similarity(a: DocumentVector, b: DocumentVector) -> float:
         return 0.0
     if a.weights == b.weights:
         return 1.0
-    common = sorted(a.weights.keys() & b.weights.keys())
-    dot = sum(a.weights[i] * b.weights[i] for i in common)
+    dot = 0.0
+    for i in sorted(a.weights.keys() & b.weights.keys()):
+        dot += a.weights[i] * b.weights[i]
     return min(1.0, max(0.0, dot / (na * nb)))
 
 
 def similarity_matrix(vectors: Sequence[DocumentVector]) -> SimilarityMatrix:
     """Full pairwise cosine matrix; cell (i, j) equals cosine_similarity(v_i, v_j)
-    exactly, and the matrix is symmetric by construction."""
+    exactly, and the matrix is symmetric by construction.
+
+    Costs O(sum of df^2) time over the vocabulary and N^2 memory. Postings
+    are added into an N x N accumulator one term at a time in ascending
+    term index, so every cell sums the same products in the same order as
+    the left folds in ``cosine_similarity`` and ``_norm``, and rounds the
+    same way.
+    """
     n = len(vectors)
-    rows = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            s = cosine_similarity(vectors[i], vectors[j])
-            rows[i][j] = s
-            rows[j][i] = s
+    lengths = np.fromiter((len(v.weights) for v in vectors), dtype=np.intp, count=n)
+    nnz = int(lengths.sum())
+    terms = np.fromiter(
+        itertools.chain.from_iterable(v.weights.keys() for v in vectors),
+        dtype=np.int64, count=nnz,
+    )
+    weights = np.fromiter(
+        itertools.chain.from_iterable(v.weights.values() for v in vectors),
+        dtype=np.float64, count=nnz,
+    )
+    rows = np.repeat(np.arange(n), lengths)
+    order = np.argsort(terms, kind="stable")
+    terms, rows, weights = terms[order], rows[order], weights[order]
+    bounds = np.flatnonzero(np.diff(terms)) + 1
+
+    acc = np.zeros((n, n))
+    for r, w in zip(np.split(rows, bounds), np.split(weights, bounds)):
+        acc[np.ix_(r, r)] += np.outer(w, w)
+
+    norms = np.sqrt(np.diagonal(acc))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        acc /= np.outer(norms, norms)
+    np.clip(acc, 0.0, 1.0, out=acc)
+    # cosine_similarity's rules before its dot product: a zero vector gives
+    # 0.0 (its diagonal included), and equal weight dicts give 1.0. Equal
+    # dicts have bit-equal norms, so candidates are grouped by norm and
+    # confirmed by dict equality.
+    zero = norms == 0.0
+    acc[zero, :] = 0.0
+    acc[:, zero] = 0.0
+    by_norm: dict[float, list[int]] = defaultdict(list)
+    for i, norm in enumerate(norms.tolist()):
+        if norm != 0.0:
+            by_norm[norm].append(i)
+    for members in by_norm.values():
+        while members:
+            first = vectors[members[0]].weights
+            same = [i for i in members if vectors[i].weights == first]
+            acc[np.ix_(same, same)] = 1.0
+            members = [i for i in members if vectors[i].weights != first]
     return SimilarityMatrix(
         blog_ids=tuple(v.blog_id for v in vectors),
-        values=tuple(tuple(row) for row in rows),
+        values=tuple(tuple(row) for row in acc.tolist()),
     )
 
 

@@ -3,12 +3,18 @@
 These deliberately take different routes from the implementations under
 test: SCCs via Floyd-Warshall transitive closure instead of Tarjan,
 PageRank/HITS via dense matrix power iteration instead of sparse scatter
-sums, clustering via triple enumeration.
+sums, clustering via triple enumeration. The similarity matrix, character
+unification and href masking keep the slow, direct versions that the
+faster library code replaced.
 """
 
 from __future__ import annotations
 
+import unicodedata
+
 import numpy as np
+
+from blognet import graphbuild, textprep
 
 
 def random_arcs(rng, n: int, p: float) -> list[tuple[int, int]]:
@@ -127,3 +133,48 @@ def brute_mean_local_clustering(n: int, arcs: list[tuple[int, int]]) -> float:
         )
         total += 2.0 * links / (k * (k - 1))
     return total / n if n else 0.0
+
+
+def pairwise_similarity_matrix(vectors) -> textprep.SimilarityMatrix:
+    """Cosine matrix by calling ``cosine_similarity`` on every pair i <= j."""
+    n = len(vectors)
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s = textprep.cosine_similarity(vectors[i], vectors[j])
+            rows[i][j] = s
+            rows[j][i] = s
+    return textprep.SimilarityMatrix(
+        blog_ids=tuple(v.blog_id for v in vectors),
+        values=tuple(tuple(row) for row in rows),
+    )
+
+
+def translate_unify_chars(text: str, table: dict) -> str:
+    """Character unification to an NFC fixpoint with one ``str.translate``
+    pass per round."""
+    prev = None
+    while text != prev:
+        prev = text
+        text = unicodedata.normalize("NFC", text).translate(table)
+    return text
+
+
+def candidate_links_by_rebuild(html: str) -> list[tuple[str, bool]]:
+    """Link candidates with each href match masked by rebuilding the whole
+    string, one match at a time (quadratic in links per post)."""
+    out: list[tuple[str, bool]] = []
+    spans: list[tuple[int, int]] = []
+    for m in graphbuild._HREF_RE.finditer(html):
+        spans.append(m.span())
+        value = (m.group(1) or m.group(2) or m.group(3) or "").strip()
+        if not value or value.startswith("#"):
+            continue
+        absolute = bool(graphbuild._SCHEME_RE.match(value)) or value.startswith("//")
+        out.append((value, not absolute))
+    masked = html
+    for start, end in reversed(spans):
+        masked = masked[:start] + " " * (end - start) + masked[end:]
+    for m in graphbuild._BARE_URL_RE.finditer(masked):
+        out.append((m.group(), False))
+    return out

@@ -293,6 +293,37 @@ class TestStageOrderAndErrors:
             rows = (out / f"rank/{name}.csv").read_text("utf-8").splitlines()
             assert len(rows) == 4  # header + 3
 
+    def test_short_merged_edge_row_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        flags = fixture_flags(out)
+        for stage in ("ingest", "build"):
+            assert main([stage, *flags]) == EXIT_OK
+        edges = out / "build/edges_merged.csv"
+        lines = edges.read_text("utf-8").splitlines()
+        with open(edges, "a", encoding="utf-8") as fh:
+            fh.write("b01,b02,blogroll\n")
+        capsys.readouterr()
+        assert main(["clean", *flags]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"edges_merged.csv:{len(lines) + 1}:" in err
+
+    def test_unknown_cleaned_node_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        flags = fixture_flags(out)
+        for stage in ("ingest", "build", "clean"):
+            assert main([stage, *flags]) == EXIT_OK
+        arcs = out / "clean/graph_cleaned.csv"
+        lines = arcs.read_text("utf-8").splitlines()
+        src = lines[1].split(",")[0]
+        with open(arcs, "a", encoding="utf-8") as fh:
+            fh.write(f"{src},nobody,1\n")
+        capsys.readouterr()
+        assert main(["rank", *flags]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"graph_cleaned.csv:{len(lines) + 1}:" in err and "'nobody'" in err
+
     def test_config_file_via_flag(self, tmp_path):
         config = {
             "inputs": {

@@ -1,6 +1,8 @@
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blognet import graphbuild
 from blognet.graphbuild import (
@@ -17,6 +19,7 @@ from blognet.graphbuild import (
     resolve_internal_url,
 )
 from blognet.ingest import BlogrollRecord, RawComment, RawPost
+from oracles import candidate_links_by_rebuild
 
 UTC = timezone.utc
 PATTERNS = ["{blog}.parsiblog.com"]
@@ -168,6 +171,38 @@ class TestCitationExtraction:
         p = post("p1", "a", body='<a href="#section">jump</a>')
         edges, counters = extract_citation_edges([p], UrlResolver(PATTERNS))
         assert counters["links_found"] == 0
+
+
+# Markup pieces that exercise every href quoting form, fragments, relative
+# and protocol-relative links, bare URLs, and unterminated attributes.
+MARKUP_PIECES = (
+    '<a href="http://b.parsiblog.com/post/7">', "<a href='/post/3'>",
+    "<a HREF = http://c.parsiblog.com/x>", '<a href="#top">', '<a href="">',
+    '<a href="//d.parsiblog.com/">', '<a href="mailto:x@y.example">',
+    "http://e.parsiblog.com/p/1", "https://news.example.org/a?b=c",
+    '<a href="http://f.parsiblog.com/', "href=", "</a>", " متن ", "\n", "(", ")",
+    '"', "'", "<", ">",
+)
+
+
+class TestHrefMasking:
+    """_candidate_links against the rebuild-per-href oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(MARKUP_PIECES), max_size=40))
+    def test_random_markup(self, pieces):
+        html = "".join(pieces)
+        assert graphbuild._candidate_links(html) == candidate_links_by_rebuild(html)
+
+    def test_post_with_8000_links(self):
+        html = " ".join(
+            f'<p><a href="http://b{i % 97}.parsiblog.com/post/{i}">link {i}</a> '
+            f"see http://news.example.org/{i}</p>"
+            for i in range(8000)
+        )
+        links = graphbuild._candidate_links(html)
+        assert len(links) == 16000
+        assert links == candidate_links_by_rebuild(html)
 
 
 class TestCleaningOps:

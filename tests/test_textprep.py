@@ -18,6 +18,7 @@ from blognet.textprep import (
     tokenize,
     vectorize_tfidf,
 )
+from oracles import pairwise_similarity_matrix, translate_unify_chars
 
 ZWNJ = "‌"
 
@@ -344,7 +345,86 @@ class TestSimilarityMatrix:
                 assert m.values[i][j] == m.values[j][i]
 
 
+def bits(matrix):
+    """Every cell's exact bit pattern, so -0.0 and 0.0 differ."""
+    return [[x.hex() for x in row] for row in matrix.values]
+
+
+class TestSimilarityKernel:
+    """similarity_matrix against the pairwise oracle, bit for bit."""
+
+    def assert_matches_oracle(self, vectors):
+        m = similarity_matrix(vectors)
+        ref = pairwise_similarity_matrix(vectors)
+        assert m.blog_ids == ref.blog_ids
+        assert bits(m) == bits(ref)
+        assert all(type(x) is float for row in m.values for x in row)
+        return m
+
+    def test_no_vectors(self):
+        m = self.assert_matches_oracle([])
+        assert m.blog_ids == () and m.values == ()
+
+    def test_one_vector(self):
+        assert self.assert_matches_oracle([vec("a", i3=0.5, i1=2.0)]).values == ((1.0,),)
+        assert self.assert_matches_oracle([vec("a")]).values == ((0.0,),)
+
+    def test_empty_vectors_have_zero_rows_and_diagonal(self):
+        vectors = [vec("a"), vec("b", i0=1.0, i2=0.5), vec("c"), vec("d", i1=0.0),
+                   vec("e", i0=1.0)]
+        m = self.assert_matches_oracle(vectors)
+        for i in (0, 2, 3):
+            assert m.values[i][i] == 0.0
+            assert all(m.values[i][j] == 0.0 == m.values[j][i] for j in range(5))
+
+    def test_block_of_identical_vectors(self):
+        rng = random.Random(5)
+        base = {j: rng.random() for j in rng.sample(range(50), 12)}
+        shuffled = list(base.items())
+        vectors = []
+        for i in range(6):
+            rng.shuffle(shuffled)
+            vectors.append(DocumentVector(f"same{i}", dict(shuffled)))
+            vectors.append(DocumentVector(
+                f"other{i}", {j: rng.random() for j in rng.sample(range(50), 12)}))
+        m = self.assert_matches_oracle(vectors)
+        for i in range(0, 12, 2):
+            assert all(m.values[i][j] == 1.0 for j in range(0, 12, 2))
+
+    def test_unsorted_insertion_order(self):
+        rng = random.Random(6)
+        vectors = []
+        for i in range(20):
+            keys = sorted(rng.sample(range(40), rng.randint(1, 15)), reverse=True)
+            vectors.append(DocumentVector(f"d{i}", {k: rng.uniform(0.1, 5.0) for k in keys}))
+        self.assert_matches_oracle(vectors)
+
+    def test_random_sparse_corpus(self):
+        rng = random.Random(300)
+        vectors = []
+        for i in range(300):
+            # low term indices are frequent, so many pairs share several terms
+            support = {min(int(rng.expovariate(1 / 80)), 599) for _ in range(rng.randint(0, 40))}
+            vectors.append(DocumentVector(
+                f"d{i:03d}",
+                {t: rng.uniform(0.01, 4.0) for t in support},
+            ))
+        for i in range(0, 300, 50):
+            vectors[i + 1] = DocumentVector(vectors[i + 1].blog_id, dict(vectors[i].weights))
+        self.assert_matches_oracle(vectors)
+
+
 class TestPipelineProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=FUZZ_ALPHABET, max_size=120))
+    def test_replacement_chain_equals_translate(self, text):
+        for unify_alef, table in ((True, textprep._TABLE_WITH_ALEF),
+                                  (False, textprep._TABLE_NO_ALEF)):
+            assert not set(table.values()) & set(table)  # why a chain is equivalent
+            assert normalize(text, unify_alef=unify_alef) == (
+                translate_unify_chars(text, table).lower()
+            )
+
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=FUZZ_ALPHABET, max_size=80))
     def test_normalize_idempotent(self, text):
