@@ -7,6 +7,9 @@ same inputs and config produce byte-identical output trees; manifests
 deliberately carry no timestamps.
 
 Exit codes: 0 success, 1 configuration/stage-order problems, 2 data errors.
+
+Every stage runs in its own process, so each ``cmd_<stage>`` imports its
+track module when it runs: only ``prep`` and ``rank`` load numpy.
 """
 
 from __future__ import annotations
@@ -17,12 +20,16 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, graphbuild, graphclean, profilestats, ranking, textprep
+from . import __version__
 from . import ingest as ingest_mod
 from .config import SECTIONS, ConfigError, PipelineConfig, config_snapshot, load_config
-from .ingest import DuplicateIdError
-from .textprep import EmptyCorpusError
+from .ingest import DuplicateIdError, EmptyCorpusError
+
+if TYPE_CHECKING:
+    from .graphclean import GraphMetrics, SimpleDigraph
+    from .profilestats import ActivityWindow
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -183,6 +190,8 @@ def _load_ingested(cfg: PipelineConfig, names: list[str]) -> tuple[dict[str, Pat
 
 def cmd_prep(cfg: PipelineConfig) -> dict:
     """Text track: per-blog documents, vocabulary, TF-IDF vectors, similarity."""
+    from . import textprep
+
     paths, loaded = _load_ingested(cfg, ["posts"])
     stopwords = (
         textprep.load_stopwords(cfg.stopwords) if cfg.stopwords
@@ -245,6 +254,8 @@ def _edges_to_rows(edges) -> list[tuple[str, str, str, int]]:
 
 def cmd_build(cfg: PipelineConfig) -> dict:
     """Structure track: extract the three edge layers, clean, and merge."""
+    from . import graphbuild
+
     if not cfg.host_patterns:
         raise ConfigError(["graphbuild.host_patterns is required for the build stage"])
     paths, loaded = _load_ingested(cfg, ["posts", "comments", "blogroll", "profiles"])
@@ -308,7 +319,9 @@ def cmd_build(cfg: PipelineConfig) -> dict:
 
 def _read_merged_graph(
     nodes_path: Path, edges_path: Path
-) -> tuple[graphclean.SimpleDigraph, dict[tuple[int, int], int]]:
+) -> tuple[SimpleDigraph, dict[tuple[int, int], int]]:
+    from . import graphclean
+
     labels = nodes_path.read_text(encoding="utf-8").splitlines()
     weights: dict[tuple[str, str], int] = {}
     with open(edges_path, "r", encoding="utf-8", newline="") as fh:
@@ -324,14 +337,17 @@ def _read_merged_graph(
             raise ArtifactError(
                 f"{edges_path}:{reader.line_num}: malformed edge row: {err}"
             ) from None
-    graph = graphclean.SimpleDigraph.from_arcs(labels, sorted(weights))
+    try:
+        graph = graphclean.SimpleDigraph.from_arcs(labels, sorted(weights))
+    except ValueError as err:
+        raise ArtifactError(f"{edges_path} does not fit {nodes_path.name}: {err}") from None
     index = {label: i for i, label in enumerate(labels)}
     # collapsed multiplicities, kept for the weighted ranking variant
     graph_weights = {(index[s], index[d]): w for (s, d), w in weights.items()}
     return graph, graph_weights
 
 
-def _metrics_dict(m: graphclean.GraphMetrics) -> dict:
+def _metrics_dict(m: GraphMetrics) -> dict:
     return {
         "nodes": m.nodes,
         "edges": m.edges,
@@ -345,6 +361,8 @@ def _metrics_dict(m: graphclean.GraphMetrics) -> dict:
 def _layer_metrics(cfg: PipelineConfig, layer: str) -> dict | None:
     """Metrics for one edge layer viewed as its own graph over the blogs it
     touches (nodes = the layer's endpoints)."""
+    from . import graphclean
+
     path = Path(cfg.out_dir) / "build" / f"edges_{layer}.csv"
     if not path.exists():
         return None
@@ -352,8 +370,13 @@ def _layer_metrics(cfg: PipelineConfig, layer: str) -> dict | None:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
-        for src, dst, _layer, _weight in reader:
-            arcs.add((src, dst))
+        try:
+            for src, dst, _layer, _weight in reader:
+                arcs.add((src, dst))
+        except ValueError as err:
+            raise ArtifactError(
+                f"{path}:{reader.line_num}: malformed edge row: {err}"
+            ) from None
     labels = sorted({v for arc in arcs for v in arc})
     graph = graphclean.SimpleDigraph.from_arcs(labels, sorted(arcs))
     return _metrics_dict(graphclean.graph_metrics(graph, cfg.clustering_variant))
@@ -361,6 +384,8 @@ def _layer_metrics(cfg: PipelineConfig, layer: str) -> dict | None:
 
 def cmd_clean(cfg: PipelineConfig) -> dict:
     """Prune the merged graph and compute before/after metrics."""
+    from . import graphclean
+
     nodes_path = _require_artifact(cfg, "build", "nodes.txt")
     edges_path = _require_artifact(cfg, "build", "edges_merged.csv")
     graph, arc_weights = _read_merged_graph(nodes_path, edges_path)
@@ -426,6 +451,8 @@ def cmd_clean(cfg: PipelineConfig) -> dict:
 
 
 def _read_cleaned_graph(cfg: PipelineConfig):
+    from . import graphclean
+
     nodes_path = _require_artifact(cfg, "clean", "nodes_kept.txt")
     arcs_path = _require_artifact(cfg, "clean", "graph_cleaned.csv")
     labels = nodes_path.read_text(encoding="utf-8").splitlines()
@@ -454,6 +481,8 @@ def _read_cleaned_graph(cfg: PipelineConfig):
 
 
 def _write_ranking_csv(stage_dir: Path, name: str, scores, labels, top_k) -> None:
+    from . import ranking
+
     rows = [
         (blog_id, repr(score), rank)
         for blog_id, score, rank in ranking.ranked_rows(scores, labels, top_k)
@@ -463,6 +492,8 @@ def _write_ranking_csv(stage_dir: Path, name: str, scores, labels, top_k) -> Non
 
 def cmd_rank(cfg: PipelineConfig) -> dict:
     """Popularity measures on the cleaned graph."""
+    from . import ranking
+
     graph, weights, paths = _read_cleaned_graph(cfg)
     arc_weights = weights if cfg.weighted_rank else None
     top_k = cfg.rank_top_k
@@ -500,7 +531,9 @@ def cmd_rank(cfg: PipelineConfig) -> dict:
     return counts
 
 
-def _stats_window(cfg: PipelineConfig, posts) -> profilestats.ActivityWindow | None:
+def _stats_window(cfg: PipelineConfig, posts) -> ActivityWindow | None:
+    from . import profilestats
+
     if (cfg.window_start is None) != (cfg.window_end is None):
         raise ConfigError(
             ["profilestats.window_start and window_end must be set together"]
@@ -520,6 +553,8 @@ def _stats_window(cfg: PipelineConfig, posts) -> profilestats.ActivityWindow | N
 
 def cmd_stats(cfg: PipelineConfig) -> dict:
     """Profile track: activity, temporal, demographic, and comment statistics."""
+    from . import profilestats
+
     paths, loaded = _load_ingested(cfg, ["posts", "comments", "profiles"])
     window = _stats_window(cfg, loaded["posts"])
     report = profilestats.build_stats_report(

@@ -14,7 +14,8 @@ from pathlib import Path
 from typing import Any
 
 from .ingest import parse_timestamp
-from .textprep import TFIDF_VARIANTS
+
+TFIDF_VARIANTS = ("raw_ln", "log_tf", "smooth_idf")
 
 
 class ConfigError(ValueError):

@@ -27,6 +27,12 @@ class DuplicateIdError(ValueError):
     """A primary id occurs twice in one dump file (structural corruption)."""
 
 
+class EmptyCorpusError(ValueError):
+    """Vocabulary construction needs at least one document. Raised and
+    re-exported by ``textprep``; declared here so the CLI maps it to an
+    exit code without importing textprep."""
+
+
 @dataclass(frozen=True)
 class RawPost:
     post_id: str

@@ -15,12 +15,12 @@ import re
 import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from importlib import resources
 from html.parser import HTMLParser
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
+from .config import TFIDF_VARIANTS
+from .ingest import EmptyCorpusError
 
 ZWNJ = "‌"  # zero-width non-joiner: word-internal in Persian compounds
 
@@ -52,10 +52,6 @@ _CHAIN_WITH_ALEF = _replacement_chain(_TABLE_WITH_ALEF)
 _CHAIN_NO_ALEF = _replacement_chain(_TABLE_NO_ALEF)
 
 _TOKEN_RE = re.compile(r"[\w‌]+")
-
-
-class EmptyCorpusError(ValueError):
-    """Vocabulary construction needs at least one document."""
 
 
 @dataclass(frozen=True)
@@ -179,15 +175,10 @@ def tokenize(text: str) -> list[str]:
     ZWNJ is word-internal (kept inside tokens, stripped at token edges);
     pure-digit tokens are dropped.
     """
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        token = match.group().strip(ZWNJ)
-        if not token:
-            continue
-        if token.replace(ZWNJ, "").isdigit():
-            continue
-        tokens.append(token)
-    return tokens
+    return [
+        token for run in _TOKEN_RE.findall(text)
+        if (token := run.strip(ZWNJ)) and not token.replace(ZWNJ, "").isdigit()
+    ]
 
 
 def remove_stopwords(tokens: Sequence[str], stoplist: set[str]) -> list[str]:
@@ -214,6 +205,8 @@ def load_stopwords(path: str | Path, equivalences: Mapping[str, str] | None = No
 
 def default_stopwords() -> set[str]:
     """The Persian stop-word list shipped with the package."""
+    from importlib import resources
+
     content = resources.files("blognet").joinpath("data/stopwords.txt").read_text("utf-8")
     return _parse_stopwords(content)
 
@@ -286,9 +279,6 @@ def build_vocabulary(
     )
 
 
-TFIDF_VARIANTS = ("raw_ln", "log_tf", "smooth_idf")
-
-
 def vectorize_tfidf(
     doc: NormalizedDocument,
     vocab: Vocabulary,
@@ -358,6 +348,8 @@ def similarity_matrix(vectors: Sequence[DocumentVector]) -> SimilarityMatrix:
     the left folds in ``cosine_similarity`` and ``_norm``, and rounds the
     same way.
     """
+    import numpy as np
+
     n = len(vectors)
     lengths = np.fromiter((len(v.weights) for v in vectors), dtype=np.intp, count=n)
     nnz = int(lengths.sum())

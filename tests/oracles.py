@@ -4,8 +4,8 @@ These deliberately take different routes from the implementations under
 test: SCCs via Floyd-Warshall transitive closure instead of Tarjan,
 PageRank/HITS via dense matrix power iteration instead of sparse scatter
 sums, clustering via triple enumeration. The similarity matrix, character
-unification and href masking keep the slow, direct versions that the
-faster library code replaced.
+unification, tokenization and href masking keep the slow, direct versions
+that the faster library code replaced.
 """
 
 from __future__ import annotations
@@ -158,6 +158,20 @@ def translate_unify_chars(text: str, table: dict) -> str:
         prev = text
         text = unicodedata.normalize("NFC", text).translate(table)
     return text
+
+
+def tokenize_by_finditer(text: str) -> list[str]:
+    """Tokens one regex match at a time: ZWNJ stripped at the edges, empty
+    and all-digit tokens skipped."""
+    tokens = []
+    for match in textprep._TOKEN_RE.finditer(text):
+        token = match.group().strip(textprep.ZWNJ)
+        if not token:
+            continue
+        if token.replace(textprep.ZWNJ, "").isdigit():
+            continue
+        tokens.append(token)
+    return tokens
 
 
 def candidate_links_by_rebuild(html: str) -> list[tuple[str, bool]]:

@@ -1,10 +1,14 @@
 import csv
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import blognet
 from blognet.cli import EXIT_DATA, EXIT_OK, EXIT_VALIDATION, main
 from conftest import FIXTURES
 
@@ -215,6 +219,55 @@ class TestDeterminism:
         assert not mismatches
 
 
+# Runs one stage through cli.main and prints, as its last line, the exit
+# code and every module the process has loaded.
+_STAGE_PROBE = """
+import json, sys
+from blognet.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"exit": code, "modules": sorted(sys.modules)}))
+"""
+
+
+class TestImportBoundary:
+    """Each stage runs in its own process and loads only its track module;
+    only prep and rank load numpy."""
+
+    TRACKS = {
+        "ingest": set(),
+        "prep": {"blognet.textprep"},
+        "build": {"blognet.graphbuild"},
+        "clean": {"blognet.graphclean"},
+        "rank": {"blognet.graphclean", "blognet.ranking"},
+        "stats": {"blognet.profilestats"},
+        "report": set(),
+    }
+    ALL_TRACKS = set().union(*TRACKS.values())
+
+    def run_stage(self, stage, out_dir) -> set[str]:
+        src = str(Path(blognet.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _STAGE_PROBE, stage, *fixture_flags(out_dir)],
+            capture_output=True, text=True, env=env, check=True, timeout=120,
+        )
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["exit"] == EXIT_OK, (stage, proc.stderr)
+        return set(result["modules"])
+
+    def test_each_stage_loads_only_its_track(self, tmp_path):
+        out = tmp_path / "out"
+        for stage in ALL_STAGES:
+            modules = self.run_stage(stage, out)
+            assert modules & self.ALL_TRACKS == self.TRACKS[stage], stage
+            if stage not in ("prep", "rank"):
+                assert "numpy" not in modules, stage
+        for artifact in ("prep/similarity.csv", "prep/vectors.jsonl",
+                         "rank/pagerank.csv", "rank/authority.csv"):
+            assert (out / artifact).stat().st_size > 0, artifact
+
+
 class TestStageOrderAndErrors:
     def test_rank_before_clean_is_stage_error(self, tmp_path, capsys):
         code = main(["rank", *fixture_flags(tmp_path)])
@@ -323,6 +376,34 @@ class TestStageOrderAndErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"graph_cleaned.csv:{len(lines) + 1}:" in err and "'nobody'" in err
+
+    def test_short_layer_edge_row_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        flags = fixture_flags(out)
+        for stage in ("ingest", "build"):
+            assert main([stage, *flags]) == EXIT_OK
+        edges = out / "build/edges_citation.csv"
+        lines = edges.read_text("utf-8").splitlines()
+        with open(edges, "a", encoding="utf-8") as fh:
+            fh.write("b01,b02,citation\n")
+        capsys.readouterr()
+        assert main(["clean", *flags]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"edges_citation.csv:{len(lines) + 1}:" in err
+
+    def test_unknown_merged_endpoint_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        flags = fixture_flags(out)
+        for stage in ("ingest", "build"):
+            assert main([stage, *flags]) == EXIT_OK
+        with open(out / "build/edges_merged.csv", "a", encoding="utf-8") as fh:
+            fh.write("b01,ghost,blogroll,1\n")
+        capsys.readouterr()
+        assert main(["clean", *flags]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "edges_merged.csv" in err and "'ghost'" in err and "nodes.txt" in err
 
     def test_config_file_via_flag(self, tmp_path):
         config = {

@@ -18,7 +18,7 @@ from blognet.textprep import (
     tokenize,
     vectorize_tfidf,
 )
-from oracles import pairwise_similarity_matrix, translate_unify_chars
+from oracles import pairwise_similarity_matrix, tokenize_by_finditer, translate_unify_chars
 
 ZWNJ = "‌"
 
@@ -152,6 +152,21 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("") == []
+
+    @pytest.mark.parametrize("text, expected", [
+        (f"{ZWNJ} {ZWNJ}{ZWNJ} a{ZWNJ}", ["a"]),               # ZWNJ-only runs
+        ("۱۲۳ ۴۵x ۰", ["۴۵x"]),                                 # Persian digits
+        ("٣٤ ٣a ٩", ["٣a"]),                                     # Arabic-Indic digits
+        ("²³ x² ¹", ["x²"]),                                     # superscript digits
+        (f"۱{ZWNJ}۲ 1{ZWNJ}a {ZWNJ}12{ZWNJ}", [f"1{ZWNJ}a"]),   # digits around ZWNJ
+    ])
+    def test_edge_cases_match_finditer_oracle(self, text, expected):
+        assert tokenize(text) == expected == tokenize_by_finditer(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=FUZZ_ALPHABET, max_size=120))
+    def test_matches_finditer_oracle(self, text):
+        assert tokenize(text) == tokenize_by_finditer(text)
 
 
 class TestStopwords:
