@@ -19,16 +19,20 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import asdict
+from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from . import __version__
 from . import ingest as ingest_mod
-from .config import SECTIONS, ConfigError, PipelineConfig, config_snapshot, load_config
-from .ingest import DuplicateIdError, EmptyCorpusError
+from .config import (
+    FIELD_TYPES, SECTIONS, ConfigError, PipelineConfig, config_snapshot, load_config,
+)
+from .ingest import DuplicateIdError, EmptyCorpusError, InputFileError
 
 if TYPE_CHECKING:
-    from .graphclean import GraphMetrics, SimpleDigraph
+    from .graphclean import SimpleDigraph
     from .profilestats import ActivityWindow
 
 EXIT_OK = 0
@@ -317,45 +321,55 @@ def cmd_build(cfg: PipelineConfig) -> dict:
     return counts
 
 
+def _read_artifact_csv(path: Path, columns: dict[str, Callable[[str], Any]]) -> Iterator[list]:
+    """Yield the rows of an artifact CSV whose header is ``columns``, each
+    value passed through its column's converter (``str`` columns are left as
+    read). A wrong header raises ArtifactError naming the file; a wrong
+    column count, or a value its converter rejects with ValueError, raises
+    one naming ``file:line``."""
+    width = len(columns)
+    converted = [(i, convert) for i, convert in enumerate(columns.values()) if convert is not str]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(columns):
+            raise ArtifactError(f"unexpected CSV header in {path}: {header}")
+        for row in reader:
+            try:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} columns, got {len(row)}")
+                for i, convert in converted:
+                    row[i] = convert(row[i])
+            except ValueError as err:
+                raise ArtifactError(f"{path}:{reader.line_num}: malformed row: {err}") from None
+            yield row
+
+
+def _digraph(labels: list[str], arcs, source: str) -> SimpleDigraph:
+    """``SimpleDigraph.from_arcs`` over artifact data: a repeated label, a
+    self-loop or an unknown endpoint raises ArtifactError naming ``source``."""
+    from . import graphclean
+
+    try:
+        return graphclean.SimpleDigraph.from_arcs(labels, arcs)
+    except ValueError as err:
+        raise ArtifactError(f"{source}: {err}") from None
+
+
 def _read_merged_graph(
     nodes_path: Path, edges_path: Path
 ) -> tuple[SimpleDigraph, dict[tuple[int, int], int]]:
-    from . import graphclean
-
     labels = nodes_path.read_text(encoding="utf-8").splitlines()
     weights: dict[tuple[str, str], int] = {}
-    with open(edges_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["src", "dst", "layer", "weight"]:
-            raise ArtifactError(f"unexpected edge CSV header in {edges_path}: {header}")
-        try:
-            for src, dst, _layer, weight in reader:
-                key = (src, dst)
-                weights[key] = weights.get(key, 0) + int(weight)
-        except ValueError as err:
-            raise ArtifactError(
-                f"{edges_path}:{reader.line_num}: malformed edge row: {err}"
-            ) from None
-    try:
-        graph = graphclean.SimpleDigraph.from_arcs(labels, sorted(weights))
-    except ValueError as err:
-        raise ArtifactError(f"{edges_path} does not fit {nodes_path.name}: {err}") from None
+    columns = {"src": str, "dst": str, "layer": str, "weight": int}
+    for src, dst, _layer, weight in _read_artifact_csv(edges_path, columns):
+        key = (src, dst)
+        weights[key] = weights.get(key, 0) + weight
+    graph = _digraph(labels, sorted(weights), f"{edges_path} does not fit {nodes_path.name}")
     index = {label: i for i, label in enumerate(labels)}
     # collapsed multiplicities, kept for the weighted ranking variant
     graph_weights = {(index[s], index[d]): w for (s, d), w in weights.items()}
     return graph, graph_weights
-
-
-def _metrics_dict(m: GraphMetrics) -> dict:
-    return {
-        "nodes": m.nodes,
-        "edges": m.edges,
-        "degree_avg": m.degree_avg,
-        "density": m.density,
-        "clustering_coefficient": m.clustering_coefficient,
-        "scc_count": m.scc_count,
-    }
 
 
 def _layer_metrics(cfg: PipelineConfig, layer: str) -> dict | None:
@@ -366,20 +380,11 @@ def _layer_metrics(cfg: PipelineConfig, layer: str) -> dict | None:
     path = Path(cfg.out_dir) / "build" / f"edges_{layer}.csv"
     if not path.exists():
         return None
-    arcs = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        try:
-            for src, dst, _layer, _weight in reader:
-                arcs.add((src, dst))
-        except ValueError as err:
-            raise ArtifactError(
-                f"{path}:{reader.line_num}: malformed edge row: {err}"
-            ) from None
+    columns = {"src": str, "dst": str, "layer": str, "weight": str}
+    arcs = {(src, dst) for src, dst, _layer, _weight in _read_artifact_csv(path, columns)}
     labels = sorted({v for arc in arcs for v in arc})
-    graph = graphclean.SimpleDigraph.from_arcs(labels, sorted(arcs))
-    return _metrics_dict(graphclean.graph_metrics(graph, cfg.clustering_variant))
+    graph = _digraph(labels, sorted(arcs), str(path))
+    return asdict(graphclean.graph_metrics(graph, cfg.clustering_variant))
 
 
 def cmd_clean(cfg: PipelineConfig) -> dict:
@@ -414,8 +419,8 @@ def cmd_clean(cfg: PipelineConfig) -> dict:
         sorted(histogram.items()),
     )
     payload = {
-        "before": _metrics_dict(metrics_before),
-        "after": _metrics_dict(metrics_after),
+        "before": asdict(metrics_before),
+        "after": asdict(metrics_after),
         # each layer as its own network, so the merged and per-layer
         # readings can both be compared against outside figures
         "layers": {
@@ -451,32 +456,20 @@ def cmd_clean(cfg: PipelineConfig) -> dict:
 
 
 def _read_cleaned_graph(cfg: PipelineConfig):
-    from . import graphclean
-
     nodes_path = _require_artifact(cfg, "clean", "nodes_kept.txt")
     arcs_path = _require_artifact(cfg, "clean", "graph_cleaned.csv")
     labels = nodes_path.read_text(encoding="utf-8").splitlines()
     index = {label: i for i, label in enumerate(labels)}
-    arcs = []
-    weights = {}
-    with open(arcs_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["src", "dst", "weight"]:
-            raise ArtifactError(f"unexpected arc CSV header in {arcs_path}: {header}")
-        try:
-            for src, dst, weight in reader:
-                arcs.append((src, dst))
-                weights[(index[src], index[dst])] = float(weight)
-        except KeyError as err:
-            raise ArtifactError(
-                f"{arcs_path}:{reader.line_num}: node {err} is not in {nodes_path.name}"
-            ) from None
-        except ValueError as err:
-            raise ArtifactError(
-                f"{arcs_path}:{reader.line_num}: malformed arc row: {err}"
-            ) from None
-    graph = graphclean.SimpleDigraph.from_arcs(labels, arcs)
+
+    def node(label: str) -> int:
+        if label not in index:
+            raise ValueError(f"node {label!r} is not in {nodes_path.name}")
+        return index[label]
+
+    columns = {"src": node, "dst": node, "weight": float}
+    weights = {(u, v): w for u, v, w in _read_artifact_csv(arcs_path, columns)}
+    arcs = [(labels[u], labels[v]) for u, v in weights]
+    graph = _digraph(labels, arcs, f"{arcs_path} does not fit {nodes_path.name}")
     return graph, weights, {"nodes": nodes_path, "arcs": arcs_path}
 
 
@@ -625,15 +618,9 @@ def cmd_stats(cfg: PipelineConfig) -> dict:
 
 
 def _read_ranking_csv(path: Path, top_k: int) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for blog_id, score, rank in reader:
-            rows.append({"blog_id": blog_id, "score": float(score), "rank": int(rank)})
-            if len(rows) >= top_k:
-                break
-    return rows
+    columns = {"blog_id": str, "score": float, "rank": int}
+    rows = _read_artifact_csv(path, columns)
+    return [dict(zip(columns, row)) for row in islice(rows, top_k)]
 
 
 def cmd_report(cfg: PipelineConfig) -> dict:
@@ -648,10 +635,7 @@ def cmd_report(cfg: PipelineConfig) -> dict:
 
     metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
     stats = json.loads(stats_path.read_text(encoding="utf-8"))
-    with open(histogram_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        histogram = {int(size): int(count) for size, count in reader}
+    histogram = dict(_read_artifact_csv(histogram_path, {"size": int, "count": int}))
     rankings = {
         kind: _read_ranking_csv(path, REPORT_TOP_K)
         for kind, path in sorted(rank_paths.items())
@@ -747,12 +731,6 @@ _STAGE_HELP = {
     "report": "combine everything into the final report",
 }
 
-_BOOL_FIELDS = {"unify_alef", "isolated_strict", "weighted_rank", "require_monthly"}
-_INT_FIELDS = {"utc_offset_minutes", "min_df", "vocab_top_k", "min_component_size",
-               "max_iter", "min_posts", "comment_threshold", "rank_top_k"}
-_FLOAT_FIELDS = {"max_df_ratio", "damping", "tol"}
-
-
 def _parse_bool(value: str) -> bool:
     lowered = value.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -763,21 +741,14 @@ def _parse_bool(value: str) -> bool:
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> list[str]:
+    converters = {"bool": _parse_bool, "int": int, "int | None": int, "float": float}
     field_names = []
     for section, keys in SECTIONS.items():
         for key, field_name in keys.items():
-            if field_name in _BOOL_FIELDS:
-                converter = _parse_bool
-            elif field_name in _INT_FIELDS:
-                converter = int
-            elif field_name in _FLOAT_FIELDS:
-                converter = float
-            else:
-                converter = str
             parser.add_argument(
                 f"--{key.replace('_', '-')}",
                 dest=field_name,
-                type=converter,
+                type=converters.get(FIELD_TYPES[field_name], str),
                 default=None,
                 help=f"override {section}.{key}",
             )
@@ -825,7 +796,8 @@ def main(argv=None) -> int:
     except StageDependencyError as err:
         print(f"stage error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DuplicateIdError, FileNotFoundError, EmptyCorpusError, ArtifactError) as err:
+    except (DuplicateIdError, FileNotFoundError, EmptyCorpusError, InputFileError,
+            ArtifactError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,6 +1,11 @@
 """Pipeline configuration: one JSON document with a section per module,
 every key overridable from the command line.
 
+``PipelineConfig`` is the only place a setting is declared: its annotation
+gives the flag's type, and its field metadata gives the file section (and
+the file key, where that is not the field name). ``SECTIONS`` and the CLI
+flags are derived from it.
+
 Defaults: damping 0.85, minimum component size 10, six-post activity
 threshold, 1e-9 convergence tolerances, UTC+03:30 dump offset.
 """
@@ -8,7 +13,7 @@ threshold, 1e-9 convergence tolerances, UTC+03:30 dump offset.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import timedelta
 from pathlib import Path
 from typing import Any
@@ -26,99 +31,62 @@ class ConfigError(ValueError):
         super().__init__("; ".join(problems))
 
 
+def _setting(section: str, default: Any = None, key: str | None = None) -> Any:
+    """A config field filed under ``section``; ``key`` is its file key where
+    that is not the field name."""
+    metadata = {"section": section} if key is None else {"section": section, "key": key}
+    return field(default=default, metadata=metadata)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    # inputs
-    posts: str | None = None
-    comments: str | None = None
-    blogroll: str | None = None
-    profiles: str | None = None
-    # ingest
-    utc_offset_minutes: int = 210
-    # textprep
-    stopwords: str | None = None        # None -> packaged default list
-    equivalences: str | None = None
-    min_df: int = 2
-    max_df_ratio: float = 0.5
-    vocab_top_k: int | None = None
-    tfidf_variant: str = "raw_ln"
-    unify_alef: bool = True
-    # graphbuild
-    host_patterns: tuple[str, ...] = ()
-    comment_direction: str = "commenter_to_author"
-    # graphclean
-    min_component_size: int = 10
-    isolated_strict: bool = False
-    clustering_variant: str = "mean_local"
-    # ranking
-    damping: float = 0.85
-    tol: float = 1e-9
-    max_iter: int = 200
-    hits_norm: str = "l2"
-    dangling_policy: str = "uniform"
-    weighted_rank: bool = False
-    rank_top_k: int | None = None       # None -> full ranked listings
-    # profilestats
-    window_start: str | None = None     # RFC 3339; None -> dataset span
-    window_end: str | None = None
-    min_posts: int = 6
-    require_monthly: bool = False
-    comment_threshold: int = 10
-    # output
-    out_dir: str = "out"
+    posts: str | None = _setting("inputs")
+    comments: str | None = _setting("inputs")
+    blogroll: str | None = _setting("inputs")
+    profiles: str | None = _setting("inputs")
+    utc_offset_minutes: int = _setting("ingest", 210)
+    stopwords: str | None = _setting("textprep")   # None -> packaged default list
+    equivalences: str | None = _setting("textprep")
+    min_df: int = _setting("textprep", 2)
+    max_df_ratio: float = _setting("textprep", 0.5)
+    vocab_top_k: int | None = _setting("textprep")
+    tfidf_variant: str = _setting("textprep", "raw_ln")
+    unify_alef: bool = _setting("textprep", True)
+    host_patterns: tuple[str, ...] = _setting("graphbuild", ())
+    comment_direction: str = _setting("graphbuild", "commenter_to_author")
+    min_component_size: int = _setting("graphclean", 10)
+    isolated_strict: bool = _setting("graphclean", False)
+    clustering_variant: str = _setting("graphclean", "mean_local")
+    damping: float = _setting("ranking", 0.85)
+    tol: float = _setting("ranking", 1e-9)
+    max_iter: int = _setting("ranking", 200)
+    hits_norm: str = _setting("ranking", "l2")
+    dangling_policy: str = _setting("ranking", "uniform")
+    weighted_rank: bool = _setting("ranking", False)
+    rank_top_k: int | None = _setting("ranking", key="top_k")   # None -> full ranked listings
+    window_start: str | None = _setting("profilestats")   # RFC 3339; None -> dataset span
+    window_end: str | None = _setting("profilestats")
+    min_posts: int = _setting("profilestats", 6)
+    require_monthly: bool = _setting("profilestats", False)
+    comment_threshold: int = _setting("profilestats", 10)
+    out_dir: str = _setting("output", "out")
 
     @property
     def utc_offset(self) -> timedelta:
         return timedelta(minutes=self.utc_offset_minutes)
 
 
-# config-file section -> {file key: dataclass field}
-SECTIONS: dict[str, dict[str, str]] = {
-    "inputs": {
-        "posts": "posts",
-        "comments": "comments",
-        "blogroll": "blogroll",
-        "profiles": "profiles",
-    },
-    "ingest": {"utc_offset_minutes": "utc_offset_minutes"},
-    "textprep": {
-        "stopwords": "stopwords",
-        "equivalences": "equivalences",
-        "min_df": "min_df",
-        "max_df_ratio": "max_df_ratio",
-        "vocab_top_k": "vocab_top_k",
-        "tfidf_variant": "tfidf_variant",
-        "unify_alef": "unify_alef",
-    },
-    "graphbuild": {
-        "host_patterns": "host_patterns",
-        "comment_direction": "comment_direction",
-    },
-    "graphclean": {
-        "min_component_size": "min_component_size",
-        "isolated_strict": "isolated_strict",
-        "clustering_variant": "clustering_variant",
-    },
-    "ranking": {
-        "damping": "damping",
-        "tol": "tol",
-        "max_iter": "max_iter",
-        "hits_norm": "hits_norm",
-        "dangling_policy": "dangling_policy",
-        "weighted_rank": "weighted_rank",
-        "top_k": "rank_top_k",
-    },
-    "profilestats": {
-        "window_start": "window_start",
-        "window_end": "window_end",
-        "min_posts": "min_posts",
-        "require_monthly": "require_monthly",
-        "comment_threshold": "comment_threshold",
-    },
-    "output": {"out_dir": "out_dir"},
-}
+def _sections() -> dict[str, dict[str, str]]:
+    sections: dict[str, dict[str, str]] = {}
+    for f in fields(PipelineConfig):
+        sections.setdefault(f.metadata["section"], {})[f.metadata.get("key", f.name)] = f.name
+    return sections
 
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+
+# config-file section -> {file key: dataclass field}, in field order
+SECTIONS = _sections()
+# dataclass field -> its annotation, as a string (``"int | None"``)
+FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 
 def _coerce(field_name: str, value: Any, problems: list[str]) -> Any:
@@ -232,7 +200,7 @@ def load_config(
                 continue
             values[field_name] = _coerce(field_name, value, problems)
 
-    unknown = set(values) - set(_FIELD_TYPES)
+    unknown = set(values) - set(FIELD_TYPES)
     for name in sorted(unknown):
         problems.append(f"unknown config field {name!r}")
         values.pop(name)

@@ -2,14 +2,15 @@
 layers, resolve platform URLs to blog ids, drop external targets and
 self-loops, and merge the layers into one directed multigraph.
 
-The trackback layer exists in the model for completeness but is never
-populated: the studied platform does not support trackbacks.
+Every layer folds repeated (src, dst) pairs into one edge whose weight
+counts the records behind it; which records those were is not kept.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 from urllib.parse import urlsplit
@@ -21,7 +22,6 @@ class Layer(str, Enum):
     BLOGROLL = "blogroll"
     COMMENT = "comment"
     CITATION = "citation"
-    TRACKBACK = "trackback"
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class Edge:
     dst: str
     layer: Layer
     weight: int = 1                      # multiplicity within the layer
-    sources: tuple[str, ...] = ()        # record ids this edge folds together
 
     def __post_init__(self):
         if self.weight < 1:
@@ -98,26 +97,10 @@ class UrlResolver:
         return None
 
 
-def resolve_internal_url(url: str, patterns: Sequence[str]) -> str | None:
-    """One-shot form of :meth:`UrlResolver.resolve`."""
-    return UrlResolver(patterns).resolve(url)
-
-
 # --- edge extraction ---------------------------------------------------------
 
-def _fold(acc: dict, src: str, dst: str, source_id: str) -> None:
-    key = (src, dst)
-    if key in acc:
-        acc[key].append(source_id)
-    else:
-        acc[key] = [source_id]
-
-
-def _folded_edges(acc: dict, layer: Layer) -> list[Edge]:
-    return [
-        Edge(src, dst, layer, weight=len(ids), sources=tuple(ids))
-        for (src, dst), ids in sorted(acc.items())
-    ]
+def _folded_edges(acc: Counter, layer: Layer) -> list[Edge]:
+    return [Edge(src, dst, layer, weight=n) for (src, dst), n in sorted(acc.items())]
 
 
 def extract_blogroll_edges(
@@ -125,14 +108,14 @@ def extract_blogroll_edges(
 ) -> tuple[list[Edge], dict[str, int]]:
     """One owner->target edge per internal blogroll entry; duplicates fold
     into the weight. External targets are dropped and counted."""
-    acc: dict = {}
+    acc: Counter = Counter()
     counters = {"records": len(records), "external_urls": 0}
-    for i, rec in enumerate(records):
+    for rec in records:
         target = resolver.resolve(rec.target_url)
         if target is None:
             counters["external_urls"] += 1
             continue
-        _fold(acc, canonical_blog_id(rec.owner_blog_id), target, f"blogroll:{i}")
+        acc[canonical_blog_id(rec.owner_blog_id), target] += 1
     return _folded_edges(acc, Layer.BLOGROLL), counters
 
 
@@ -145,7 +128,7 @@ def extract_comment_edges(
     weight = number of such comments. Anonymous comments are skipped and
     counted."""
     owner = {p.post_id: canonical_blog_id(p.blog_id) for p in posts}
-    acc: dict = {}
+    acc: Counter = Counter()
     counters = {"comments": len(comments), "anonymous": 0, "unmatched": 0}
     for c in comments:
         if not c.commenter_blog_id:
@@ -157,7 +140,7 @@ def extract_comment_edges(
             continue
         commenter = canonical_blog_id(c.commenter_blog_id)
         src, dst = (commenter, author) if toward_author else (author, commenter)
-        _fold(acc, src, dst, c.comment_id)
+        acc[src, dst] += 1
     return _folded_edges(acc, Layer.COMMENT), counters
 
 
@@ -198,7 +181,7 @@ def extract_citation_edges(
     platform; emit author -> target for every target other than the author's
     own blog. Relative URLs resolve to the author's blog and therefore never
     produce an edge."""
-    acc: dict = {}
+    acc: Counter = Counter()
     counters = {"posts": len(posts), "links_found": 0, "external_urls": 0, "self_links": 0}
     for p in posts:
         author = canonical_blog_id(p.blog_id)
@@ -210,7 +193,7 @@ def extract_citation_edges(
             elif target == author:
                 counters["self_links"] += 1
             else:
-                _fold(acc, author, target, p.post_id)
+                acc[author, target] += 1
     return _folded_edges(acc, Layer.CITATION), counters
 
 
@@ -261,40 +244,24 @@ class LayeredGraph:
     nodes: tuple[str, ...]   # sorted
     edges: tuple[Edge, ...]  # sorted by (layer, src, dst)
 
-    def layer_edges(self, layer: Layer) -> list[Edge]:
-        return [e for e in self.edges if e.layer == layer]
-
     def collapsed_arcs(self) -> list[tuple[str, str]]:
         """Simple-digraph view: parallel edges across layers fold to one arc."""
         return sorted({(e.src, e.dst) for e in self.edges})
-
-    def collapsed_arc_weights(self) -> dict[tuple[str, str], int]:
-        """Total multiplicity per collapsed arc, summed across layers."""
-        weights: dict[tuple[str, str], int] = {}
-        for e in self.edges:
-            key = (e.src, e.dst)
-            weights[key] = weights.get(key, 0) + e.weight
-        return weights
 
 
 def merge_layers(
     layers: Iterable[Sequence[Edge]], extra_nodes: Iterable[str] = ()
 ) -> LayeredGraph:
     """Union of the per-layer edge lists; duplicate (src, dst, layer) entries
-    fold (weights summed, provenance concatenated)."""
+    fold into one edge with the summed weight."""
     folded: dict[tuple[str, str, Layer], Edge] = {}
-    for layer_edges in layers:
-        for e in layer_edges:
+    for per_layer in layers:
+        for e in per_layer:
             key = (e.src, e.dst, e.layer)
             prev = folded.get(key)
-            if prev is None:
-                folded[key] = e
-            else:
-                folded[key] = Edge(
-                    e.src, e.dst, e.layer,
-                    weight=prev.weight + e.weight,
-                    sources=prev.sources + e.sources,
-                )
+            folded[key] = e if prev is None else Edge(
+                e.src, e.dst, e.layer, weight=prev.weight + e.weight
+            )
     edges = tuple(
         sorted(folded.values(), key=lambda e: (e.layer.value, e.src, e.dst))
     )

@@ -35,9 +35,6 @@ class SimpleDigraph:
             for v in out:
                 yield u, v
 
-    def labeled_arcs(self) -> list[tuple[str, str]]:
-        return [(self.labels[u], self.labels[v]) for u, v in self.arcs()]
-
     def out_degrees(self) -> list[int]:
         return [len(out) for out in self.adj]
 

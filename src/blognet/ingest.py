@@ -27,6 +27,11 @@ class DuplicateIdError(ValueError):
     """A primary id occurs twice in one dump file (structural corruption)."""
 
 
+class InputFileError(ValueError):
+    """An input file cannot be read: it is not UTF-8 text, or it breaks its
+    format as a whole. The message names the file."""
+
+
 class EmptyCorpusError(ValueError):
     """Vocabulary construction needs at least one document. Raised and
     re-exported by ``textprep``; declared here so the CLI maps it to an
@@ -123,10 +128,25 @@ def canonical_slug(value: str) -> str:
     return value.strip().lower()
 
 
+def _not_utf8(path: str | Path, err: UnicodeDecodeError) -> InputFileError:
+    return InputFileError(f"{path}: not UTF-8 text ({err.reason})")
+
+
+def read_text(path: str | Path) -> str:
+    """A whole UTF-8 input file (a leading BOM is dropped)."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
+
+
 def _jsonl_lines(path: Path) -> Iterator[tuple[int, str]]:
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            yield line_no, raw.rstrip("\n").rstrip("\r")
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                yield line_no, raw.rstrip("\n").rstrip("\r")
+        except UnicodeDecodeError as err:
+            raise _not_utf8(path, err) from None
 
 
 def _string_field(obj: dict, key: str, *, allow_empty: bool = False) -> str:

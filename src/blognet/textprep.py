@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .config import TFIDF_VARIANTS
-from .ingest import EmptyCorpusError
+from .ingest import EmptyCorpusError, InputFileError, read_text
 
 ZWNJ = "‌"  # zero-width non-joiner: word-internal in Persian compounds
 
@@ -200,7 +200,7 @@ def _parse_stopwords(content: str, equivalences: Mapping[str, str] | None = None
 
 def load_stopwords(path: str | Path, equivalences: Mapping[str, str] | None = None) -> set[str]:
     """Read a stop-word file: UTF-8, one term per line, '#' comments."""
-    return _parse_stopwords(Path(path).read_text(encoding="utf-8-sig"), equivalences)
+    return _parse_stopwords(read_text(path), equivalences)
 
 
 def default_stopwords() -> set[str]:
@@ -219,16 +219,16 @@ def load_equivalences(path: str | Path) -> dict[str, str]:
     one-shot idempotent substitution.
     """
     mapping: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         cols = line.split("\t")
         if len(cols) != 2:
-            raise ValueError(f"{path}:{line_no}: expected two tab-separated columns")
+            raise InputFileError(f"{path}:{line_no}: expected two tab-separated columns")
         variant, canonical = normalize(cols[0]), normalize(cols[1])
         if not variant or not canonical:
-            raise ValueError(f"{path}:{line_no}: empty variant or canonical form")
+            raise InputFileError(f"{path}:{line_no}: empty variant or canonical form")
         mapping[variant] = canonical
     resolved: dict[str, str] = {}
     for start in mapping:
@@ -236,7 +236,7 @@ def load_equivalences(path: str | Path) -> dict[str, str]:
         target = mapping[start]
         while target in mapping:
             if target in seen:
-                raise ValueError(f"equivalence cycle involving {start!r}")
+                raise InputFileError(f"{path}: equivalence cycle involving {start!r}")
             seen.add(target)
             target = mapping[target]
         if target != start:

@@ -2,6 +2,7 @@ import csv
 import filecmp
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -420,3 +421,75 @@ class TestStageOrderAndErrors:
         config_path.write_text(json.dumps(config))
         assert main(["ingest", "--config", str(config_path)]) == EXIT_OK
         assert (tmp_path / "out/ingest/posts.jsonl").exists()
+
+
+# Each case edits one artifact of a finished fixture run: (the stage that
+# reads it, the file, the edit on its lines, what the one-line message must
+# name). "{last}" is the number of lines after the edit.
+TAMPERED_ARTIFACTS = {
+    "histogram-short-row": (
+        "report", "clean/scc_histogram.csv", lambda lines: [*lines, "5"],
+        ["scc_histogram.csv:{last}:"]),
+    "histogram-header": (
+        "report", "clean/scc_histogram.csv", lambda lines: ["size,n", *lines[1:]],
+        ["scc_histogram.csv"]),
+    "ranking-short-row": (
+        "report", "rank/pagerank.csv", lambda lines: [lines[0], "b01,0.5", *lines[2:]],
+        ["pagerank.csv:2:"]),
+    "ranking-header": (
+        "report", "rank/hub.csv", lambda lines: ["blog,score,rank", *lines[1:]],
+        ["hub.csv"]),
+    "layer-self-loop": (
+        "clean", "build/edges_citation.csv", lambda lines: [*lines, "b01,b01,citation,1"],
+        ["edges_citation.csv", "'b01'"]),
+    "layer-header": (
+        "clean", "build/edges_citation.csv", lambda lines: ["from,to,layer,weight", *lines[1:]],
+        ["edges_citation.csv"]),
+    "cleaned-self-loop": (
+        "rank", "clean/graph_cleaned.csv", lambda lines: [*lines, "b02,b02,1"],
+        ["graph_cleaned.csv", "'b02'"]),
+    "repeated-kept-node": (
+        "rank", "clean/nodes_kept.txt", lambda lines: [*lines, lines[0]],
+        ["nodes_kept.txt", "unique"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_ARTIFACTS))
+def test_tampered_artifact_is_data_error(case, out_dir, tmp_path, capsys):
+    stage, artifact, edit, named = TAMPERED_ARTIFACTS[case]
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    path = out / artifact
+    lines = edit(path.read_text("utf-8").splitlines())
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([stage, *fixture_flags(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    for text in named:
+        assert text.format(last=len(lines)) in err
+
+
+# Each case hands one stage an input file it cannot read: (stage, flag,
+# file name, file bytes).
+UNREADABLE_INPUTS = {
+    "one-column-equivalence": ("prep", "--equivalences", "eq.tsv", b"a\tb\nc\n"),
+    "equivalence-cycle": ("prep", "--equivalences", "eq.tsv", b"a\tb\nb\ta\n"),
+    "non-utf8-stopwords": ("prep", "--stopwords", "stop.txt", "و\n".encode() + b"\xff\n"),
+    "non-utf8-posts": ("ingest", "--posts", "posts.jsonl",
+                       (SMALLBLOG / "posts.jsonl").read_bytes() + b"\xff\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_unreadable_input_is_data_error(case, out_dir, tmp_path, capsys):
+    stage, flag, name, content = UNREADABLE_INPUTS[case]
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    path = tmp_path / name
+    path.write_bytes(content)
+    capsys.readouterr()
+    assert main([stage, *fixture_flags(out), flag, str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert str(path) in err

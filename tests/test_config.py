@@ -1,7 +1,10 @@
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
+from blognet.cli import STAGE_FUNCS, build_parser
 from blognet.config import ConfigError, PipelineConfig, config_snapshot, load_config
 
 
@@ -91,3 +94,45 @@ def test_snapshot_round_trips_through_loader(tmp_path):
     path = tmp_path / "echo.json"
     path.write_text(json.dumps(config_snapshot(cfg)))
     assert load_config(path) == cfg
+
+
+# The released settings: section -> file key -> the type its flag parses to.
+# Each flag is --<file key with dashes>; only ranking.top_k is stored under
+# another field name (rank_top_k).
+SCHEMA = {
+    "inputs": {"posts": str, "comments": str, "blogroll": str, "profiles": str},
+    "ingest": {"utc_offset_minutes": int},
+    "textprep": {"stopwords": str, "equivalences": str, "min_df": int, "max_df_ratio": float,
+                 "vocab_top_k": int, "tfidf_variant": str, "unify_alef": bool},
+    "graphbuild": {"host_patterns": str, "comment_direction": str},
+    "graphclean": {"min_component_size": int, "isolated_strict": bool,
+                   "clustering_variant": str},
+    "ranking": {"damping": float, "tol": float, "max_iter": int, "hits_norm": str,
+                "dangling_policy": str, "weighted_rank": bool, "top_k": int},
+    "profilestats": {"window_start": str, "window_end": str, "min_posts": int,
+                     "require_monthly": bool, "comment_threshold": int},
+    "output": {"out_dir": str},
+}
+SAMPLES = {bool: ("yes", True), int: ("3", 3), float: ("0.5", 0.5), str: ("text", "text")}
+
+
+@pytest.mark.parametrize("stage", STAGE_FUNCS)
+def test_derived_schema_is_pinned(stage):
+    parser, _ = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[stage]._actions
+    snapshot = config_snapshot(PipelineConfig())
+    assert {s: list(keys) for s, keys in snapshot.items()} == {
+        s: list(keys) for s, keys in SCHEMA.items()
+    }
+    assert len(fields(PipelineConfig)) == 30
+    for f in fields(PipelineConfig):
+        section = f.metadata["section"]
+        key = f.metadata.get("key", f.name)
+        assert key == ("top_k" if f.name == "rank_top_k" else f.name)
+        flags = [a.option_strings for a in actions if a.dest == f.name]
+        assert flags == [[f"--{key.replace('_', '-')}"]], f.name
+        sample, value = SAMPLES[SCHEMA[section][key]]
+        parsed = getattr(parser.parse_args([stage, flags[0][0], sample]), f.name)
+        assert parsed == value and type(parsed) is type(value), f.name
+        assert key in snapshot[section], f.name
