@@ -178,17 +178,29 @@ def cmd_ingest(cfg: PipelineConfig) -> dict:
 
 
 def _load_ingested(cfg: PipelineConfig, names: list[str]) -> tuple[dict[str, Path], dict]:
+    """Reload ingest artifacts through the ingest loaders. Ingest writes only
+    lines its loaders accept, so a line they quarantine now was changed after
+    ingest: it raises ArtifactError naming ``file:line``."""
     paths = {name: _require_artifact(cfg, "ingest", f"{name}.jsonl") for name in names}
+
+    def records(name: str, result: ingest_mod.LoadResult) -> list:
+        if result.quarantined:
+            first = result.quarantined[0]
+            raise ArtifactError(f"{paths[name]}:{first.line}: {first.reason}")
+        return result.records
+
     loaded = {}
     if "posts" in paths:
-        loaded["posts"] = ingest_mod.load_posts(paths["posts"]).records
+        loaded["posts"] = records("posts", ingest_mod.load_posts(paths["posts"]))
     if "comments" in paths:
         known = {p.post_id for p in loaded.get("posts", [])}
-        loaded["comments"] = ingest_mod.load_comments(paths["comments"], known).records
+        loaded["comments"] = records(
+            "comments", ingest_mod.load_comments(paths["comments"], known)
+        )
     if "blogroll" in paths:
-        loaded["blogroll"] = ingest_mod.load_blogroll(paths["blogroll"]).records
+        loaded["blogroll"] = records("blogroll", ingest_mod.load_blogroll(paths["blogroll"]))
     if "profiles" in paths:
-        loaded["profiles"] = ingest_mod.load_profiles(paths["profiles"]).records
+        loaded["profiles"] = records("profiles", ingest_mod.load_profiles(paths["profiles"]))
     return paths, loaded
 
 
@@ -253,7 +265,10 @@ def cmd_prep(cfg: PipelineConfig) -> dict:
 
 
 def _edges_to_rows(edges) -> list[tuple[str, str, str, int]]:
-    return [(e.src, e.dst, e.layer.value, e.weight) for e in edges]
+    from .graphbuild import Layer
+
+    value = {layer: layer.value for layer in Layer}  # ``.value`` is a descriptor call
+    return [(e.src, e.dst, value[e.layer], e.weight) for e in edges]
 
 
 def cmd_build(cfg: PipelineConfig) -> dict:
@@ -264,9 +279,13 @@ def cmd_build(cfg: PipelineConfig) -> dict:
         raise ConfigError(["graphbuild.host_patterns is required for the build stage"])
     paths, loaded = _load_ingested(cfg, ["posts", "comments", "blogroll", "profiles"])
     resolver = graphbuild.UrlResolver(cfg.host_patterns)
-    universe = graphbuild.blog_universe(
-        loaded["posts"], loaded["comments"], loaded["blogroll"], loaded["profiles"]
-    )
+    try:
+        # every blog id the extractors canonicalize is checked here first
+        universe = graphbuild.blog_universe(
+            loaded["posts"], loaded["comments"], loaded["blogroll"], loaded["profiles"]
+        )
+    except ValueError as err:
+        raise ArtifactError(f"ingest artifacts in {paths['posts'].parent}: {err}") from None
 
     layers = {}
     counts: dict = {"universe_blogs": len(universe)}
@@ -278,6 +297,9 @@ def cmd_build(cfg: PipelineConfig) -> dict:
         ),
         "citation": graphbuild.extract_citation_edges(loaded["posts"], resolver),
     }
+    # the records are the bulk of memory; free them before the merged graph
+    # and its output rows are built
+    del loaded
     for name, (edges, extract_counts) in extracted.items():
         extracted_weight = sum(e.weight for e in edges)
         edges, external_dropped = graphbuild.drop_external_links(edges, universe)
@@ -301,10 +323,11 @@ def cmd_build(cfg: PipelineConfig) -> dict:
         [layers["blogroll"], layers["comment"], layers["citation"]],
         extra_nodes=universe,
     )
+    collapsed = merged.collapsed_arcs()
     counts["merged"] = {
         "nodes": len(merged.nodes),
         "multigraph_edges": len(merged.edges),
-        "collapsed_arcs": len(merged.collapsed_arcs()),
+        "collapsed_arcs": len(collapsed),
     }
 
     stage_dir = _stage_dir(cfg, "build")
@@ -313,7 +336,7 @@ def cmd_build(cfg: PipelineConfig) -> dict:
         _write_csv(stage_dir / f"edges_{name}.csv", header, _edges_to_rows(layers[name]))
     _write_csv(stage_dir / "edges_merged.csv", header, _edges_to_rows(merged.edges))
     _write_lines(stage_dir / "nodes.txt", merged.nodes)
-    (stage_dir / "graph.dot").write_text(graphbuild.to_dot(merged), encoding="utf-8")
+    (stage_dir / "graph.dot").write_text(graphbuild.to_dot(merged, collapsed), encoding="utf-8")
 
     outputs = ["edges_blogroll.csv", "edges_comment.csv", "edges_citation.csv",
                "edges_merged.csv", "nodes.txt", "graph.dot"]
@@ -321,28 +344,48 @@ def cmd_build(cfg: PipelineConfig) -> dict:
     return counts
 
 
+def _read_artifact_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ingest_mod.not_utf8_error(path, err) from None
+
+
+def _read_artifact_json(path: Path) -> Any:
+    try:
+        return json.loads(_read_artifact_text(path))
+    except json.JSONDecodeError as err:
+        raise ArtifactError(f"{path}: invalid JSON: {err}") from None
+
+
 def _read_artifact_csv(path: Path, columns: dict[str, Callable[[str], Any]]) -> Iterator[list]:
     """Yield the rows of an artifact CSV whose header is ``columns``, each
     value passed through its column's converter (``str`` columns are left as
-    read). A wrong header raises ArtifactError naming the file; a wrong
-    column count, or a value its converter rejects with ValueError, raises
-    one naming ``file:line``."""
+    read). A wrong header raises ArtifactError naming the file, and a byte
+    that is not UTF-8 InputFileError; a wrong column count, or a value its
+    converter rejects with ValueError, raises ArtifactError naming
+    ``file:line``."""
     width = len(columns)
     converted = [(i, convert) for i, convert in enumerate(columns.values()) if convert is not str]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(columns):
-            raise ArtifactError(f"unexpected CSV header in {path}: {header}")
-        for row in reader:
-            try:
-                if len(row) != width:
-                    raise ValueError(f"expected {width} columns, got {len(row)}")
-                for i, convert in converted:
-                    row[i] = convert(row[i])
-            except ValueError as err:
-                raise ArtifactError(f"{path}:{reader.line_num}: malformed row: {err}") from None
-            yield row
+        try:
+            header = next(reader, None)
+            if header != list(columns):
+                raise ArtifactError(f"unexpected CSV header in {path}: {header}")
+            for row in reader:
+                try:
+                    if len(row) != width:
+                        raise ValueError(f"expected {width} columns, got {len(row)}")
+                    for i, convert in converted:
+                        row[i] = convert(row[i])
+                except ValueError as err:
+                    raise ArtifactError(
+                        f"{path}:{reader.line_num}: malformed row: {err}"
+                    ) from None
+                yield row
+        except UnicodeDecodeError as err:
+            raise ingest_mod.not_utf8_error(path, err) from None
 
 
 def _digraph(labels: list[str], arcs, source: str) -> SimpleDigraph:
@@ -359,7 +402,7 @@ def _digraph(labels: list[str], arcs, source: str) -> SimpleDigraph:
 def _read_merged_graph(
     nodes_path: Path, edges_path: Path
 ) -> tuple[SimpleDigraph, dict[tuple[int, int], int]]:
-    labels = nodes_path.read_text(encoding="utf-8").splitlines()
+    labels = _read_artifact_text(nodes_path).splitlines()
     weights: dict[tuple[str, str], int] = {}
     columns = {"src": str, "dst": str, "layer": str, "weight": int}
     for src, dst, _layer, weight in _read_artifact_csv(edges_path, columns):
@@ -458,7 +501,7 @@ def cmd_clean(cfg: PipelineConfig) -> dict:
 def _read_cleaned_graph(cfg: PipelineConfig):
     nodes_path = _require_artifact(cfg, "clean", "nodes_kept.txt")
     arcs_path = _require_artifact(cfg, "clean", "graph_cleaned.csv")
-    labels = nodes_path.read_text(encoding="utf-8").splitlines()
+    labels = _read_artifact_text(nodes_path).splitlines()
     index = {label: i for i, label in enumerate(labels)}
 
     def node(label: str) -> int:
@@ -633,8 +676,8 @@ def cmd_report(cfg: PipelineConfig) -> dict:
         for kind in ("indegree", "pagerank", "hub", "authority")
     }
 
-    metrics = json.loads(metrics_path.read_text(encoding="utf-8"))
-    stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    metrics = _read_artifact_json(metrics_path)
+    stats = _read_artifact_json(stats_path)
     histogram = dict(_read_artifact_csv(histogram_path, {"size": int, "count": int}))
     rankings = {
         kind: _read_ranking_csv(path, REPORT_TOP_K)

@@ -110,8 +110,11 @@ def _validate(cfg: PipelineConfig) -> list[str]:
         if not ok:
             problems.append(message)
 
-    check(isinstance(cfg.utc_offset_minutes, int) and not isinstance(cfg.utc_offset_minutes, bool)
-          and -16 * 60 <= cfg.utc_offset_minutes <= 16 * 60,
+    offset_ok = (
+        isinstance(cfg.utc_offset_minutes, int) and not isinstance(cfg.utc_offset_minutes, bool)
+        and -16 * 60 <= cfg.utc_offset_minutes <= 16 * 60
+    )
+    check(offset_ok,
           "ingest.utc_offset_minutes must be an integer number of minutes within +/-16h")
     check(isinstance(cfg.min_df, int) and cfg.min_df >= 1,
           "textprep.min_df must be an integer >= 1")
@@ -152,12 +155,17 @@ def _validate(cfg: PipelineConfig) -> list[str]:
           "profilestats.comment_threshold must be an integer >= 0")
     check(bool(cfg.out_dir), "output.out_dir must be a non-empty path")
 
+    # bounds without an offset are read at the dump's offset, as stats reads them
+    offset = cfg.utc_offset if offset_ok else timedelta(0)
+    bounds = {}
     for key, value in (("window_start", cfg.window_start), ("window_end", cfg.window_end)):
         if value is not None:
             try:
-                parse_timestamp(value)
+                bounds[key] = parse_timestamp(value, offset)
             except ValueError:
                 problems.append(f"profilestats.{key} is not an RFC 3339 timestamp: {value!r}")
+    if len(bounds) == 2 and bounds["window_start"] >= bounds["window_end"]:
+        problems.append("profilestats.window_start must precede window_end")
     return problems
 
 

@@ -36,12 +36,16 @@ class Edge:
             raise ValueError("edge weight must be >= 1")
 
 
+# For str patterns ``\s`` matches exactly the characters ``str.isspace`` accepts.
+_NOT_BARE_RE = re.compile(r"[/:\\\s]")
+
+
 def canonical_blog_id(raw: str) -> str:
     """Canonical node id: lowercase slug, no scheme, no slashes."""
     slug = canonical_slug(raw)
     if not slug:
         raise ValueError("blog id is empty")
-    if any(ch in slug for ch in "/:\\") or any(ch.isspace() for ch in slug):
+    if _NOT_BARE_RE.search(slug):
         raise ValueError(f"not a bare blog slug: {raw!r}")
     return slug
 
@@ -110,8 +114,14 @@ def extract_blogroll_edges(
     into the weight. External targets are dropped and counted."""
     acc: Counter = Counter()
     counters = {"records": len(records), "external_urls": 0}
+    # many blogs list the same blogs, so each distinct URL is resolved once;
+    # citation URLs carry post paths and rarely repeat, so they are not cached
+    targets: dict[str, str | None] = {}
     for rec in records:
-        target = resolver.resolve(rec.target_url)
+        url = rec.target_url
+        if url not in targets:
+            targets[url] = resolver.resolve(url)
+        target = targets[url]
         if target is None:
             counters["external_urls"] += 1
             continue
@@ -270,12 +280,13 @@ def merge_layers(
     return LayeredGraph(nodes=tuple(sorted(nodes)), edges=edges)
 
 
-def to_dot(graph: LayeredGraph) -> str:
-    """Collapsed view as DOT for visualization tools."""
+def to_dot(graph: LayeredGraph, arcs: Sequence[tuple[str, str]] | None = None) -> str:
+    """Collapsed view as DOT for visualization tools. ``arcs``, when given,
+    is ``graph.collapsed_arcs()`` already computed by the caller."""
     lines = ["digraph blognet {"]
     for node in graph.nodes:
         lines.append(f'  "{node}";')
-    for src, dst in graph.collapsed_arcs():
+    for src, dst in graph.collapsed_arcs() if arcs is None else arcs:
         lines.append(f'  "{src}" -> "{dst}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -93,12 +93,32 @@ _TS_RE = re.compile(
 )
 
 
+# One timezone per offset string or assumed offset: bounded by the offsets
+# ``_TS_RE`` admits (and the configured dump offset), not by the input size.
+_TIMEZONES: dict[str | timedelta, timezone] = {}
+
+
+def _timezone(offset: str | None, assume_offset: timedelta) -> timezone:
+    key = assume_offset if offset is None else offset
+    tz = _TIMEZONES.get(key)
+    if tz is None:
+        if offset is None:
+            tz = timezone(assume_offset)
+        else:
+            sign = 1 if offset[0] == "+" else -1
+            hours, minutes = int(offset[1:3]), int(offset[4:6])
+            tz = timezone(sign * timedelta(hours=hours, minutes=minutes))
+        _TIMEZONES[key] = tz
+    return tz
+
+
 def parse_timestamp(value: str, assume_offset: timedelta = timedelta(0)) -> datetime:
     """Parse an RFC 3339 timestamp into an aware UTC datetime.
 
     Timestamps without an explicit offset are taken as local wall-clock at
     ``assume_offset`` (the dump's fixed UTC offset). Sub-second digits are
-    dropped; the data model is seconds precision.
+    dropped; the data model is seconds precision. A timestamp whose UTC
+    reading falls outside years 1-9999 raises ValueError.
     """
     if not isinstance(value, str):
         raise ValueError("timestamp must be a string")
@@ -107,20 +127,20 @@ def parse_timestamp(value: str, assume_offset: timedelta = timedelta(0)) -> date
         raise ValueError(f"unparseable timestamp: {value!r}")
     date_part, time_part, offset = m.group(1), m.group(2), m.group(3)
     naive = datetime.fromisoformat(f"{date_part}T{time_part}")  # validates ranges
-    if offset is None:
-        tz = timezone(assume_offset)
-    elif offset in ("Z", "z"):
-        tz = timezone.utc
-    else:
-        sign = 1 if offset[0] == "+" else -1
-        hours, minutes = int(offset[1:3]), int(offset[4:6])
-        tz = timezone(sign * timedelta(hours=hours, minutes=minutes))
-    return naive.replace(tzinfo=tz).astimezone(timezone.utc)
+    if offset in ("Z", "z"):
+        return naive.replace(tzinfo=timezone.utc)
+    tz = _timezone(offset, assume_offset)
+    try:
+        return naive.replace(tzinfo=tz).astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp out of range in UTC: {value!r}") from None
 
 
 def format_timestamp(dt: datetime) -> str:
-    """Serialize back to the dump schema: UTC, seconds precision, Z suffix."""
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """Serialize back to the dump schema: UTC, seconds precision, Z suffix,
+    four-digit year."""
+    # an aware UTC datetime's isoformat ends in "+00:00"
+    return dt.astimezone(timezone.utc).isoformat(timespec="seconds")[:-6] + "Z"
 
 
 def canonical_slug(value: str) -> str:
@@ -128,7 +148,8 @@ def canonical_slug(value: str) -> str:
     return value.strip().lower()
 
 
-def _not_utf8(path: str | Path, err: UnicodeDecodeError) -> InputFileError:
+def not_utf8_error(path: str | Path, err: UnicodeDecodeError) -> InputFileError:
+    """The error for a file that is not UTF-8 text, naming the file."""
     return InputFileError(f"{path}: not UTF-8 text ({err.reason})")
 
 
@@ -137,7 +158,7 @@ def read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
-        raise _not_utf8(path, err) from None
+        raise not_utf8_error(path, err) from None
 
 
 def _jsonl_lines(path: Path) -> Iterator[tuple[int, str]]:
@@ -146,7 +167,7 @@ def _jsonl_lines(path: Path) -> Iterator[tuple[int, str]]:
             for line_no, raw in enumerate(fh, start=1):
                 yield line_no, raw.rstrip("\n").rstrip("\r")
         except UnicodeDecodeError as err:
-            raise _not_utf8(path, err) from None
+            raise not_utf8_error(path, err) from None
 
 
 def _string_field(obj: dict, key: str, *, allow_empty: bool = False) -> str:
@@ -256,14 +277,22 @@ def load_blogroll(path: str | Path) -> LoadResult:
     """Load blogroll.jsonl; target URLs must be syntactically valid http(s)."""
     from urllib.parse import urlsplit
 
-    def parse(obj: dict) -> BlogrollRecord:
-        url = _string_field(obj, "target_url").strip()
+    valid: dict[str, bool] = {}  # each distinct URL is split once per file
+
+    def is_http_url(url: str) -> bool:
         try:
             parts = urlsplit(url)
             host = parts.hostname
         except ValueError:
-            raise ValueError(f"invalid URL {url!r}") from None
-        if parts.scheme not in ("http", "https") or not host:
+            return False
+        return parts.scheme in ("http", "https") and bool(host)
+
+    def parse(obj: dict) -> BlogrollRecord:
+        url = _string_field(obj, "target_url").strip()
+        ok = valid.get(url)
+        if ok is None:
+            ok = valid[url] = is_http_url(url)
+        if not ok:
             raise ValueError(f"invalid URL {url!r}")
         return BlogrollRecord(
             owner_blog_id=canonical_slug(_string_field(obj, "owner_blog_id")),
@@ -332,10 +361,11 @@ def profile_to_dict(p: ProfileRecord) -> dict[str, Any]:
 
 def write_jsonl(path: str | Path, rows: Iterator[dict] | list[dict]) -> int:
     """Write dicts as one JSON object per line; returns the line count."""
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     n = 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True))
+            fh.write(encode(row))
             fh.write("\n")
             n += 1
     return n

@@ -4,17 +4,24 @@ These deliberately take different routes from the implementations under
 test: SCCs via Floyd-Warshall transitive closure instead of Tarjan,
 PageRank/HITS via dense matrix power iteration instead of sparse scatter
 sums, clustering via triple enumeration. The similarity matrix, character
-unification, tokenization and href masking keep the slow, direct versions
-that the faster library code replaced.
+unification, tokenization, href masking, blog-id checks, blogroll URL
+resolution and validation, timestamp parsing and formatting, and JSONL
+writing keep the slow, direct versions that the faster library code
+replaced.
 """
 
 from __future__ import annotations
 
+import json
 import unicodedata
+from collections import Counter
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 
-from blognet import graphbuild, textprep
+from blognet import graphbuild, ingest, textprep
 
 
 def random_arcs(rng, n: int, p: float) -> list[tuple[int, int]]:
@@ -192,3 +199,78 @@ def candidate_links_by_rebuild(html: str) -> list[tuple[str, bool]]:
     for m in graphbuild._BARE_URL_RE.finditer(masked):
         out.append((m.group(), False))
     return out
+
+
+def canonical_blog_id_by_scan(raw: str) -> str:
+    """Canonical blog id with the slug checked by two character scans."""
+    slug = ingest.canonical_slug(raw)
+    if not slug:
+        raise ValueError("blog id is empty")
+    if any(ch in slug for ch in "/:\\") or any(ch.isspace() for ch in slug):
+        raise ValueError(f"not a bare blog slug: {raw!r}")
+    return slug
+
+
+def blogroll_edges_resolving_each_record(records, resolver):
+    """Blogroll extraction that resolves the target URL of every record, a
+    repeated URL as often as it occurs."""
+    acc: Counter = Counter()
+    counters = {"records": len(records), "external_urls": 0}
+    for rec in records:
+        target = resolver.resolve(rec.target_url)
+        if target is None:
+            counters["external_urls"] += 1
+            continue
+        acc[graphbuild.canonical_blog_id(rec.owner_blog_id), target] += 1
+    return graphbuild._folded_edges(acc, graphbuild.Layer.BLOGROLL), counters
+
+
+def blogroll_url_error(url: str) -> str | None:
+    """The quarantine reason ``load_blogroll`` gives a stripped target URL,
+    splitting it on every call; None when it is accepted."""
+    try:
+        parts = urlsplit(url)
+        host = parts.hostname
+    except ValueError:
+        return f"invalid URL {url!r}"
+    if parts.scheme not in ("http", "https") or not host:
+        return f"invalid URL {url!r}"
+    return None
+
+
+def parse_timestamp_uncached(value: str, assume_offset: timedelta = timedelta(0)) -> datetime:
+    """RFC 3339 parsing with a new timezone per call and a conversion to UTC
+    even from ``Z``. A UTC reading outside years 1-9999 raises OverflowError."""
+    if not isinstance(value, str):
+        raise ValueError("timestamp must be a string")
+    m = ingest._TS_RE.match(value.strip())
+    if not m:
+        raise ValueError(f"unparseable timestamp: {value!r}")
+    date_part, time_part, offset = m.group(1), m.group(2), m.group(3)
+    naive = datetime.fromisoformat(f"{date_part}T{time_part}")
+    if offset is None:
+        tz = timezone(assume_offset)
+    elif offset in ("Z", "z"):
+        tz = timezone.utc
+    else:
+        sign = 1 if offset[0] == "+" else -1
+        hours, minutes = int(offset[1:3]), int(offset[4:6])
+        tz = timezone(sign * timedelta(hours=hours, minutes=minutes))
+    return naive.replace(tzinfo=tz).astimezone(timezone.utc)
+
+
+def format_timestamp_strftime(dt: datetime) -> str:
+    """UTC, seconds precision, Z suffix through ``strftime``, which does not
+    zero-pad years below 1000 on every platform."""
+    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def write_jsonl_by_dumps(path: Path, rows) -> int:
+    """JSONL with one ``json.dumps`` call (and encoder) per row."""
+    n = 0
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True))
+            fh.write("\n")
+            n += 1
+    return n

@@ -451,6 +451,25 @@ TAMPERED_ARTIFACTS = {
     "repeated-kept-node": (
         "rank", "clean/nodes_kept.txt", lambda lines: [*lines, lines[0]],
         ["nodes_kept.txt", "unique"]),
+    "ingest-post-missing-field": (
+        "build", "ingest/posts.jsonl", lambda lines: [*lines, '{"post_id": "p9999"}'],
+        ["posts.jsonl:{last}:", "'blog_id'"]),
+    "ingest-comment-not-json": (
+        "stats", "ingest/comments.jsonl", lambda lines: [*lines, "{broken"],
+        ["comments.jsonl:{last}:", "invalid JSON"]),
+    "ingest-blogroll-bad-url": (
+        "build", "ingest/blogroll.jsonl",
+        lambda lines: [*lines, '{"owner_blog_id": "b01", "target_url": "ftp://x.example/"}'],
+        ["blogroll.jsonl:{last}:", "invalid URL"]),
+    "ingest-profile-bad-age": (
+        "stats", "ingest/profiles.jsonl", lambda lines: [*lines, '{"blog_id": "b98", "age": 3}'],
+        ["profiles.jsonl:{last}:", "age 3"]),
+    "truncated-metrics": (
+        "report", "clean/metrics.json", lambda lines: lines[:-1],
+        ["clean/metrics.json", "invalid JSON"]),
+    "stats-report-open-brace": (
+        "report", "stats/report.json", lambda lines: ["{"],
+        ["stats/report.json", "invalid JSON"]),
 }
 
 
@@ -493,3 +512,77 @@ def test_unreadable_input_is_data_error(case, out_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert str(path) in err
+
+
+# Each case appends a byte that is not UTF-8 to one artifact of a finished
+# fixture run: (the stage that reads it, the file).
+NON_UTF8_ARTIFACTS = {
+    "nodes": ("clean", "build/nodes.txt"),
+    "merged-edges": ("clean", "build/edges_merged.csv"),
+    "layer-edges": ("clean", "build/edges_comment.csv"),
+    "kept-nodes": ("rank", "clean/nodes_kept.txt"),
+    "cleaned-arcs": ("rank", "clean/graph_cleaned.csv"),
+    "ranking": ("report", "rank/authority.csv"),
+    "histogram": ("report", "clean/scc_histogram.csv"),
+    "metrics": ("report", "clean/metrics.json"),
+    "ingest-posts": ("build", "ingest/posts.jsonl"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_UTF8_ARTIFACTS))
+def test_non_utf8_artifact_is_data_error(case, out_dir, tmp_path, capsys):
+    stage, artifact = NON_UTF8_ARTIFACTS[case]
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    with open(out / artifact, "ab") as fh:
+        fh.write(b"\xff\n")
+    capsys.readouterr()
+    assert main([stage, *fixture_flags(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert str(out / artifact) in err and "UTF-8" in err
+
+
+def flags_with_extra_post(tmp_path, **fields):
+    """Fixture flags whose posts file has one more post, by blog b99."""
+    row = {"post_id": "p9901", "blog_id": "b99", "title": "t", "body": "b",
+           "published_at": "2010-04-05T10:00:00Z", **fields}
+    posts = tmp_path / "posts.jsonl"
+    posts.write_bytes((SMALLBLOG / "posts.jsonl").read_bytes()
+                      + (json.dumps(row) + "\n").encode("utf-8"))
+    flags = fixture_flags(tmp_path / "out")
+    flags[flags.index("--posts") + 1] = str(posts)
+    return flags
+
+
+@pytest.mark.parametrize("stamp", ["0999-05-01T10:00:00Z", "0001-01-01T05:00:00+03:30"])
+def test_year_below_1000_survives_ingest_and_build(stamp, tmp_path):
+    flags = flags_with_extra_post(tmp_path, published_at=stamp)
+    for stage in ("ingest", "build"):
+        assert main([stage, *flags]) == EXIT_OK, stage
+    out = tmp_path / "out"
+    assert manifest(out, "ingest")["counts"]["posts"]["accepted"] == 15
+    assert manifest(out, "build")["counts"]["universe_blogs"] == (
+        GROUND_TRUTH["build"]["universe_blogs"] + 1
+    )
+    assert "b99" in (out / "build/nodes.txt").read_text("utf-8").splitlines()
+
+
+def test_timestamp_outside_utc_years_is_quarantined(tmp_path):
+    stamp = "0001-01-01T00:00:00+03:30"
+    flags = flags_with_extra_post(tmp_path, published_at=stamp)
+    assert main(["ingest", *flags]) == EXIT_OK
+    rows = [json.loads(line) for line in
+            (tmp_path / "out/ingest/quarantine.jsonl").read_text("utf-8").splitlines()]
+    assert {"file": "posts.jsonl", "line": 16,
+            "reason": f"timestamp out of range in UTC: {stamp!r}"} in rows
+
+
+def test_blog_id_that_is_not_a_bare_slug_is_data_error(tmp_path, capsys):
+    flags = flags_with_extra_post(tmp_path, blog_id="b01/x")
+    assert main(["ingest", *flags]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["build", *flags]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "not a bare blog slug: 'b01/x'" in err

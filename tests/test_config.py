@@ -84,6 +84,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="window_start"):
             load_config(None, {"window_start": "sometime", "window_end": "2010-10-01T00:00:00Z"})
 
+    @pytest.mark.parametrize("start, end, problem", [
+        # UTC reading before year 1, with an explicit offset and at the
+        # dump's default +03:30
+        ("0001-01-01T00:00:00+03:30", "2010-10-01T00:00:00Z", "window_start is not an RFC 3339"),
+        ("0001-01-01T03:00:00", "2010-10-01T00:00:00Z", "window_start is not an RFC 3339"),
+        ("2010-10-01T00:00:00Z", "9999-12-31T23:59:59-00:01", "window_end is not an RFC 3339"),
+        ("2010-10-01T00:00:00Z", "2010-10-01T03:30:00", "window_start must precede window_end"),
+    ])
+    def test_window_bounds_read_at_dump_offset(self, start, end, problem):
+        with pytest.raises(ConfigError) as err:
+            load_config(None, {"window_start": start, "window_end": end})
+        assert [p for p in err.value.problems if problem in p]
+
     def test_bad_host_pattern_shape(self):
         with pytest.raises(ConfigError, match="host_patterns"):
             load_config(None, {"host_patterns": "blogs.example.com"})

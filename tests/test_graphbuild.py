@@ -18,7 +18,11 @@ from blognet.graphbuild import (
     merge_layers,
 )
 from blognet.ingest import BlogrollRecord, RawComment, RawPost
-from oracles import candidate_links_by_rebuild
+from oracles import (
+    blogroll_edges_resolving_each_record,
+    candidate_links_by_rebuild,
+    canonical_blog_id_by_scan,
+)
 
 UTC = timezone.utc
 PATTERNS = ["{blog}.parsiblog.com"]
@@ -308,3 +312,75 @@ def test_dot_export():
     assert dot.startswith("digraph")
     assert '"a" -> "b";' in dot
     assert '"c";' in dot
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as err:
+        return "error", str(err)
+
+
+class TestBlogIdCheck:
+    def test_pattern_rejects_exactly_what_the_scans_reject(self):
+        mismatches = [
+            hex(cp) for cp in range(0x110000)
+            if bool(graphbuild._NOT_BARE_RE.search(chr(cp)))
+            != (chr(cp) in "/:\\" or chr(cp).isspace())
+        ]
+        assert mismatches == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.one_of(
+        st.sampled_from(" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029"
+                        "\u202f\u3000\u200b\ufeff/:\\AbB\u0130"),
+        st.characters(blacklist_categories=("Cs",)),
+    ), max_size=12))
+    def test_matches_scan_oracle(self, raw):
+        assert outcome(graphbuild.canonical_blog_id, raw) == outcome(canonical_blog_id_by_scan, raw)
+
+
+RESOLVER_PATTERNS = [
+    ["{blog}.parsiblog.com"],
+    ["parsiblog.com/{blog}"],
+    ["{blog}.parsiblog.com", "blogfa.com/{blog}"],
+]
+
+
+@st.composite
+def platform_urls(draw) -> str:
+    scheme = draw(st.sampled_from(["http://", "https://", "HTTP://", "ftp://", "//", "", "http:"]))
+    host = draw(st.sampled_from([
+        "b01.parsiblog.com", "www.B02.parsiblog.com", "parsiblog.com", "a.b.parsiblog.com",
+        "blogfa.com", "www.blogfa.com", "evil.com", "[::1]", "[bad", "h:99", "",
+        "user\ufe6bhost.com",
+    ]))
+    path = draw(st.sampled_from(["", "/", "/B03/post/1", "//x", "?q=1", "#f", "/%zz"]))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    return pad + scheme + host + path + pad
+
+
+class TestBlogrollResolvedOncePerUrl:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(RESOLVER_PATTERNS),
+           st.lists(platform_urls(), min_size=1, max_size=4).flatmap(
+               lambda pool: st.lists(st.tuples(st.sampled_from(["a", "b01", "C"]),
+                                               st.sampled_from(pool)), max_size=12)))
+    def test_matches_per_record_oracle(self, patterns, rows):
+        records = [BlogrollRecord(owner, url) for owner, url in rows]
+        resolver = UrlResolver(patterns)
+        assert extract_blogroll_edges(records, resolver) == (
+            blogroll_edges_resolving_each_record(records, resolver)
+        )
+
+    def test_resolvers_share_no_targets(self):
+        records = [BlogrollRecord("a", "http://parsiblog.com/b07/post")] * 2
+        subdomain = UrlResolver(["{blog}.parsiblog.com"])
+        path = UrlResolver(["parsiblog.com/{blog}"])
+        for _ in range(2):
+            assert extract_blogroll_edges(records, subdomain) == (
+                [], {"records": 2, "external_urls": 2}
+            )
+            assert extract_blogroll_edges(records, path) == (
+                [Edge("a", "b07", Layer.BLOGROLL, weight=2)], {"records": 2, "external_urls": 0}
+            )

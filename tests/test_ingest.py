@@ -1,8 +1,13 @@
 import json
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from blognet import ingest
 
 
@@ -231,3 +236,144 @@ def test_loading_is_deterministic_and_order_preserving(tmp_path):
     b = ingest.load_posts(path).records
     assert a == b
     assert [p.post_id for p in a] == [f"p{i}" for i in range(10)]
+
+
+def outcome(fn, *args):
+    """("ok", result) or (exception type name, message)."""
+    try:
+        return "ok", fn(*args)
+    except (ValueError, OverflowError) as err:
+        return type(err).__name__, str(err)
+
+
+# Every "+HH:MM"/"-HH:MM" the pattern admits (including offsets of 24 h or
+# more, which ``timezone`` rejects), "Z", "z", and no offset.
+OFFSETS = st.one_of(
+    st.none(),
+    st.sampled_from(["Z", "z"]),
+    st.builds("{}{:02d}:{:02d}".format,
+              st.sampled_from("+-"), st.integers(0, 99), st.integers(0, 99)),
+)
+
+
+@st.composite
+def raw_timestamps(draw) -> str:
+    """RFC 3339-shaped strings with in- and out-of-range fields."""
+    year, month, day = draw(st.one_of(
+        st.tuples(st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32)),
+        # the first and last days, where an offset can leave years 1-9999
+        st.sampled_from([(1, 1, 1), (1, 1, 2), (999, 12, 31), (9999, 12, 31)]),
+    ))
+    hour, minute, second = draw(st.integers(0, 25)), draw(st.integers(0, 61)), draw(st.integers(0, 61))
+    sep = draw(st.sampled_from("Tt "))
+    fraction = draw(st.sampled_from(["", ".5", ".987654321"]))
+    offset = draw(OFFSETS) or ""
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    return (f"{pad}{year:04d}-{month:02d}-{day:02d}{sep}"
+            f"{hour:02d}:{minute:02d}:{second:02d}{fraction}{offset}{pad}")
+
+
+class TestTimestampOracles:
+    @settings(max_examples=600, deadline=None)
+    @given(raw_timestamps(), st.integers(-16 * 60, 16 * 60))
+    def test_parse_matches_uncached_oracle(self, value, offset_minutes):
+        assume_offset = timedelta(minutes=offset_minutes)
+        expected = outcome(oracles.parse_timestamp_uncached, value, assume_offset)
+        for _ in range(2):  # the second call reuses the cached timezone
+            got = outcome(ingest.parse_timestamp, value, assume_offset)
+            if expected[0] == "OverflowError":
+                assert got == ("ValueError", f"timestamp out of range in UTC: {value!r}")
+            elif expected[0] == "ok":
+                assert got[0] == "ok" and repr(got[1]) == repr(expected[1])
+            else:
+                assert got == expected
+
+    @pytest.mark.parametrize("value", ["0001-01-01T00:00:00+03:30",
+                                       "9999-12-31T23:59:59-00:01",
+                                       "0001-01-01T03:29:59"])
+    def test_utc_reading_outside_years_1_to_9999_is_value_error(self, value):
+        with pytest.raises(ValueError, match="out of range"):
+            ingest.parse_timestamp(value, timedelta(minutes=210))
+
+    def test_out_of_range_line_quarantined(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        write_lines(path, [post_row("p1"),
+                           post_row("p2", published_at="0001-01-01T00:00:00+03:30")])
+        result = ingest.load_posts(path)
+        assert [p.post_id for p in result.records] == ["p1"]
+        assert [(q.line, q.reason) for q in result.quarantined] == [
+            (2, "timestamp out of range in UTC: '0001-01-01T00:00:00+03:30'")
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.datetimes(min_value=datetime(1000, 1, 2), max_value=datetime(9999, 12, 30),
+                        timezones=st.sampled_from([
+                            timezone.utc, timezone(timedelta(minutes=210)),
+                            timezone(-timedelta(hours=11, minutes=59)),
+                        ])))
+    def test_format_matches_strftime_from_year_1000(self, dt):
+        assert ingest.format_timestamp(dt) == oracles.format_timestamp_strftime(dt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(999, 12, 31),
+                        timezones=st.just(timezone.utc)))
+    def test_years_below_1000_zero_padded_and_round_trip(self, dt):
+        stamp = ingest.format_timestamp(dt)
+        assert stamp == f"{dt.year:04d}" + stamp[4:]
+        assert ingest.parse_timestamp(stamp) == dt.replace(microsecond=0)
+
+
+def json_rows():
+    text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+    leaves = st.none() | st.booleans() | st.integers() | st.floats() | text
+    values = st.recursive(
+        leaves, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(text, inner, max_size=4),
+        max_leaves=8,
+    )
+    return st.lists(st.dictionaries(text, values, max_size=6), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(json_rows())
+def test_write_jsonl_matches_per_row_dumps(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.jsonl", Path(tmp) / "theirs.jsonl"
+        assert ingest.write_jsonl(ours, rows) == oracles.write_jsonl_by_dumps(theirs, rows)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
+@st.composite
+def target_urls(draw) -> str:
+    """Well-formed, foreign-scheme and malformed URLs (bad IPv6 brackets, a
+    netloc character that NFKC folds into '@', bad ports, whitespace)."""
+    scheme = draw(st.sampled_from(["http://", "https://", "HTTP://", "ftp://", "http:",
+                                   "//", "", "javascript:", "http:///"]))
+    host = draw(st.sampled_from(["b01.example.com", "www.B02.example.com", "example.com",
+                                 "[::1]", "[bad", "a]b", "user\ufe6bhost.com", "h:99",
+                                 "h:port", "", "ex ample.com", "\u00e4.example"]))
+    path = draw(st.sampled_from(["", "/", "/b03/post/1", "?q=1", "#frag", "/%zz"]))
+    pad = draw(st.sampled_from(["", " ", "\n"]))
+    return pad + scheme + host + path + pad
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(target_urls(), min_size=1, max_size=5).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=20)))
+def test_blogroll_validation_matches_uncached_oracle(urls):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "blogroll.jsonl"
+        write_lines(path, [{"owner_blog_id": "a", "target_url": url} for url in urls])
+        result = ingest.load_blogroll(path)
+    expected = []
+    for url in urls:
+        stripped = url.strip()
+        if not stripped:
+            expected.append("field 'target_url' is empty")
+        else:
+            expected.append(oracles.blogroll_url_error(stripped))
+    assert [r.target_url for r in result.records] == [
+        url.strip() for url, reason in zip(urls, expected) if reason is None
+    ]
+    assert [(q.line, q.reason) for q in result.quarantined] == [
+        (line, reason) for line, reason in enumerate(expected, start=1) if reason is not None
+    ]
