@@ -135,44 +135,27 @@ def cmd_ingest(cfg: PipelineConfig) -> dict:
     offset = cfg.utc_offset
 
     posts = ingest_mod.load_posts(inputs["posts"], offset)
-    comments = ingest_mod.load_comments(
-        inputs["comments"], {p.post_id for p in posts.records}, offset
-    )
-    blogroll = ingest_mod.load_blogroll(inputs["blogroll"])
-    profiles = ingest_mod.load_profiles(inputs["profiles"])
+    loaded = {  # file name -> (load result, record serializer)
+        "posts": (posts, ingest_mod.post_to_dict),
+        "comments": (ingest_mod.load_comments(
+            inputs["comments"], {p.post_id for p in posts.records}, offset
+        ), ingest_mod.comment_to_dict),
+        "blogroll": (ingest_mod.load_blogroll(inputs["blogroll"]), ingest_mod.blogroll_to_dict),
+        "profiles": (ingest_mod.load_profiles(inputs["profiles"]), ingest_mod.profile_to_dict),
+    }
 
     stage_dir = _stage_dir(cfg, "ingest")
-    ingest_mod.write_jsonl(
-        stage_dir / "posts.jsonl", [ingest_mod.post_to_dict(p) for p in posts.records]
-    )
-    ingest_mod.write_jsonl(
-        stage_dir / "comments.jsonl",
-        [ingest_mod.comment_to_dict(c) for c in comments.records],
-    )
-    ingest_mod.write_jsonl(
-        stage_dir / "blogroll.jsonl",
-        [ingest_mod.blogroll_to_dict(r) for r in blogroll.records],
-    )
-    ingest_mod.write_jsonl(
-        stage_dir / "profiles.jsonl",
-        [ingest_mod.profile_to_dict(p) for p in profiles.records],
-    )
-    quarantined = (
-        posts.quarantined + comments.quarantined + blogroll.quarantined + profiles.quarantined
-    )
+    counts = {}
+    quarantined = []
+    for name, (result, to_dict) in loaded.items():
+        ingest_mod.write_jsonl(stage_dir / f"{name}.jsonl", [to_dict(r) for r in result.records])
+        counts[name] = {"accepted": len(result.records), "quarantined": len(result.quarantined)}
+        quarantined += result.quarantined
     ingest_mod.write_jsonl(
         stage_dir / "quarantine.jsonl",
         [ingest_mod.quarantine_to_dict(q) for q in quarantined],
     )
-
-    counts = {
-        "posts": {"accepted": len(posts.records), "quarantined": len(posts.quarantined)},
-        "comments": {"accepted": len(comments.records), "quarantined": len(comments.quarantined)},
-        "blogroll": {"accepted": len(blogroll.records), "quarantined": len(blogroll.quarantined)},
-        "profiles": {"accepted": len(profiles.records), "quarantined": len(profiles.quarantined)},
-    }
-    outputs = ["posts.jsonl", "comments.jsonl", "blogroll.jsonl", "profiles.jsonl",
-               "quarantine.jsonl"]
+    outputs = [f"{name}.jsonl" for name in (*loaded, "quarantine")]
     _write_manifest(stage_dir, "ingest", cfg, inputs, counts, outputs)
     return counts
 
@@ -183,24 +166,19 @@ def _load_ingested(cfg: PipelineConfig, names: list[str]) -> tuple[dict[str, Pat
     ingest: it raises ArtifactError naming ``file:line``."""
     paths = {name: _require_artifact(cfg, "ingest", f"{name}.jsonl") for name in names}
 
-    def records(name: str, result: ingest_mod.LoadResult) -> list:
+    loaders = {"posts": ingest_mod.load_posts, "blogroll": ingest_mod.load_blogroll,
+               "profiles": ingest_mod.load_profiles}
+    loaded: dict[str, list] = {}
+    for name, path in paths.items():
+        if name == "comments":  # posts, when reloaded too, come first
+            known = {p.post_id for p in loaded.get("posts", [])}
+            result = ingest_mod.load_comments(path, known)
+        else:
+            result = loaders[name](path)
         if result.quarantined:
             first = result.quarantined[0]
-            raise ArtifactError(f"{paths[name]}:{first.line}: {first.reason}")
-        return result.records
-
-    loaded = {}
-    if "posts" in paths:
-        loaded["posts"] = records("posts", ingest_mod.load_posts(paths["posts"]))
-    if "comments" in paths:
-        known = {p.post_id for p in loaded.get("posts", [])}
-        loaded["comments"] = records(
-            "comments", ingest_mod.load_comments(paths["comments"], known)
-        )
-    if "blogroll" in paths:
-        loaded["blogroll"] = records("blogroll", ingest_mod.load_blogroll(paths["blogroll"]))
-    if "profiles" in paths:
-        loaded["profiles"] = records("profiles", ingest_mod.load_profiles(paths["profiles"]))
+            raise ArtifactError(f"{path}:{first.line}: {first.reason}")
+        loaded[name] = result.records
     return paths, loaded
 
 
@@ -351,22 +329,71 @@ def _read_artifact_text(path: Path) -> str:
         raise ingest_mod.not_utf8_error(path, err) from None
 
 
-def _read_artifact_json(path: Path) -> Any:
+def _read_artifact_json(path: Path, shape: dict) -> dict:
+    """A JSON artifact that must have ``shape`` (see ``_check_shape``);
+    invalid JSON or another shape raises ArtifactError naming the file."""
+    text = _read_artifact_text(path)
     try:
-        return json.loads(_read_artifact_text(path))
+        payload = json.loads(text)
+        _check_shape(payload, shape)
     except json.JSONDecodeError as err:
         raise ArtifactError(f"{path}: invalid JSON: {err}") from None
+    except ValueError as err:
+        raise ArtifactError(f"{path}: unexpected shape: {err}") from None
+    return payload
 
 
-def _read_artifact_csv(path: Path, columns: dict[str, Callable[[str], Any]]) -> Iterator[list]:
+def _check_shape(value: Any, shape: Any, where: str = "") -> None:
+    """Raise ValueError unless ``value`` has ``shape``. A dict shape maps
+    each required key to the shape of its value; ``[s]`` is an object whose
+    every value is null or has shape ``s``; any other shape is the type (or
+    tuple of types) the value must be."""
+    if isinstance(shape, (dict, list)) and not isinstance(value, dict):
+        raise ValueError(f"{where[:-1] or 'top level'} is not an object")
+    if isinstance(shape, dict):
+        for key, sub in shape.items():
+            if key not in value:
+                raise ValueError(f"missing key {where}{key}")
+            _check_shape(value[key], sub, f"{where}{key}.")
+    elif isinstance(shape, list):
+        for key, item in value.items():
+            if item is not None:
+                _check_shape(item, shape[0], f"{where}{key}.")
+    elif not isinstance(value, shape):
+        raise ValueError(f"{where[:-1]} is of the wrong type ({type(value).__name__})")
+
+
+_NUMBER = (int, float)
+_GRAPH_METRICS_SHAPE = {
+    "nodes": int, "edges": int, "degree_avg": _NUMBER, "density": _NUMBER,
+    "clustering_coefficient": _NUMBER, "scc_count": int,
+}
+# what the report reads of clean/metrics.json and stats/report.json
+_METRICS_SHAPE = {
+    "before": _GRAPH_METRICS_SHAPE, "after": _GRAPH_METRICS_SHAPE,
+    "layers": [_GRAPH_METRICS_SHAPE],
+    "isolated_removed": int, "isolated_mode": str, "min_component_size": int,
+}
+_STATS_SHAPE = {
+    "blogger_count": int, "active_count": int, "post_count": int, "comment_count": int,
+    "comments_per_post": {"mean": _NUMBER},
+    "demographics": {"age_mean": (*_NUMBER, type(None))},
+}
+
+
+def _read_artifact_csv(
+    path: Path, columns: dict[str, Callable[[str], Any]], key_columns: int = 0
+) -> Iterator[list]:
     """Yield the rows of an artifact CSV whose header is ``columns``, each
     value passed through its column's converter (``str`` columns are left as
     read). A wrong header raises ArtifactError naming the file, and a byte
-    that is not UTF-8 InputFileError; a wrong column count, or a value its
-    converter rejects with ValueError, raises ArtifactError naming
+    that is not UTF-8 InputFileError; a wrong column count, a value its
+    converter rejects with ValueError, or a row whose first ``key_columns``
+    values repeat an earlier row's raises ArtifactError naming
     ``file:line``."""
     width = len(columns)
     converted = [(i, convert) for i, convert in enumerate(columns.values()) if convert is not str]
+    keys: set[tuple] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -379,6 +406,11 @@ def _read_artifact_csv(path: Path, columns: dict[str, Callable[[str], Any]]) -> 
                         raise ValueError(f"expected {width} columns, got {len(row)}")
                     for i, convert in converted:
                         row[i] = convert(row[i])
+                    if key_columns:
+                        key = tuple(row[:key_columns])
+                        if key in keys:
+                            raise ValueError(f"repeats an earlier row's {key}")
+                        keys.add(key)
                 except ValueError as err:
                     raise ArtifactError(
                         f"{path}:{reader.line_num}: malformed row: {err}"
@@ -388,9 +420,10 @@ def _read_artifact_csv(path: Path, columns: dict[str, Callable[[str], Any]]) -> 
             raise ingest_mod.not_utf8_error(path, err) from None
 
 
-def _digraph(labels: list[str], arcs, source: str) -> SimpleDigraph:
+def _digraph(labels: list[str], arcs: list[tuple], source: str) -> SimpleDigraph:
     """``SimpleDigraph.from_arcs`` over artifact data: a repeated label, a
-    self-loop or an unknown endpoint raises ArtifactError naming ``source``."""
+    self-loop, an unknown endpoint or a weight that is not a finite number
+    > 0 raises ArtifactError naming ``source``."""
     from . import graphclean
 
     try:
@@ -399,20 +432,12 @@ def _digraph(labels: list[str], arcs, source: str) -> SimpleDigraph:
         raise ArtifactError(f"{source}: {err}") from None
 
 
-def _read_merged_graph(
-    nodes_path: Path, edges_path: Path
-) -> tuple[SimpleDigraph, dict[tuple[int, int], int]]:
+def _read_merged_graph(nodes_path: Path, edges_path: Path) -> SimpleDigraph:
     labels = _read_artifact_text(nodes_path).splitlines()
-    weights: dict[tuple[str, str], int] = {}
     columns = {"src": str, "dst": str, "layer": str, "weight": int}
-    for src, dst, _layer, weight in _read_artifact_csv(edges_path, columns):
-        key = (src, dst)
-        weights[key] = weights.get(key, 0) + weight
-    graph = _digraph(labels, sorted(weights), f"{edges_path} does not fit {nodes_path.name}")
-    index = {label: i for i, label in enumerate(labels)}
-    # collapsed multiplicities, kept for the weighted ranking variant
-    graph_weights = {(index[s], index[d]): w for (s, d), w in weights.items()}
-    return graph, graph_weights
+    arcs = [(src, dst, weight) for src, dst, _layer, weight
+            in _read_artifact_csv(edges_path, columns)]
+    return _digraph(labels, arcs, f"{edges_path} (nodes from {nodes_path.name})")
 
 
 def _layer_metrics(cfg: PipelineConfig, layer: str) -> dict | None:
@@ -436,7 +461,7 @@ def cmd_clean(cfg: PipelineConfig) -> dict:
 
     nodes_path = _require_artifact(cfg, "build", "nodes.txt")
     edges_path = _require_artifact(cfg, "build", "edges_merged.csv")
-    graph, arc_weights = _read_merged_graph(nodes_path, edges_path)
+    graph = _read_merged_graph(nodes_path, edges_path)
 
     metrics_before = graphclean.graph_metrics(graph, cfg.clustering_variant)
     pruned, removed_labels = graphclean.remove_isolated(graph, cfg.isolated_strict)
@@ -445,13 +470,12 @@ def cmd_clean(cfg: PipelineConfig) -> dict:
     cleaned = graphclean.filter_components(pruned, labeling, cfg.min_component_size)
     metrics_after = graphclean.graph_metrics(cleaned, cfg.clustering_variant)
 
-    # carry collapsed multiplicities through to the cleaned arc list
-    label_index = {label: i for i, label in enumerate(graph.labels)}
-    cleaned_rows = []
-    for u, v in cleaned.arcs():
-        src, dst = cleaned.labels[u], cleaned.labels[v]
-        weight = arc_weights[(label_index[src], label_index[dst])]
-        cleaned_rows.append((src, dst, weight))
+    labels = cleaned.labels
+    cleaned_rows = [
+        (labels[u], labels[v], weight)
+        for u, (out, weights) in enumerate(zip(cleaned.adj, cleaned.weights))
+        for v, weight in zip(out, weights)
+    ]
 
     stage_dir = _stage_dir(cfg, "clean")
     _write_csv(stage_dir / "graph_cleaned.csv", ["src", "dst", "weight"], cleaned_rows)
@@ -498,28 +522,30 @@ def cmd_clean(cfg: PipelineConfig) -> dict:
     return counts
 
 
-def _read_cleaned_graph(cfg: PipelineConfig):
+def _read_cleaned_graph(cfg: PipelineConfig) -> tuple[SimpleDigraph, dict[str, Path]]:
     nodes_path = _require_artifact(cfg, "clean", "nodes_kept.txt")
     arcs_path = _require_artifact(cfg, "clean", "graph_cleaned.csv")
     labels = _read_artifact_text(nodes_path).splitlines()
-    index = {label: i for i, label in enumerate(labels)}
+    known = set(labels)
 
-    def node(label: str) -> int:
-        if label not in index:
+    def node(label: str) -> str:
+        if label not in known:
             raise ValueError(f"node {label!r} is not in {nodes_path.name}")
-        return index[label]
+        return label
 
     columns = {"src": node, "dst": node, "weight": float}
-    weights = {(u, v): w for u, v, w in _read_artifact_csv(arcs_path, columns)}
-    arcs = [(labels[u], labels[v]) for u, v in weights]
-    graph = _digraph(labels, arcs, f"{arcs_path} does not fit {nodes_path.name}")
-    return graph, weights, {"nodes": nodes_path, "arcs": arcs_path}
+    # clean writes each arc once, so a repeat is tampering, not a parallel arc
+    rows = _read_artifact_csv(arcs_path, columns, key_columns=2)
+    arcs = [tuple(row) if cfg.weighted_rank else (row[0], row[1]) for row in rows]
+    graph = _digraph(labels, arcs, f"{arcs_path} (nodes from {nodes_path.name})")
+    return graph, {"nodes": nodes_path, "arcs": arcs_path}
 
 
 def _write_ranking_csv(stage_dir: Path, name: str, scores, labels, top_k) -> None:
+    """``scores`` as ``<name>.csv``; None writes the header alone."""
     from . import ranking
 
-    rows = [
+    rows = [] if scores is None else [
         (blog_id, repr(score), rank)
         for blog_id, score, rank in ranking.ranked_rows(scores, labels, top_k)
     ]
@@ -530,19 +556,8 @@ def cmd_rank(cfg: PipelineConfig) -> dict:
     """Popularity measures on the cleaned graph."""
     from . import ranking
 
-    graph, weights, paths = _read_cleaned_graph(cfg)
-    arc_weights = weights if cfg.weighted_rank else None
-    top_k = cfg.rank_top_k
-
-    stage_dir = _stage_dir(cfg, "rank")
-    indegree = ranking.indegree_rank(graph, arc_weights)
-    _write_ranking_csv(stage_dir, "indegree", indegree, graph.labels, top_k)
-
-    pr = ranking.pagerank(
-        graph, cfg.damping, cfg.tol, cfg.max_iter, cfg.dangling_policy, arc_weights
-    )
-    _write_ranking_csv(stage_dir, "pagerank", pr, graph.labels, top_k)
-
+    graph, paths = _read_cleaned_graph(cfg)
+    pr = ranking.pagerank(graph, cfg.damping, cfg.tol, cfg.max_iter, cfg.dangling_policy)
     counts = {
         "nodes": graph.n,
         "arcs": graph.arc_count,
@@ -550,20 +565,19 @@ def cmd_rank(cfg: PipelineConfig) -> dict:
         "pagerank": {"iterations": pr.iterations_used, "converged": pr.converged},
     }
     if graph.arc_count:
-        hub, authority = ranking.hits(
-            graph, cfg.max_iter, cfg.tol, cfg.hits_norm, arc_weights
-        )
-        _write_ranking_csv(stage_dir, "hub", hub, graph.labels, top_k)
-        _write_ranking_csv(stage_dir, "authority", authority, graph.labels, top_k)
+        hub, authority = ranking.hits(graph, cfg.max_iter, cfg.tol, cfg.hits_norm)
         counts["hits"] = {"iterations": hub.iterations_used, "converged": hub.converged}
     else:
         # HITS is undefined without arcs; keep the artifact set stable
-        _write_csv(stage_dir / "hub.csv", ["blog_id", "score", "rank"], [])
-        _write_csv(stage_dir / "authority.csv", ["blog_id", "score", "rank"], [])
+        hub = authority = None
         counts["hits"] = {"skipped": "graph has no arcs"}
 
-    outputs = ["indegree.csv", "pagerank.csv", "hub.csv", "authority.csv"]
-    _write_manifest(stage_dir, "rank", cfg, paths, counts, outputs)
+    stage_dir = _stage_dir(cfg, "rank")
+    rankings = {"indegree": ranking.indegree_rank(graph), "pagerank": pr,
+                "hub": hub, "authority": authority}
+    for name, scores in rankings.items():
+        _write_ranking_csv(stage_dir, name, scores, graph.labels, cfg.rank_top_k)
+    _write_manifest(stage_dir, "rank", cfg, paths, counts, [f"{n}.csv" for n in rankings])
     return counts
 
 
@@ -611,15 +625,7 @@ def cmd_stats(cfg: PipelineConfig) -> dict:
             "require_monthly": window.require_monthly,
         },
         "demographics": {
-            "profile_count": demo.profile_count,
-            "age_mean": demo.age_mean,
-            "age_median": demo.age_median,
-            "ages_present": demo.ages_present,
-            "age_histogram": {str(k): v for k, v in demo.age_histogram.items()},
-            "gender_counts": demo.gender_counts,
-            "male_female_ratio": demo.male_female_ratio,
-            "education_counts": demo.education_counts,
-            "marital_counts": demo.marital_counts,
+            **vars(demo), "age_histogram": {str(k): v for k, v in demo.age_histogram.items()},
         },
         "posts_by_hour": list(report.posts_by_hour),
         "posts_by_month": report.posts_by_month,
@@ -676,8 +682,8 @@ def cmd_report(cfg: PipelineConfig) -> dict:
         for kind in ("indegree", "pagerank", "hub", "authority")
     }
 
-    metrics = _read_artifact_json(metrics_path)
-    stats = _read_artifact_json(stats_path)
+    metrics = _read_artifact_json(metrics_path, _METRICS_SHAPE)
+    stats = _read_artifact_json(stats_path, _STATS_SHAPE)
     histogram = dict(_read_artifact_csv(histogram_path, {"size": int, "count": int}))
     rankings = {
         kind: _read_ranking_csv(path, REPORT_TOP_K)
@@ -721,7 +727,7 @@ def _render_report_text(metrics, histogram, rankings, stats) -> str:
 
     lines.append(metric_row("primary", metrics["before"]))
     lines.append(metric_row("preprocessed", metrics["after"]))
-    for layer, m in sorted((metrics.get("layers") or {}).items()):
+    for layer, m in sorted(metrics["layers"].items()):
         if m is not None:
             lines.append(metric_row(f"{layer} layer", m))
     lines.append("")

@@ -6,21 +6,25 @@ coefficient, SCC count).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
 class SimpleDigraph:
-    """Directed graph without parallel arcs or self-loops.
+    """Weighted directed graph without parallel arcs or self-loops.
 
     Nodes are dense integer indices into ``labels``; adjacency lists are
     sorted tuples so traversal order (and thus every downstream artifact)
-    is deterministic.
+    is deterministic. ``weights[u][i]`` is the weight of arc
+    ``u -> adj[u][i]``, kept in the type it arrived in.
     """
 
     labels: tuple[str, ...]
     adj: tuple[tuple[int, ...], ...]
+    weights: tuple[tuple[float, ...], ...]
 
     @property
     def n(self) -> int:
@@ -46,34 +50,55 @@ class SimpleDigraph:
 
     @classmethod
     def from_arcs(
-        cls, labels: Sequence[str], arcs: Iterable[tuple[str, str]]
+        cls, labels: Sequence[str], arcs: Iterable[tuple[str, str] | tuple[str, str, float]]
     ) -> "SimpleDigraph":
-        """Build from labeled arcs. Parallel arcs collapse to one; self-loops
-        are rejected (run the self-loop drop first)."""
+        """Build from labeled arcs: ``(src, dst)`` pairs weigh 1 and
+        ``(src, dst, weight)`` triples carry a finite weight > 0. Parallel
+        arcs collapse to one whose weight is their sum; self-loops are
+        rejected (run the self-loop drop first)."""
         ordered = tuple(labels)
         if len(set(ordered)) != len(ordered):
             raise ValueError("node labels must be unique")
         index = {label: i for i, label in enumerate(ordered)}
-        out_sets: list[set[int]] = [set() for _ in ordered]
-        for src, dst in arcs:
+        out_maps: list[dict[int, float]] = [{} for _ in ordered]
+        for arc in arcs:
+            if len(arc) == 2:
+                src, dst = arc
+                weight = 1
+            else:
+                src, dst, weight = arc
+                if not (isinstance(weight, (int, float)) and 0 < weight < math.inf):
+                    raise ValueError(f"arc {src!r} -> {dst!r} has weight {weight!r}, "
+                                     "not a finite number > 0")
             try:
                 u, v = index[src], index[dst]
             except KeyError as err:
                 raise ValueError(f"arc endpoint {err.args[0]!r} is not a node") from None
             if u == v:
                 raise ValueError(f"self-loop on {src!r}; drop self-loops before building")
-            out_sets[u].add(v)
-        return cls(labels=ordered, adj=tuple(tuple(sorted(s)) for s in out_sets))
+            out = out_maps[u]
+            out[v] = out.get(v, 0) + weight
+        adj, weights = [], []
+        for out in out_maps:
+            targets, arc_weights = zip(*sorted(out.items())) if out else ((), ())
+            adj.append(targets)
+            weights.append(arc_weights)
+        return cls(labels=ordered, adj=tuple(adj), weights=tuple(weights))
 
     def subgraph(self, keep: Iterable[int]) -> "SimpleDigraph":
-        """Induced subgraph on ``keep``, nodes reindexed in ascending order."""
+        """Induced subgraph on ``keep``, nodes reindexed in ascending order;
+        surviving arcs keep their weights."""
         kept = sorted(set(keep))
         remap = {old: new for new, old in enumerate(kept)}
-        labels = tuple(self.labels[i] for i in kept)
-        adj = tuple(
-            tuple(remap[v] for v in self.adj[old] if v in remap) for old in kept
+        adj, weights = [], []
+        for old in kept:
+            out = self.adj[old]
+            survives = [v in remap for v in out]
+            adj.append(tuple([remap[v] for v in compress(out, survives)]))
+            weights.append(tuple(compress(self.weights[old], survives)))
+        return SimpleDigraph(
+            labels=tuple(self.labels[i] for i in kept), adj=tuple(adj), weights=tuple(weights)
         )
-        return SimpleDigraph(labels=labels, adj=adj)
 
 
 @dataclass(frozen=True)
@@ -114,12 +139,8 @@ def remove_isolated(
     mode additionally requires no incoming arc. The pass is not iterated:
     nodes that lose their last out-neighbor to a removal stay.
     """
-    out_deg = g.out_degrees()
-    if strict:
-        in_deg = g.in_degrees()
-        removed = [v for v in range(g.n) if out_deg[v] == 0 and in_deg[v] == 0]
-    else:
-        removed = [v for v in range(g.n) if out_deg[v] == 0]
+    in_deg = g.in_degrees() if strict else [0] * g.n
+    removed = [v for v, out in enumerate(g.adj) if not out and not in_deg[v]]
     removed_set = set(removed)
     kept = [v for v in range(g.n) if v not in removed_set]
     return g.subgraph(kept), tuple(g.labels[v] for v in removed)

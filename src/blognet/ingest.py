@@ -176,6 +176,12 @@ def _string_field(obj: dict, key: str, *, allow_empty: bool = False) -> str:
         raise ValueError(f"field {key!r} missing or not a string")
     if not allow_empty and not value.strip():
         raise ValueError(f"field {key!r} is empty")
+    try:
+        # a JSON escape such as "\ud800" decodes to a lone surrogate, which
+        # no artifact could be written with
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"field {key!r} holds a lone surrogate") from None
     return value
 
 
@@ -259,9 +265,9 @@ def load_comments(
             raise ValueError(f"unknown post_id {post_id!r}")
         commenter = obj.get("commenter_blog_id")
         if commenter is not None:
-            if not isinstance(commenter, str):
-                raise ValueError("field 'commenter_blog_id' must be a string or null")
-            commenter = canonical_slug(commenter) or None
+            commenter = canonical_slug(
+                _string_field(obj, "commenter_blog_id", allow_empty=True)
+            ) or None
         return RawComment(
             comment_id=_string_field(obj, "comment_id").strip(),
             post_id=post_id,
@@ -326,37 +332,19 @@ def load_profiles(path: str | Path) -> LoadResult:
 # --- serialization back to the dump schema (round-trip safe) ---------------
 
 def post_to_dict(p: RawPost) -> dict[str, Any]:
-    return {
-        "post_id": p.post_id,
-        "blog_id": p.blog_id,
-        "title": p.title,
-        "body": p.body,
-        "published_at": format_timestamp(p.published_at),
-    }
+    return {**vars(p), "published_at": format_timestamp(p.published_at)}
 
 
 def comment_to_dict(c: RawComment) -> dict[str, Any]:
-    return {
-        "comment_id": c.comment_id,
-        "post_id": c.post_id,
-        "commenter_blog_id": c.commenter_blog_id,
-        "body": c.body,
-        "created_at": format_timestamp(c.created_at),
-    }
+    return {**vars(c), "created_at": format_timestamp(c.created_at)}
 
 
 def blogroll_to_dict(r: BlogrollRecord) -> dict[str, Any]:
-    return {"owner_blog_id": r.owner_blog_id, "target_url": r.target_url}
+    return dict(vars(r))
 
 
 def profile_to_dict(p: ProfileRecord) -> dict[str, Any]:
-    return {
-        "blog_id": p.blog_id,
-        "age": p.age,
-        "gender": p.gender,
-        "education": p.education,
-        "marital_status": p.marital_status,
-    }
+    return dict(vars(p))
 
 
 def write_jsonl(path: str | Path, rows: Iterator[dict] | list[dict]) -> int:
@@ -372,4 +360,4 @@ def write_jsonl(path: str | Path, rows: Iterator[dict] | list[dict]) -> int:
 
 
 def quarantine_to_dict(q: QuarantinedLine) -> dict[str, Any]:
-    return {"file": q.file, "line": q.line, "reason": q.reason}
+    return dict(vars(q))

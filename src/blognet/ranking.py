@@ -9,7 +9,8 @@ beyond floating-point associativity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -28,19 +29,13 @@ class RankScores:
     converged: bool
 
 
-def _arc_arrays(
-    g: SimpleDigraph, weights: Mapping[tuple[int, int], float] | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    src, dst, w = [], [], []
-    for u, v in g.arcs():
-        src.append(u)
-        dst.append(v)
-        w.append(1.0 if weights is None else float(weights[(u, v)]))
-    return (
-        np.asarray(src, dtype=np.int64),
-        np.asarray(dst, dtype=np.int64),
-        np.asarray(w, dtype=np.float64),
-    )
+def _weighted_arcs(g: SimpleDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(source, target, weight) of every arc, in ``g.arcs()`` order."""
+    arcs = g.arc_count
+    src = np.repeat(np.arange(g.n), np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n))
+    dst = np.fromiter(chain.from_iterable(g.adj), dtype=np.int64, count=arcs)
+    w = np.fromiter(chain.from_iterable(g.weights), dtype=np.float64, count=arcs)
+    return src, dst, w
 
 
 def _to_scores(kind: str, vec: np.ndarray, iterations: int, converged: bool) -> RankScores:
@@ -52,18 +47,10 @@ def _to_scores(kind: str, vec: np.ndarray, iterations: int, converged: bool) -> 
     )
 
 
-def indegree_rank(
-    g: SimpleDigraph, weights: Mapping[tuple[int, int], float] | None = None
-) -> RankScores:
-    """score(v) = number (or total weight) of arcs into v."""
-    if weights is None:
-        scores = {v: float(d) for v, d in enumerate(g.in_degrees())}
-    else:
-        acc = [0.0] * g.n
-        for u, v in g.arcs():
-            acc[v] += float(weights[(u, v)])
-        scores = {v: x for v, x in enumerate(acc)}
-    return RankScores(kind="indegree", scores=scores, iterations_used=0, converged=True)
+def indegree_rank(g: SimpleDigraph) -> RankScores:
+    """score(v) = total weight of the arcs into v (their count if each weighs 1)."""
+    _, dst, w = _weighted_arcs(g)
+    return _to_scores("indegree", np.bincount(dst, weights=w, minlength=g.n), 0, True)
 
 
 def hits(
@@ -71,14 +58,13 @@ def hits(
     max_iter: int = 200,
     tol: float = 1e-9,
     norm: str = "l2",
-    weights: Mapping[tuple[int, int], float] | None = None,
 ) -> tuple[RankScores, RankScores]:
     """Hub/authority scores, initialized at 1 everywhere.
 
-    Per iteration: authority(v) = sum of hub over in-neighbors, then
-    hub(u) = sum of authority over out-neighbors, each vector normalized
-    after its update. Stops when the largest component change of either
-    vector drops below ``tol``.
+    Per iteration: authority(v) = sum over in-arcs u -> v of w(u, v) * hub(u),
+    then hub(u) = sum over out-arcs u -> v of w(u, v) * authority(v), each
+    vector normalized after its update. Stops when the largest component
+    change of either vector drops below ``tol``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -89,7 +75,7 @@ def hits(
     if g.arc_count == 0:
         raise GraphHasNoArcsError("HITS needs at least one arc")
 
-    src, dst, w = _arc_arrays(g, weights)
+    src, dst, w = _weighted_arcs(g)
     n = g.n
     order = 2 if norm == "l2" else 1
     hub = np.ones(n)
@@ -120,10 +106,10 @@ def pagerank(
     tol: float = 1e-9,
     max_iter: int = 200,
     dangling: str = "uniform",
-    weights: Mapping[tuple[int, int], float] | None = None,
 ) -> RankScores:
-    """PR(v) = (1-d)/N + d * sum over in-arcs of PR(u)/outdeg(u), iterated
-    from the uniform vector until the L1 change drops below ``tol``.
+    """PR(v) = (1-d)/N + d * sum over in-arcs u -> v of PR(u) * w(u, v) / W(u),
+    where W(u) is u's total out-arc weight (so w = 1 gives PR(u)/outdeg(u)),
+    iterated from the uniform vector until the L1 change drops below ``tol``.
 
     Dangling nodes (no outgoing arcs) hand their mass back each iteration:
     ``uniform`` spreads it over all nodes, ``self`` lets each dangling node
@@ -137,20 +123,16 @@ def pagerank(
     if n == 0:
         return RankScores(kind="pagerank", scores={}, iterations_used=0, converged=True)
 
-    src, dst, w = _arc_arrays(g, weights)
-    out_weight = np.bincount(src, weights=w, minlength=n) if len(src) else np.zeros(n)
+    src, dst, w = _weighted_arcs(g)
+    out_weight = np.bincount(src, weights=w, minlength=n)
     dangling_mask = out_weight == 0
-    safe_out = np.where(dangling_mask, 1.0, out_weight)
+    share = w / np.where(dangling_mask, 1.0, out_weight)[src]
 
     pr = np.full(n, 1.0 / n)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if len(src):
-            per_arc = pr[src] * (w / safe_out[src])
-            flow = np.bincount(dst, weights=per_arc, minlength=n)
-        else:
-            flow = np.zeros(n)
+        flow = np.bincount(dst, weights=pr[src] * share, minlength=n)
         new_pr = (1.0 - damping) / n + damping * flow
         dangling_mass = float(pr[dangling_mask].sum())
         if dangling == "uniform":

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -424,8 +425,8 @@ class TestStageOrderAndErrors:
 
 
 # Each case edits one artifact of a finished fixture run: (the stage that
-# reads it, the file, the edit on its lines, what the one-line message must
-# name). "{last}" is the number of lines after the edit.
+# reads it, with any extra flags, the file, the edit on its lines, what the
+# one-line message must name). "{last}" is the number of lines after the edit.
 TAMPERED_ARTIFACTS = {
     "histogram-short-row": (
         "report", "clean/scc_histogram.csv", lambda lines: [*lines, "5"],
@@ -470,19 +471,40 @@ TAMPERED_ARTIFACTS = {
     "stats-report-open-brace": (
         "report", "stats/report.json", lambda lines: ["{"],
         ["stats/report.json", "invalid JSON"]),
+    "merged-negative-weight": (
+        "clean", "build/edges_merged.csv",
+        lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",-3", *lines[2:]],
+        ["edges_merged.csv", "weight -3"]),
+    "cleaned-nan-weight": (
+        "rank --weighted-rank yes", "clean/graph_cleaned.csv",
+        lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan", *lines[2:]],
+        ["graph_cleaned.csv", "weight nan"]),
+    "cleaned-repeated-arc": (
+        "rank", "clean/graph_cleaned.csv", lambda lines: [*lines, lines[1]],
+        ["graph_cleaned.csv:{last}:", "repeats"]),
+    "metrics-empty-object": (
+        "report", "clean/metrics.json", lambda lines: ["{}"],
+        ["clean/metrics.json", "before"]),
+    "metrics-array": (
+        "report", "clean/metrics.json", lambda lines: ["[]"],
+        ["clean/metrics.json", "not an object"]),
+    "stats-report-empty-object": (
+        "report", "stats/report.json", lambda lines: ["{}"],
+        ["stats/report.json", "blogger_count"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERED_ARTIFACTS))
 def test_tampered_artifact_is_data_error(case, out_dir, tmp_path, capsys):
-    stage, artifact, edit, named = TAMPERED_ARTIFACTS[case]
+    command, artifact, edit, named = TAMPERED_ARTIFACTS[case]
+    stage, *flags = command.split()
     out = tmp_path / "out"
     shutil.copytree(out_dir, out)
     path = out / artifact
     lines = edit(path.read_text("utf-8").splitlines())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
-    assert main([stage, *fixture_flags(out)]) == EXIT_DATA
+    assert main([stage, *fixture_flags(out), *flags]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     for text in named:
@@ -576,6 +598,35 @@ def test_timestamp_outside_utc_years_is_quarantined(tmp_path):
             (tmp_path / "out/ingest/quarantine.jsonl").read_text("utf-8").splitlines()]
     assert {"file": "posts.jsonl", "line": 16,
             "reason": f"timestamp out of range in UTC: {stamp!r}"} in rows
+
+
+def test_lone_surrogate_in_a_string_field_is_quarantined(tmp_path):
+    flags = flags_with_extra_post(tmp_path, title="\ud800")
+    assert main(["ingest", *flags]) == EXIT_OK
+    out = tmp_path / "out"
+    assert manifest(out, "ingest")["counts"]["posts"] == {"accepted": 14, "quarantined": 2}
+    rows = [json.loads(line) for line in
+            (out / "ingest/quarantine.jsonl").read_text("utf-8").splitlines()]
+    assert {"file": "posts.jsonl", "line": 16,
+            "reason": "field 'title' holds a lone surrogate"} in rows
+
+
+def test_weighted_rank_reads_cleaned_weights(out_dir, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    assert main(["rank", *fixture_flags(out), "--weighted-rank", "yes"]) == EXIT_OK
+    assert manifest(out, "rank")["counts"]["weighted"] is True
+    expected = {}
+    with open(out / "clean/graph_cleaned.csv", newline="") as fh:
+        for _src, dst, weight in islice(csv.reader(fh), 1, None):
+            expected[dst] = expected.get(dst, 0.0) + float(weight)
+    assert max(expected.values()) > 1  # the fixture has heavier-than-1 arcs
+    with open(out / "rank/indegree.csv", newline="") as fh:
+        scores = {blog: float(score) for blog, score, _ in islice(csv.reader(fh), 1, None)}
+    assert scores == {blog: expected.get(blog, 0.0) for blog in scores}
+    with open(out / "rank/pagerank.csv", newline="") as fh:
+        total = sum(float(score) for _, score, _ in islice(csv.reader(fh), 1, None))
+    assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_blog_id_that_is_not_a_bare_slug_is_data_error(tmp_path, capsys):

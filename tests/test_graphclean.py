@@ -52,6 +52,39 @@ class TestSimpleDigraph:
         assert g.in_degrees() == [0, 1, 2]
 
 
+class TestArcWeights:
+    def test_pairs_weigh_one_and_parallel_weights_sum(self):
+        g = SimpleDigraph.from_arcs(
+            ["a", "b", "c"],
+            [("a", "c", 2), ("a", "b"), ("a", "c", 3), ("b", "c", 0.5), ("b", "c", 0.25)],
+        )
+        assert g.adj == ((1, 2), (2,), ())
+        assert g.weights == ((1, 5), (0.75,), ())
+        assert type(g.weights[0][1]) is int  # integer weights stay integers
+
+    @pytest.mark.parametrize("weight", [0, -3, float("nan"), float("inf"), "3", None])
+    def test_weight_must_be_finite_and_positive(self, weight):
+        with pytest.raises(ValueError, match=r"arc 'a' -> 'b' has weight"):
+            SimpleDigraph.from_arcs(["a", "b"], [("a", "b", weight)])
+
+    def test_pruning_keeps_surviving_weights(self):
+        # a <-> b and c <-> d are 2-cycles; e only receives, f only sends
+        g = SimpleDigraph.from_arcs(
+            list("abcdef"),
+            [("a", "b", 4), ("b", "a", 2), ("c", "d", 7), ("d", "c", 1),
+             ("b", "c", 3), ("d", "e", 5), ("f", "a", 6)],
+        )
+        pruned, removed = remove_isolated(g)
+        assert removed == ("e",)
+        assert pruned.labels == tuple("abcdf")
+        assert pruned.adj == ((1,), (0, 2), (3,), (2,), (0,))
+        assert pruned.weights == ((4,), (2, 3), (7,), (1,), (6,))
+        kept = filter_components(pruned, strongly_connected_components(pruned), min_size=2)
+        assert kept.labels == tuple("abcd")
+        assert kept.adj == ((1,), (0, 2), (3,), (2,))
+        assert kept.weights == ((4,), (2, 3), (7,), (1,))
+
+
 class TestRemoveIsolated:
     def test_no_outlink_removed_even_with_inlink(self):
         g = graph(2, [(0, 1)])  # node 1: out 0, in 1

@@ -224,16 +224,19 @@ class TestPagerank:
             pagerank(graph(1, []), damping=1.0)
 
 
+def weighted_graph(n, arcs):
+    labels = [f"n{i:03d}" for i in range(n)]
+    return SimpleDigraph.from_arcs(labels, [(labels[u], labels[v], w) for u, v, w in arcs])
+
+
 class TestWeightedVariants:
     def test_weighted_indegree(self):
-        g = graph(3, [(0, 2), (1, 2)])
-        weights = {(0, 2): 3.0, (1, 2): 1.0}
-        assert indegree_rank(g, weights).scores[2] == 4.0
+        g = weighted_graph(3, [(0, 2, 3.0), (1, 2, 1.0)])
+        assert indegree_rank(g).scores[2] == 4.0
 
     def test_weighted_pagerank_prefers_heavy_arc(self):
-        g = graph(3, [(0, 1), (0, 2), (1, 0), (2, 0)])
-        weights = {(0, 1): 9.0, (0, 2): 1.0, (1, 0): 1.0, (2, 0): 1.0}
-        pr = pagerank(g, weights=weights, tol=1e-12)
+        g = weighted_graph(3, [(0, 1, 9.0), (0, 2, 1.0), (1, 0, 1.0), (2, 0, 1.0)])
+        pr = pagerank(g, tol=1e-12)
         assert pr.scores[1] > pr.scores[2]
         assert sum(pr.scores.values()) == pytest.approx(1.0, abs=1e-9)
 
