@@ -19,7 +19,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from . import __version__
 from . import ingest as ingest_mod
 from .config import (
-    FIELD_TYPES, SECTIONS, ConfigError, PipelineConfig, config_snapshot, load_config,
+    FLAG_TYPES, SECTIONS, ConfigError, PipelineConfig, config_snapshot, load_config,
 )
 from .ingest import DuplicateIdError, EmptyCorpusError, InputFileError
 
@@ -40,6 +40,7 @@ EXIT_VALIDATION = 1
 EXIT_DATA = 2
 
 REPORT_TOP_K = 10
+LAYERS = ("blogroll", "comment", "citation")
 
 
 class StageDependencyError(Exception):
@@ -242,6 +243,10 @@ def cmd_prep(cfg: PipelineConfig) -> dict:
     return counts
 
 
+# the columns of build's edges_*.csv, with the converter each is read through
+EDGE_COLUMNS = {"src": str, "dst": str, "layer": str, "weight": int}
+
+
 def _edges_to_rows(edges) -> list[tuple[str, str, str, int]]:
     from .graphbuild import Layer
 
@@ -298,7 +303,7 @@ def cmd_build(cfg: PipelineConfig) -> dict:
         }
 
     merged = graphbuild.merge_layers(
-        [layers["blogroll"], layers["comment"], layers["citation"]],
+        [layers[name] for name in LAYERS],
         extra_nodes=universe,
     )
     collapsed = merged.collapsed_arcs()
@@ -309,15 +314,12 @@ def cmd_build(cfg: PipelineConfig) -> dict:
     }
 
     stage_dir = _stage_dir(cfg, "build")
-    header = ["src", "dst", "layer", "weight"]
-    for name in ("blogroll", "comment", "citation"):
-        _write_csv(stage_dir / f"edges_{name}.csv", header, _edges_to_rows(layers[name]))
-    _write_csv(stage_dir / "edges_merged.csv", header, _edges_to_rows(merged.edges))
+    for name, edges in (*layers.items(), ("merged", merged.edges)):
+        _write_csv(stage_dir / f"edges_{name}.csv", list(EDGE_COLUMNS), _edges_to_rows(edges))
     _write_lines(stage_dir / "nodes.txt", merged.nodes)
     (stage_dir / "graph.dot").write_text(graphbuild.to_dot(merged, collapsed), encoding="utf-8")
 
-    outputs = ["edges_blogroll.csv", "edges_comment.csv", "edges_citation.csv",
-               "edges_merged.csv", "nodes.txt", "graph.dot"]
+    outputs = [*(f"edges_{name}.csv" for name in (*LAYERS, "merged")), "nodes.txt", "graph.dot"]
     _write_manifest(stage_dir, "build", cfg, paths, counts, outputs)
     return counts
 
@@ -345,20 +347,15 @@ def _read_artifact_json(path: Path, shape: dict) -> dict:
 
 def _check_shape(value: Any, shape: Any, where: str = "") -> None:
     """Raise ValueError unless ``value`` has ``shape``. A dict shape maps
-    each required key to the shape of its value; ``[s]`` is an object whose
-    every value is null or has shape ``s``; any other shape is the type (or
-    tuple of types) the value must be."""
-    if isinstance(shape, (dict, list)) and not isinstance(value, dict):
-        raise ValueError(f"{where[:-1] or 'top level'} is not an object")
+    each required key to the shape of its value; any other shape is the type
+    (or tuple of types) the value must be."""
     if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where[:-1] or 'top level'} is not an object")
         for key, sub in shape.items():
             if key not in value:
                 raise ValueError(f"missing key {where}{key}")
             _check_shape(value[key], sub, f"{where}{key}.")
-    elif isinstance(shape, list):
-        for key, item in value.items():
-            if item is not None:
-                _check_shape(item, shape[0], f"{where}{key}.")
     elif not isinstance(value, shape):
         raise ValueError(f"{where[:-1]} is of the wrong type ({type(value).__name__})")
 
@@ -371,7 +368,7 @@ _GRAPH_METRICS_SHAPE = {
 # what the report reads of clean/metrics.json and stats/report.json
 _METRICS_SHAPE = {
     "before": _GRAPH_METRICS_SHAPE, "after": _GRAPH_METRICS_SHAPE,
-    "layers": [_GRAPH_METRICS_SHAPE],
+    "layers": dict.fromkeys(LAYERS, _GRAPH_METRICS_SHAPE),
     "isolated_removed": int, "isolated_mode": str, "min_component_size": int,
 }
 _STATS_SHAPE = {
@@ -434,25 +431,21 @@ def _digraph(labels: list[str], arcs: list[tuple], source: str) -> SimpleDigraph
 
 def _read_merged_graph(nodes_path: Path, edges_path: Path) -> SimpleDigraph:
     labels = _read_artifact_text(nodes_path).splitlines()
-    columns = {"src": str, "dst": str, "layer": str, "weight": int}
     arcs = [(src, dst, weight) for src, dst, _layer, weight
-            in _read_artifact_csv(edges_path, columns)]
+            in _read_artifact_csv(edges_path, EDGE_COLUMNS)]
     return _digraph(labels, arcs, f"{edges_path} (nodes from {nodes_path.name})")
 
 
-def _layer_metrics(cfg: PipelineConfig, layer: str) -> dict | None:
+def _layer_metrics(path: Path, clustering_variant: str) -> dict:
     """Metrics for one edge layer viewed as its own graph over the blogs it
     touches (nodes = the layer's endpoints)."""
     from . import graphclean
 
-    path = Path(cfg.out_dir) / "build" / f"edges_{layer}.csv"
-    if not path.exists():
-        return None
-    columns = {"src": str, "dst": str, "layer": str, "weight": str}
-    arcs = {(src, dst) for src, dst, _layer, _weight in _read_artifact_csv(path, columns)}
-    labels = sorted({v for arc in arcs for v in arc})
-    graph = _digraph(labels, sorted(arcs), str(path))
-    return asdict(graphclean.graph_metrics(graph, cfg.clustering_variant))
+    arcs = [(src, dst, weight) for src, dst, _layer, weight
+            in _read_artifact_csv(path, EDGE_COLUMNS)]
+    labels = sorted({v for src, dst, _weight in arcs for v in (src, dst)})
+    graph = _digraph(labels, arcs, str(path))
+    return asdict(graphclean.graph_metrics(graph, clustering_variant))
 
 
 def cmd_clean(cfg: PipelineConfig) -> dict:
@@ -461,6 +454,8 @@ def cmd_clean(cfg: PipelineConfig) -> dict:
 
     nodes_path = _require_artifact(cfg, "build", "nodes.txt")
     edges_path = _require_artifact(cfg, "build", "edges_merged.csv")
+    layer_paths = {layer: _require_artifact(cfg, "build", f"edges_{layer}.csv")
+                   for layer in LAYERS}
     graph = _read_merged_graph(nodes_path, edges_path)
 
     metrics_before = graphclean.graph_metrics(graph, cfg.clustering_variant)
@@ -491,8 +486,8 @@ def cmd_clean(cfg: PipelineConfig) -> dict:
         # each layer as its own network, so the merged and per-layer
         # readings can both be compared against outside figures
         "layers": {
-            layer: _layer_metrics(cfg, layer)
-            for layer in ("blogroll", "comment", "citation")
+            layer: _layer_metrics(path, cfg.clustering_variant)
+            for layer, path in layer_paths.items()
         },
         "isolated_removed": len(removed_labels),
         "isolated_mode": "strict" if cfg.isolated_strict else "no_outlink",
@@ -516,9 +511,9 @@ def cmd_clean(cfg: PipelineConfig) -> dict:
         "arcs_after": cleaned.arc_count,
     }
     outputs = ["graph_cleaned.csv", "nodes_kept.txt", "scc_histogram.csv", "metrics.json"]
-    _write_manifest(
-        stage_dir, "clean", cfg, {"nodes": nodes_path, "edges": edges_path}, counts, outputs
-    )
+    inputs = {"nodes": nodes_path, "edges": edges_path,
+              **{f"edges_{layer}": path for layer, path in layer_paths.items()}}
+    _write_manifest(stage_dir, "clean", cfg, inputs, counts, outputs)
     return counts
 
 
@@ -536,8 +531,10 @@ def _read_cleaned_graph(cfg: PipelineConfig) -> tuple[SimpleDigraph, dict[str, P
     columns = {"src": node, "dst": node, "weight": float}
     # clean writes each arc once, so a repeat is tampering, not a parallel arc
     rows = _read_artifact_csv(arcs_path, columns, key_columns=2)
-    arcs = [tuple(row) if cfg.weighted_rank else (row[0], row[1]) for row in rows]
-    graph = _digraph(labels, arcs, f"{arcs_path} (nodes from {nodes_path.name})")
+    graph = _digraph(labels, [tuple(row) for row in rows],
+                     f"{arcs_path} (nodes from {nodes_path.name})")
+    if not cfg.weighted_rank:  # the weights were checked all the same
+        graph = replace(graph, weights=tuple((1,) * len(out) for out in graph.adj))
     return graph, {"nodes": nodes_path, "arcs": arcs_path}
 
 
@@ -684,7 +681,8 @@ def cmd_report(cfg: PipelineConfig) -> dict:
 
     metrics = _read_artifact_json(metrics_path, _METRICS_SHAPE)
     stats = _read_artifact_json(stats_path, _STATS_SHAPE)
-    histogram = dict(_read_artifact_csv(histogram_path, {"size": int, "count": int}))
+    histogram = dict(_read_artifact_csv(histogram_path, {"size": int, "count": int},
+                                        key_columns=1))
     rankings = {
         kind: _read_ranking_csv(path, REPORT_TOP_K)
         for kind, path in sorted(rank_paths.items())
@@ -728,8 +726,7 @@ def _render_report_text(metrics, histogram, rankings, stats) -> str:
     lines.append(metric_row("primary", metrics["before"]))
     lines.append(metric_row("preprocessed", metrics["after"]))
     for layer, m in sorted(metrics["layers"].items()):
-        if m is not None:
-            lines.append(metric_row(f"{layer} layer", m))
+        lines.append(metric_row(f"{layer} layer", m))
     lines.append("")
     lines.append(f"isolated nodes removed: {metrics['isolated_removed']} "
                  f"(mode: {metrics['isolated_mode']})")
@@ -780,24 +777,15 @@ _STAGE_HELP = {
     "report": "combine everything into the final report",
 }
 
-def _parse_bool(value: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
-
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> list[str]:
-    converters = {"bool": _parse_bool, "int": int, "int | None": int, "float": float}
     field_names = []
     for section, keys in SECTIONS.items():
         for key, field_name in keys.items():
             parser.add_argument(
                 f"--{key.replace('_', '-')}",
                 dest=field_name,
-                type=converters.get(FIELD_TYPES[field_name], str),
+                type=FLAG_TYPES[field_name],
                 default=None,
                 help=f"override {section}.{key}",
             )
@@ -831,12 +819,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exit_err.code == 0 else EXIT_VALIDATION
 
     try:
-        overrides = {
-            name: getattr(args, name)
-            for name in field_names
-            if getattr(args, name) is not None
-        }
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, {name: getattr(args, name) for name in field_names})
         counts = STAGE_FUNCS[args.command](cfg)
     except ConfigError as err:
         for problem in err.problems:

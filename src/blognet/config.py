@@ -2,9 +2,10 @@
 every key overridable from the command line.
 
 ``PipelineConfig`` is the only place a setting is declared: its annotation
-gives the flag's type, and its field metadata gives the file section (and
-the file key, where that is not the field name). ``SECTIONS`` and the CLI
-flags are derived from it.
+gives the flag's converter and the type a value must have (``_TYPES``), and
+its field metadata the file section, the file key where that is not the
+field name, and the range or choices of the value. ``SECTIONS``, the CLI
+flags and every check in ``_validate`` are derived from it.
 
 Defaults: damping 0.85, minimum component size 10, six-post activity
 threshold, 1e-9 convergence tolerances, UTC+03:30 dump offset.
@@ -12,11 +13,12 @@ threshold, 1e-9 convergence tolerances, UTC+03:30 dump offset.
 
 from __future__ import annotations
 
+import argparse
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from datetime import timedelta
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .ingest import parse_timestamp
 
@@ -31,11 +33,47 @@ class ConfigError(ValueError):
         super().__init__("; ".join(problems))
 
 
-def _setting(section: str, default: Any = None, key: str | None = None) -> Any:
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_list(value: Any) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(p, str) for p in value)
+
+
+# annotation without "| None" -> (flag converter, the test a value must pass,
+# its name); a bool is never taken for an int or a float
+_TYPES: dict[str, tuple[Callable[[str], Any], Callable[[Any], bool], str]] = {
+    "bool": (_parse_bool, lambda v: isinstance(v, bool), "a boolean"),
+    "int": (int, _is_int, "an integer"),
+    "float": (float, lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "str": (str, lambda v: isinstance(v, str), "a string"),
+    "tuple[str, ...]": (str, _is_str_list, "a list of strings"),
+}
+
+_POSITIVE_INT = (lambda v: v >= 1, "an integer >= 1")
+
+
+def _choice(*choices: str) -> tuple[Callable[[Any], bool], str]:
+    text = " or ".join(choices) if len(choices) == 2 else f"one of {', '.join(choices)}"
+    return (lambda v: v in choices, text)
+
+
+def _setting(section: str, default: Any = None, key: str | None = None, check=None) -> Any:
     """A config field filed under ``section``; ``key`` is its file key where
-    that is not the field name."""
-    metadata = {"section": section} if key is None else {"section": section, "key": key}
-    return field(default=default, metadata=metadata)
+    that is not the field name, and ``check`` a (test, text) pair for the
+    range or choices of a value of the field's type."""
+    metadata = {"section": section, "key": key, "check": check}
+    return field(default=default, metadata={k: v for k, v in metadata.items() if v is not None})
 
 
 @dataclass(frozen=True)
@@ -44,129 +82,106 @@ class PipelineConfig:
     comments: str | None = _setting("inputs")
     blogroll: str | None = _setting("inputs")
     profiles: str | None = _setting("inputs")
-    utc_offset_minutes: int = _setting("ingest", 210)
+    utc_offset_minutes: int = _setting("ingest", 210, check=(
+        lambda v: -16 * 60 <= v <= 16 * 60, "an integer number of minutes within +/-16h"))
     stopwords: str | None = _setting("textprep")   # None -> packaged default list
     equivalences: str | None = _setting("textprep")
-    min_df: int = _setting("textprep", 2)
-    max_df_ratio: float = _setting("textprep", 0.5)
-    vocab_top_k: int | None = _setting("textprep")
-    tfidf_variant: str = _setting("textprep", "raw_ln")
+    min_df: int = _setting("textprep", 2, check=_POSITIVE_INT)
+    max_df_ratio: float = _setting("textprep", 0.5, check=(lambda v: 0 < v <= 1, "in (0, 1]"))
+    vocab_top_k: int | None = _setting("textprep", check=_POSITIVE_INT)
+    tfidf_variant: str = _setting("textprep", "raw_ln", check=_choice(*TFIDF_VARIANTS))
     unify_alef: bool = _setting("textprep", True)
     host_patterns: tuple[str, ...] = _setting("graphbuild", ())
-    comment_direction: str = _setting("graphbuild", "commenter_to_author")
-    min_component_size: int = _setting("graphclean", 10)
+    comment_direction: str = _setting("graphbuild", "commenter_to_author", check=_choice(
+        "commenter_to_author", "author_to_commenter"))
+    min_component_size: int = _setting("graphclean", 10, check=_POSITIVE_INT)
     isolated_strict: bool = _setting("graphclean", False)
-    clustering_variant: str = _setting("graphclean", "mean_local")
-    damping: float = _setting("ranking", 0.85)
-    tol: float = _setting("ranking", 1e-9)
-    max_iter: int = _setting("ranking", 200)
-    hits_norm: str = _setting("ranking", "l2")
-    dangling_policy: str = _setting("ranking", "uniform")
+    clustering_variant: str = _setting("graphclean", "mean_local", check=_choice(
+        "mean_local", "transitivity"))
+    damping: float = _setting("ranking", 0.85, check=(lambda v: 0 < v < 1, "in (0, 1)"))
+    tol: float = _setting("ranking", 1e-9, check=(lambda v: v > 0, "positive"))
+    max_iter: int = _setting("ranking", 200, check=_POSITIVE_INT)
+    hits_norm: str = _setting("ranking", "l2", check=_choice("l2", "l1"))
+    dangling_policy: str = _setting("ranking", "uniform", check=_choice("uniform", "self"))
     weighted_rank: bool = _setting("ranking", False)
-    rank_top_k: int | None = _setting("ranking", key="top_k")   # None -> full ranked listings
+    # None -> full ranked listings
+    rank_top_k: int | None = _setting("ranking", key="top_k", check=_POSITIVE_INT)
     window_start: str | None = _setting("profilestats")   # RFC 3339; None -> dataset span
     window_end: str | None = _setting("profilestats")
-    min_posts: int = _setting("profilestats", 6)
+    min_posts: int = _setting("profilestats", 6, check=_POSITIVE_INT)
     require_monthly: bool = _setting("profilestats", False)
-    comment_threshold: int = _setting("profilestats", 10)
-    out_dir: str = _setting("output", "out")
+    comment_threshold: int = _setting("profilestats", 10, check=(
+        lambda v: v >= 0, "an integer >= 0"))
+    out_dir: str = _setting("output", "out", check=(bool, "a non-empty path"))
 
     @property
     def utc_offset(self) -> timedelta:
         return timedelta(minutes=self.utc_offset_minutes)
 
 
+def _key(f: Field) -> str:
+    return f.metadata.get("key", f.name)
+
+
 def _sections() -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
     for f in fields(PipelineConfig):
-        sections.setdefault(f.metadata["section"], {})[f.metadata.get("key", f.name)] = f.name
+        sections.setdefault(f.metadata["section"], {})[_key(f)] = f.name
     return sections
 
 
 # config-file section -> {file key: dataclass field}, in field order
 SECTIONS = _sections()
-# dataclass field -> its annotation, as a string (``"int | None"``)
-FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+_FIELDS = {f.name: f for f in fields(PipelineConfig)}
+# dataclass field -> the converter of its command-line flag
+FLAG_TYPES = {name: _TYPES[f.type.removesuffix(" | None")][0] for name, f in _FIELDS.items()}
 
 
-def _coerce(field_name: str, value: Any, problems: list[str]) -> Any:
-    """Normalize JSON values into the dataclass field shapes."""
-    if field_name == "host_patterns":
+def _coerce(annotation: str, value: Any) -> Any:
+    """A ``tuple[str, ...]`` field takes a list of strings or a
+    comma-separated string; any other value is kept as given, for
+    ``_validate`` to check."""
+    if annotation == "tuple[str, ...]":
         if isinstance(value, str):
             value = [p for p in value.split(",") if p.strip()]
-        if not isinstance(value, (list, tuple)) or not all(
-            isinstance(p, str) for p in value
-        ):
-            problems.append("graphbuild.host_patterns must be a list of strings")
-            return ()
-        return tuple(p.strip() for p in value)
+        if _is_str_list(value):
+            return tuple(p.strip() for p in value)
     return value
 
 
 def _validate(cfg: PipelineConfig) -> list[str]:
+    failed = {}  # field -> its problem, in field order
+    for f in _FIELDS.values():
+        base = f.type.removesuffix(" | None")
+        _flag, is_type, type_name = _TYPES[base]
+        in_range, text = f.metadata.get("check", (lambda v: True, type_name))
+        value = getattr(cfg, f.name)
+        nullable = base != f.type
+        if not (value is None and nullable or is_type(value) and in_range(value)):
+            null = "null or " if nullable else ""
+            failed[f.name] = f"{f.metadata['section']}.{_key(f)} must be {null}{text}"
+
     problems = []
-
-    def check(ok: bool, message: str) -> None:
-        if not ok:
-            problems.append(message)
-
-    offset_ok = (
-        isinstance(cfg.utc_offset_minutes, int) and not isinstance(cfg.utc_offset_minutes, bool)
-        and -16 * 60 <= cfg.utc_offset_minutes <= 16 * 60
-    )
-    check(offset_ok,
-          "ingest.utc_offset_minutes must be an integer number of minutes within +/-16h")
-    check(isinstance(cfg.min_df, int) and cfg.min_df >= 1,
-          "textprep.min_df must be an integer >= 1")
-    check(isinstance(cfg.max_df_ratio, (int, float)) and 0 < cfg.max_df_ratio <= 1,
-          "textprep.max_df_ratio must be in (0, 1]")
-    check(cfg.vocab_top_k is None or (isinstance(cfg.vocab_top_k, int) and cfg.vocab_top_k >= 1),
-          "textprep.vocab_top_k must be null or an integer >= 1")
-    check(isinstance(cfg.unify_alef, bool), "textprep.unify_alef must be a boolean")
-    check(cfg.tfidf_variant in TFIDF_VARIANTS,
-          f"textprep.tfidf_variant must be one of {', '.join(TFIDF_VARIANTS)}")
-    check(cfg.comment_direction in ("commenter_to_author", "author_to_commenter"),
-          "graphbuild.comment_direction must be commenter_to_author or author_to_commenter")
-    for pattern in cfg.host_patterns:
-        check(pattern.startswith("{blog}.") or pattern.endswith("/{blog}"),
-              f"graphbuild.host_patterns entry {pattern!r} must look like "
-              "'{blog}.host' or 'host/{blog}'")
-    check(isinstance(cfg.min_component_size, int) and cfg.min_component_size >= 1,
-          "graphclean.min_component_size must be an integer >= 1")
-    check(isinstance(cfg.isolated_strict, bool), "graphclean.isolated_strict must be a boolean")
-    check(cfg.clustering_variant in ("mean_local", "transitivity"),
-          "graphclean.clustering_variant must be mean_local or transitivity")
-    check(isinstance(cfg.damping, (int, float)) and 0 < cfg.damping < 1,
-          "ranking.damping must be in (0, 1)")
-    check(isinstance(cfg.tol, (int, float)) and cfg.tol > 0, "ranking.tol must be positive")
-    check(isinstance(cfg.max_iter, int) and cfg.max_iter >= 1,
-          "ranking.max_iter must be an integer >= 1")
-    check(cfg.hits_norm in ("l2", "l1"), "ranking.hits_norm must be l2 or l1")
-    check(cfg.dangling_policy in ("uniform", "self"),
-          "ranking.dangling_policy must be uniform or self")
-    check(isinstance(cfg.weighted_rank, bool), "ranking.weighted_rank must be a boolean")
-    check(cfg.rank_top_k is None or (isinstance(cfg.rank_top_k, int) and cfg.rank_top_k >= 1),
-          "ranking.top_k must be null or an integer >= 1")
-    check(isinstance(cfg.min_posts, int) and cfg.min_posts >= 1,
-          "profilestats.min_posts must be an integer >= 1")
-    check(isinstance(cfg.require_monthly, bool),
-          "profilestats.require_monthly must be a boolean")
-    check(isinstance(cfg.comment_threshold, int) and cfg.comment_threshold >= 0,
-          "profilestats.comment_threshold must be an integer >= 0")
-    check(bool(cfg.out_dir), "output.out_dir must be a non-empty path")
+    if "host_patterns" not in failed:
+        for pattern in cfg.host_patterns:
+            if not (pattern.startswith("{blog}.") or pattern.endswith("/{blog}")):
+                problems.append(f"graphbuild.host_patterns entry {pattern!r} must look like "
+                                "'{blog}.host' or 'host/{blog}'")
 
     # bounds without an offset are read at the dump's offset, as stats reads them
-    offset = cfg.utc_offset if offset_ok else timedelta(0)
+    offset = timedelta(0) if "utc_offset_minutes" in failed else cfg.utc_offset
     bounds = {}
-    for key, value in (("window_start", cfg.window_start), ("window_end", cfg.window_end)):
+    for key in ("window_start", "window_end"):
+        value = getattr(cfg, key)
         if value is not None:
             try:
                 bounds[key] = parse_timestamp(value, offset)
             except ValueError:
+                failed.pop(key, None)  # this problem names the value, so it replaces that one
                 problems.append(f"profilestats.{key} is not an RFC 3339 timestamp: {value!r}")
     if len(bounds) == 2 and bounds["window_start"] >= bounds["window_end"]:
         problems.append("profilestats.window_start must precede window_end")
-    return problems
+    return [*failed.values(), *problems]
 
 
 def load_config(
@@ -201,18 +216,16 @@ def load_config(
                 if field_name is None:
                     problems.append(f"unknown config key {section}.{key}")
                     continue
-                values[field_name] = _coerce(field_name, value, problems)
+                values[field_name] = value
     if overrides:
-        for field_name, value in overrides.items():
-            if value is None:
-                continue
-            values[field_name] = _coerce(field_name, value, problems)
+        values.update((name, value) for name, value in overrides.items() if value is not None)
 
-    unknown = set(values) - set(FIELD_TYPES)
-    for name in sorted(unknown):
+    for name in sorted(set(values) - set(_FIELDS)):
         problems.append(f"unknown config field {name!r}")
         values.pop(name)
-    cfg = replace(PipelineConfig(), **values)
+    cfg = replace(PipelineConfig(), **{
+        name: _coerce(_FIELDS[name].type, value) for name, value in values.items()
+    })
     problems.extend(_validate(cfg))
     if problems:
         raise ConfigError(problems)

@@ -491,6 +491,25 @@ TAMPERED_ARTIFACTS = {
     "stats-report-empty-object": (
         "report", "stats/report.json", lambda lines: ["{}"],
         ["stats/report.json", "blogger_count"]),
+    "histogram-repeated-size": (
+        "report", "clean/scc_histogram.csv",
+        lambda lines: [*lines, lines[1].split(",")[0] + ",99"],
+        ["scc_histogram.csv:{last}:", "repeats"]),
+    "layer-weight-not-int": (
+        "clean", "build/edges_citation.csv", lambda lines: [*lines, "b01,b03,citation,abc"],
+        ["edges_citation.csv:{last}:", "'abc'"]),
+    "layer-negative-weight": (
+        "clean", "build/edges_comment.csv",
+        lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",-3", *lines[2:]],
+        ["edges_comment.csv", "weight -3"]),
+    "cleaned-nan-weight-unweighted": (
+        "rank", "clean/graph_cleaned.csv",
+        lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",nan", *lines[2:]],
+        ["graph_cleaned.csv", "weight nan"]),
+    "cleaned-negative-weight-unweighted": (
+        "rank", "clean/graph_cleaned.csv",
+        lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",-3", *lines[2:]],
+        ["graph_cleaned.csv", "weight -3"]),
 }
 
 
@@ -637,3 +656,44 @@ def test_blog_id_that_is_not_a_bare_slug_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert "not a bare blog slug: 'b01/x'" in err
+
+
+@pytest.mark.parametrize("layer", ["blogroll", "comment", "citation"])
+def test_clean_requires_and_records_each_layer_file(layer, out_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    assert set(manifest(out, "clean")["inputs"]) == {
+        "nodes", "edges", "edges_blogroll", "edges_comment", "edges_citation"}
+    (out / f"build/edges_{layer}.csv").unlink()
+    capsys.readouterr()
+    assert main(["clean", *fixture_flags(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("stage error: ") and err.count("\n") == 1
+    assert f"edges_{layer}.csv" in err
+
+
+# Each case is a config-file value of a type its setting does not admit:
+# (the stage run on a finished fixture tree, section, key, value).
+WRONG_TYPED_CONFIG = {
+    "min-component-size-true": ("clean", "graphclean", "min_component_size", True),
+    "max-iter-true": ("rank", "ranking", "max_iter", True),
+    "posts-number": ("ingest", "inputs", "posts", 5),
+    "out-dir-number": ("report", "output", "out_dir", 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPED_CONFIG))
+def test_wrong_typed_config_value_is_config_error(case, out_dir, tmp_path, capsys):
+    stage, section, key, value = WRONG_TYPED_CONFIG[case]
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    config = json.loads((SMALLBLOG / "config.json").read_text("utf-8"))
+    config["inputs"] = {name: str(SMALLBLOG / path) for name, path in config["inputs"].items()}
+    config["output"]["out_dir"] = str(out)
+    config.setdefault(section, {})[key] = value
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main([stage, "--config", str(config_path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}.{key} must be ") and err.count("\n") == 1

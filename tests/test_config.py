@@ -149,3 +149,82 @@ def test_derived_schema_is_pinned(stage):
         parsed = getattr(parser.parse_args([stage, flags[0][0], sample]), f.name)
         assert parsed == value and type(parsed) is type(value), f.name
         assert key in snapshot[section], f.name
+
+
+# One row per check the loader makes: a config document and the one problem
+# it must report, word for word.
+REJECTIONS = [
+    ({"ingest": {"utc_offset_minutes": 1000}},
+     "ingest.utc_offset_minutes must be an integer number of minutes within +/-16h"),
+    ({"textprep": {"min_df": 0}}, "textprep.min_df must be an integer >= 1"),
+    ({"textprep": {"max_df_ratio": 0}}, "textprep.max_df_ratio must be in (0, 1]"),
+    ({"textprep": {"vocab_top_k": 0}}, "textprep.vocab_top_k must be null or an integer >= 1"),
+    ({"textprep": {"unify_alef": "yes"}}, "textprep.unify_alef must be a boolean"),
+    ({"textprep": {"tfidf_variant": "bm25"}},
+     "textprep.tfidf_variant must be one of raw_ln, log_tf, smooth_idf"),
+    ({"graphbuild": {"comment_direction": "both"}},
+     "graphbuild.comment_direction must be commenter_to_author or author_to_commenter"),
+    ({"graphbuild": {"host_patterns": 5}}, "graphbuild.host_patterns must be a list of strings"),
+    ({"graphbuild": {"host_patterns": ["blogs.example.com"]}},
+     "graphbuild.host_patterns entry 'blogs.example.com' must look like "
+     "'{blog}.host' or 'host/{blog}'"),
+    ({"graphclean": {"min_component_size": 0}},
+     "graphclean.min_component_size must be an integer >= 1"),
+    ({"graphclean": {"isolated_strict": "no"}}, "graphclean.isolated_strict must be a boolean"),
+    ({"graphclean": {"clustering_variant": "global"}},
+     "graphclean.clustering_variant must be mean_local or transitivity"),
+    ({"ranking": {"damping": 1}}, "ranking.damping must be in (0, 1)"),
+    ({"ranking": {"tol": 0}}, "ranking.tol must be positive"),
+    ({"ranking": {"max_iter": 0}}, "ranking.max_iter must be an integer >= 1"),
+    ({"ranking": {"hits_norm": "l3"}}, "ranking.hits_norm must be l2 or l1"),
+    ({"ranking": {"dangling_policy": "drop"}}, "ranking.dangling_policy must be uniform or self"),
+    ({"ranking": {"weighted_rank": "yes"}}, "ranking.weighted_rank must be a boolean"),
+    ({"ranking": {"top_k": 0}}, "ranking.top_k must be null or an integer >= 1"),
+    ({"profilestats": {"min_posts": 0}}, "profilestats.min_posts must be an integer >= 1"),
+    ({"profilestats": {"require_monthly": 1}}, "profilestats.require_monthly must be a boolean"),
+    ({"profilestats": {"comment_threshold": -1}},
+     "profilestats.comment_threshold must be an integer >= 0"),
+    ({"output": {"out_dir": ""}}, "output.out_dir must be a non-empty path"),
+    ({"profilestats": {"window_start": "sometime"}},
+     "profilestats.window_start is not an RFC 3339 timestamp: 'sometime'"),
+    ({"profilestats": {"window_end": 7}},
+     "profilestats.window_end is not an RFC 3339 timestamp: 7"),
+    ({"profilestats": {"window_start": "2010-02-01T00:00:00Z",
+                       "window_end": "2010-01-01T00:00:00Z"}},
+     "profilestats.window_start must precede window_end"),
+]
+
+
+@pytest.mark.parametrize("document, problem", REJECTIONS, ids=[p for _, p in REJECTIONS])
+def test_rejection_message_is_pinned(document, problem, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.problems == [problem]
+
+
+# Values of a type the annotation does not admit; a bool is never an int
+# or a float, and a number is never a string.
+WRONG_TYPED = {
+    "bool": [1, 0.0, "true", None],
+    "int": [True, 2.5, "3", [3], None],
+    "float": [False, "0.5", {}, None],
+    "str": [5, True, ["a"]],
+    "tuple[str, ...]": [5, False, [1], ["a", None], {"a": "b"}],
+}
+
+
+@pytest.mark.parametrize("f", fields(PipelineConfig), ids=lambda f: f.name)
+def test_wrong_typed_value_is_one_problem(f, tmp_path):
+    section = f.metadata["section"]
+    key = f.metadata.get("key", f.name)
+    path = tmp_path / "config.json"
+    for value in WRONG_TYPED[f.type.removesuffix(" | None")]:
+        if value is None and f.type.endswith("| None"):
+            continue
+        path.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        problems = err.value.problems
+        assert len(problems) == 1 and problems[0].startswith(f"{section}.{key} "), (value, problems)
