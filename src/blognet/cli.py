@@ -302,10 +302,7 @@ def cmd_build(cfg: PipelineConfig) -> dict:
             "weight": kept_weight,
         }
 
-    merged = graphbuild.merge_layers(
-        [layers[name] for name in LAYERS],
-        extra_nodes=universe,
-    )
+    merged = graphbuild.merge_layers(list(layers.values()), extra_nodes=universe)
     collapsed = merged.collapsed_arcs()
     counts["merged"] = {
         "nodes": len(merged.nodes),
@@ -319,7 +316,7 @@ def cmd_build(cfg: PipelineConfig) -> dict:
     _write_lines(stage_dir / "nodes.txt", merged.nodes)
     (stage_dir / "graph.dot").write_text(graphbuild.to_dot(merged, collapsed), encoding="utf-8")
 
-    outputs = [*(f"edges_{name}.csv" for name in (*LAYERS, "merged")), "nodes.txt", "graph.dot"]
+    outputs = [*(f"edges_{name}.csv" for name in (*layers, "merged")), "nodes.txt", "graph.dot"]
     _write_manifest(stage_dir, "build", cfg, paths, counts, outputs)
     return counts
 
@@ -725,8 +722,8 @@ def _render_report_text(metrics, histogram, rankings, stats) -> str:
 
     lines.append(metric_row("primary", metrics["before"]))
     lines.append(metric_row("preprocessed", metrics["after"]))
-    for layer, m in sorted(metrics["layers"].items()):
-        lines.append(metric_row(f"{layer} layer", m))
+    for layer in sorted(LAYERS):
+        lines.append(metric_row(f"{layer} layer", metrics["layers"][layer]))
     lines.append("")
     lines.append(f"isolated nodes removed: {metrics['isolated_removed']} "
                  f"(mode: {metrics['isolated_mode']})")

@@ -697,3 +697,15 @@ def test_wrong_typed_config_value_is_config_error(case, out_dir, tmp_path, capsy
     assert main([stage, "--config", str(config_path)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {section}.{key} must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [None, 5, {}])
+def test_report_prints_only_the_three_layers(extra, out_dir, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    metrics_path = out / "clean/metrics.json"
+    metrics = json.loads(metrics_path.read_text("utf-8"))
+    metrics["layers"]["x"] = extra
+    metrics_path.write_text(json.dumps(metrics), encoding="utf-8")
+    assert main(["report", *fixture_flags(out)]) == EXIT_OK
+    assert (out / "report/report.txt").read_bytes() == (out_dir / "report/report.txt").read_bytes()
