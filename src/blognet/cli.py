@@ -2,9 +2,11 @@
 
 Each stage reads the previous stage's artifacts from the output directory,
 writes its own artifacts plus a manifest.json (input hashes, effective
-config, drop/quarantine counters), and nothing else. Two runs over the
-same inputs and config produce byte-identical output trees; manifests
-deliberately carry no timestamps.
+config, drop/quarantine counters, output names), and nothing else. A stage
+names each dump file or upstream artifact it reads, and each file it
+writes, through its ``Stage`` record, so the manifest lists exactly those.
+Two runs over the same inputs and config produce byte-identical output
+trees; manifests deliberately carry no timestamps.
 
 Exit codes: 0 success, 1 configuration/stage-order problems, 2 data errors.
 
@@ -19,7 +21,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
@@ -80,60 +82,74 @@ def _write_lines(path: Path, lines) -> None:
             fh.write(f"{line}\n")
 
 
-def _stage_dir(cfg: PipelineConfig, stage: str) -> Path:
-    path = Path(cfg.out_dir) / stage
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+@dataclass
+class Stage:
+    """One run of stage ``name``. The stage names each file it reads through
+    ``require_inputs`` or ``require`` and each file it writes through
+    ``output``; its manifest lists what was recorded."""
 
+    cfg: PipelineConfig
+    name: str
+    inputs: dict[str, Path] = field(default_factory=dict)  # manifest key -> file read
+    outputs: list[str] = field(default_factory=list)  # file names written
 
-def _write_manifest(
-    stage_dir: Path,
-    stage: str,
-    cfg: PipelineConfig,
-    inputs: dict[str, Path],
-    counts: dict,
-    outputs: list[str],
-) -> None:
-    snapshot = config_snapshot(cfg)
-    # the output location is where the tree lives, not part of what was
-    # computed; omitting it keeps runs byte-comparable across directories
-    snapshot.pop("output", None)
-    manifest = {
-        "stage": stage,
-        "tool_version": __version__,
-        "config": snapshot,
-        "inputs": {name: _sha256(path) for name, path in sorted(inputs.items())},
-        "counts": counts,
-        "outputs": sorted(outputs),
-    }
-    _write_json(stage_dir / "manifest.json", manifest)
+    @property
+    def dir(self) -> Path:
+        return Path(self.cfg.out_dir) / self.name
 
+    def require_inputs(self, names: list[str]) -> dict[str, Path]:
+        """The raw dump files ``names``; every unset one is a ConfigError."""
+        problems = [
+            f"inputs.{name} is required for this stage" for name in names
+            if getattr(self.cfg, name) is None
+        ]
+        if problems:
+            raise ConfigError(problems)
+        paths = {name: Path(getattr(self.cfg, name)) for name in names}
+        self.inputs.update(paths)
+        return paths
 
-def _require_artifact(cfg: PipelineConfig, stage: str, name: str) -> Path:
-    path = Path(cfg.out_dir) / stage / name
-    if not path.exists():
-        raise StageDependencyError(
-            f"missing upstream artifact {path} (run 'blognet {stage}' first)"
-        )
-    return path
+    def require(self, stage: str, name: str, key: str | None = None) -> Path:
+        """Upstream artifact ``name`` of ``stage``, recorded under ``key``
+        (default: the file's stem); a missing one raises
+        StageDependencyError."""
+        path = Path(self.cfg.out_dir) / stage / name
+        if not path.exists():
+            raise StageDependencyError(
+                f"missing upstream artifact {path} (run 'blognet {stage}' first)"
+            )
+        self.inputs[key or path.stem] = path
+        return path
 
+    def output(self, name: str) -> Path:
+        """Where to write artifact ``name``; the stage directory is made on
+        first use, so a stage that fails before writing leaves none."""
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return self.dir / name
 
-def _require_inputs(cfg: PipelineConfig, names: list[str]) -> dict[str, Path]:
-    problems = [
-        f"inputs.{name} is required for this stage" for name in names
-        if getattr(cfg, name) is None
-    ]
-    if problems:
-        raise ConfigError(problems)
-    return {name: Path(getattr(cfg, name)) for name in names}
+    def write_manifest(self, counts: dict) -> None:
+        snapshot = config_snapshot(self.cfg)
+        # the output location is where the tree lives, not part of what was
+        # computed; omitting it keeps runs byte-comparable across directories
+        snapshot.pop("output", None)
+        manifest = {
+            "stage": self.name,
+            "tool_version": __version__,
+            "config": snapshot,
+            "inputs": {key: _sha256(path) for key, path in sorted(self.inputs.items())},
+            "counts": counts,
+            "outputs": sorted(self.outputs),
+        }
+        _write_json(self.dir / "manifest.json", manifest)
 
 
 # --- stages -------------------------------------------------------------------
 
-def cmd_ingest(cfg: PipelineConfig) -> dict:
+def cmd_ingest(stage: Stage) -> dict:
     """Validate the four dump files into canonical, re-loadable artifacts."""
-    inputs = _require_inputs(cfg, ["posts", "comments", "blogroll", "profiles"])
-    offset = cfg.utc_offset
+    inputs = stage.require_inputs(["posts", "comments", "blogroll", "profiles"])
+    offset = stage.cfg.utc_offset
 
     posts = ingest_mod.load_posts(inputs["posts"], offset)
     loaded = {  # file name -> (load result, record serializer)
@@ -145,27 +161,24 @@ def cmd_ingest(cfg: PipelineConfig) -> dict:
         "profiles": (ingest_mod.load_profiles(inputs["profiles"]), ingest_mod.profile_to_dict),
     }
 
-    stage_dir = _stage_dir(cfg, "ingest")
     counts = {}
     quarantined = []
     for name, (result, to_dict) in loaded.items():
-        ingest_mod.write_jsonl(stage_dir / f"{name}.jsonl", [to_dict(r) for r in result.records])
+        ingest_mod.write_jsonl(stage.output(f"{name}.jsonl"), [to_dict(r) for r in result.records])
         counts[name] = {"accepted": len(result.records), "quarantined": len(result.quarantined)}
         quarantined += result.quarantined
     ingest_mod.write_jsonl(
-        stage_dir / "quarantine.jsonl",
+        stage.output("quarantine.jsonl"),
         [ingest_mod.quarantine_to_dict(q) for q in quarantined],
     )
-    outputs = [f"{name}.jsonl" for name in (*loaded, "quarantine")]
-    _write_manifest(stage_dir, "ingest", cfg, inputs, counts, outputs)
     return counts
 
 
-def _load_ingested(cfg: PipelineConfig, names: list[str]) -> tuple[dict[str, Path], dict]:
+def _load_ingested(stage: Stage, names: list[str]) -> dict[str, list]:
     """Reload ingest artifacts through the ingest loaders. Ingest writes only
     lines its loaders accept, so a line they quarantine now was changed after
     ingest: it raises ArtifactError naming ``file:line``."""
-    paths = {name: _require_artifact(cfg, "ingest", f"{name}.jsonl") for name in names}
+    paths = {name: stage.require("ingest", f"{name}.jsonl") for name in names}
 
     loaders = {"posts": ingest_mod.load_posts, "blogroll": ingest_mod.load_blogroll,
                "profiles": ingest_mod.load_profiles}
@@ -180,14 +193,15 @@ def _load_ingested(cfg: PipelineConfig, names: list[str]) -> tuple[dict[str, Pat
             first = result.quarantined[0]
             raise ArtifactError(f"{path}:{first.line}: {first.reason}")
         loaded[name] = result.records
-    return paths, loaded
+    return loaded
 
 
-def cmd_prep(cfg: PipelineConfig) -> dict:
+def cmd_prep(stage: Stage) -> dict:
     """Text track: per-blog documents, vocabulary, TF-IDF vectors, similarity."""
     from . import textprep
 
-    paths, loaded = _load_ingested(cfg, ["posts"])
+    cfg = stage.cfg
+    loaded = _load_ingested(stage, ["posts"])
     stopwords = (
         textprep.load_stopwords(cfg.stopwords) if cfg.stopwords
         else textprep.default_stopwords()
@@ -210,14 +224,13 @@ def cmd_prep(cfg: PipelineConfig) -> dict:
     del docs, loaded
     matrix = textprep.similarity_matrix(vectors)
 
-    stage_dir = _stage_dir(cfg, "prep")
     _write_csv(
-        stage_dir / "vocabulary.csv",
+        stage.output("vocabulary.csv"),
         ["term", "df"],
         [(t, vocab.df[t]) for t in vocab.terms],
     )
     ingest_mod.write_jsonl(
-        stage_dir / "vectors.jsonl",
+        stage.output("vectors.jsonl"),
         [
             {"blog_id": v.blog_id,
              "terms": [[i, v.weights[i]] for i in sorted(v.weights)]}
@@ -225,7 +238,7 @@ def cmd_prep(cfg: PipelineConfig) -> dict:
         ],
     )
     _write_csv(
-        stage_dir / "similarity.csv",
+        stage.output("similarity.csv"),
         ["blog_id", *matrix.blog_ids],
         [
             [matrix.blog_ids[i], *(repr(x) for x in matrix.values[i])]
@@ -233,17 +246,15 @@ def cmd_prep(cfg: PipelineConfig) -> dict:
         ],
     )
 
-    counts = {
+    return {
         "documents": documents,
         "vocabulary_terms": len(vocab.terms),
         "stopwords": len(stopwords),
     }
-    outputs = ["vocabulary.csv", "vectors.jsonl", "similarity.csv"]
-    _write_manifest(stage_dir, "prep", cfg, paths, counts, outputs)
-    return counts
 
 
 # the columns of build's edges_*.csv, with the converter each is read through
+# (``_read_edges`` checks the layer against the file's layers)
 EDGE_COLUMNS = {"src": str, "dst": str, "layer": str, "weight": int}
 
 
@@ -254,13 +265,14 @@ def _edges_to_rows(edges) -> list[tuple[str, str, str, int]]:
     return [(e.src, e.dst, value[e.layer], e.weight) for e in edges]
 
 
-def cmd_build(cfg: PipelineConfig) -> dict:
+def cmd_build(stage: Stage) -> dict:
     """Structure track: extract the three edge layers, clean, and merge."""
     from . import graphbuild
 
+    cfg = stage.cfg
     if not cfg.host_patterns:
         raise ConfigError(["graphbuild.host_patterns is required for the build stage"])
-    paths, loaded = _load_ingested(cfg, ["posts", "comments", "blogroll", "profiles"])
+    loaded = _load_ingested(stage, ["posts", "comments", "blogroll", "profiles"])
     resolver = graphbuild.UrlResolver(cfg.host_patterns)
     try:
         # every blog id the extractors canonicalize is checked here first
@@ -268,7 +280,7 @@ def cmd_build(cfg: PipelineConfig) -> dict:
             loaded["posts"], loaded["comments"], loaded["blogroll"], loaded["profiles"]
         )
     except ValueError as err:
-        raise ArtifactError(f"ingest artifacts in {paths['posts'].parent}: {err}") from None
+        raise ArtifactError(f"ingest artifacts in {stage.inputs['posts'].parent}: {err}") from None
 
     layers = {}
     counts: dict = {"universe_blogs": len(universe)}
@@ -310,14 +322,10 @@ def cmd_build(cfg: PipelineConfig) -> dict:
         "collapsed_arcs": len(collapsed),
     }
 
-    stage_dir = _stage_dir(cfg, "build")
     for name, edges in (*layers.items(), ("merged", merged.edges)):
-        _write_csv(stage_dir / f"edges_{name}.csv", list(EDGE_COLUMNS), _edges_to_rows(edges))
-    _write_lines(stage_dir / "nodes.txt", merged.nodes)
-    (stage_dir / "graph.dot").write_text(graphbuild.to_dot(merged, collapsed), encoding="utf-8")
-
-    outputs = [*(f"edges_{name}.csv" for name in (*layers, "merged")), "nodes.txt", "graph.dot"]
-    _write_manifest(stage_dir, "build", cfg, paths, counts, outputs)
+        _write_csv(stage.output(f"edges_{name}.csv"), list(EDGE_COLUMNS), _edges_to_rows(edges))
+    _write_lines(stage.output("nodes.txt"), merged.nodes)
+    stage.output("graph.dot").write_text(graphbuild.to_dot(merged, collapsed), encoding="utf-8")
     return counts
 
 
@@ -426,33 +434,44 @@ def _digraph(labels: list[str], arcs: list[tuple], source: str) -> SimpleDigraph
         raise ArtifactError(f"{source}: {err}") from None
 
 
+def _read_edges(path: Path, layers: tuple[str, ...]) -> list[tuple[str, str, int]]:
+    """The (src, dst, weight) arcs of a build ``edges_*.csv`` whose rows may
+    carry only ``layers``; another layer raises ArtifactError naming
+    ``file:line``."""
+    def layer(value: str) -> str:
+        if value not in layers:
+            raise ValueError(f"unexpected layer {value!r} (expected {', '.join(layers)})")
+        return value
+
+    rows = _read_artifact_csv(path, {**EDGE_COLUMNS, "layer": layer})
+    return [(src, dst, weight) for src, dst, _layer, weight in rows]
+
+
 def _read_merged_graph(nodes_path: Path, edges_path: Path) -> SimpleDigraph:
     labels = _read_artifact_text(nodes_path).splitlines()
-    arcs = [(src, dst, weight) for src, dst, _layer, weight
-            in _read_artifact_csv(edges_path, EDGE_COLUMNS)]
+    arcs = _read_edges(edges_path, LAYERS)
     return _digraph(labels, arcs, f"{edges_path} (nodes from {nodes_path.name})")
 
 
-def _layer_metrics(path: Path, clustering_variant: str) -> dict:
+def _layer_metrics(path: Path, layer: str, clustering_variant: str) -> dict:
     """Metrics for one edge layer viewed as its own graph over the blogs it
     touches (nodes = the layer's endpoints)."""
     from . import graphclean
 
-    arcs = [(src, dst, weight) for src, dst, _layer, weight
-            in _read_artifact_csv(path, EDGE_COLUMNS)]
+    arcs = _read_edges(path, (layer,))
     labels = sorted({v for src, dst, _weight in arcs for v in (src, dst)})
     graph = _digraph(labels, arcs, str(path))
     return asdict(graphclean.graph_metrics(graph, clustering_variant))
 
 
-def cmd_clean(cfg: PipelineConfig) -> dict:
+def cmd_clean(stage: Stage) -> dict:
     """Prune the merged graph and compute before/after metrics."""
     from . import graphclean
 
-    nodes_path = _require_artifact(cfg, "build", "nodes.txt")
-    edges_path = _require_artifact(cfg, "build", "edges_merged.csv")
-    layer_paths = {layer: _require_artifact(cfg, "build", f"edges_{layer}.csv")
-                   for layer in LAYERS}
+    cfg = stage.cfg
+    nodes_path = stage.require("build", "nodes.txt")
+    edges_path = stage.require("build", "edges_merged.csv", "edges")
+    layer_paths = {layer: stage.require("build", f"edges_{layer}.csv") for layer in LAYERS}
     graph = _read_merged_graph(nodes_path, edges_path)
 
     metrics_before = graphclean.graph_metrics(graph, cfg.clustering_variant)
@@ -469,11 +488,10 @@ def cmd_clean(cfg: PipelineConfig) -> dict:
         for v, weight in zip(out, weights)
     ]
 
-    stage_dir = _stage_dir(cfg, "clean")
-    _write_csv(stage_dir / "graph_cleaned.csv", ["src", "dst", "weight"], cleaned_rows)
-    _write_lines(stage_dir / "nodes_kept.txt", cleaned.labels)
+    _write_csv(stage.output("graph_cleaned.csv"), ["src", "dst", "weight"], cleaned_rows)
+    _write_lines(stage.output("nodes_kept.txt"), cleaned.labels)
     _write_csv(
-        stage_dir / "scc_histogram.csv",
+        stage.output("scc_histogram.csv"),
         ["size", "count"],
         sorted(histogram.items()),
     )
@@ -483,7 +501,7 @@ def cmd_clean(cfg: PipelineConfig) -> dict:
         # each layer as its own network, so the merged and per-layer
         # readings can both be compared against outside figures
         "layers": {
-            layer: _layer_metrics(path, cfg.clustering_variant)
+            layer: _layer_metrics(path, layer, cfg.clustering_variant)
             for layer, path in layer_paths.items()
         },
         "isolated_removed": len(removed_labels),
@@ -492,9 +510,9 @@ def cmd_clean(cfg: PipelineConfig) -> dict:
         "scc_count_after_isolated_removal": labeling.count,
         "clustering_variant": cfg.clustering_variant,
     }
-    _write_json(stage_dir / "metrics.json", payload)
+    _write_json(stage.output("metrics.json"), payload)
 
-    counts = {
+    return {
         "nodes_before": graph.n,
         "arcs_before": graph.arc_count,
         "isolated_removed": len(removed_labels),
@@ -507,16 +525,11 @@ def cmd_clean(cfg: PipelineConfig) -> dict:
         "nodes_after": cleaned.n,
         "arcs_after": cleaned.arc_count,
     }
-    outputs = ["graph_cleaned.csv", "nodes_kept.txt", "scc_histogram.csv", "metrics.json"]
-    inputs = {"nodes": nodes_path, "edges": edges_path,
-              **{f"edges_{layer}": path for layer, path in layer_paths.items()}}
-    _write_manifest(stage_dir, "clean", cfg, inputs, counts, outputs)
-    return counts
 
 
-def _read_cleaned_graph(cfg: PipelineConfig) -> tuple[SimpleDigraph, dict[str, Path]]:
-    nodes_path = _require_artifact(cfg, "clean", "nodes_kept.txt")
-    arcs_path = _require_artifact(cfg, "clean", "graph_cleaned.csv")
+def _read_cleaned_graph(stage: Stage) -> SimpleDigraph:
+    nodes_path = stage.require("clean", "nodes_kept.txt", "nodes")
+    arcs_path = stage.require("clean", "graph_cleaned.csv", "arcs")
     labels = _read_artifact_text(nodes_path).splitlines()
     known = set(labels)
 
@@ -530,27 +543,17 @@ def _read_cleaned_graph(cfg: PipelineConfig) -> tuple[SimpleDigraph, dict[str, P
     rows = _read_artifact_csv(arcs_path, columns, key_columns=2)
     graph = _digraph(labels, [tuple(row) for row in rows],
                      f"{arcs_path} (nodes from {nodes_path.name})")
-    if not cfg.weighted_rank:  # the weights were checked all the same
+    if not stage.cfg.weighted_rank:  # the weights were checked all the same
         graph = replace(graph, weights=tuple((1,) * len(out) for out in graph.adj))
-    return graph, {"nodes": nodes_path, "arcs": arcs_path}
+    return graph
 
 
-def _write_ranking_csv(stage_dir: Path, name: str, scores, labels, top_k) -> None:
-    """``scores`` as ``<name>.csv``; None writes the header alone."""
-    from . import ranking
-
-    rows = [] if scores is None else [
-        (blog_id, repr(score), rank)
-        for blog_id, score, rank in ranking.ranked_rows(scores, labels, top_k)
-    ]
-    _write_csv(stage_dir / f"{name}.csv", ["blog_id", "score", "rank"], rows)
-
-
-def cmd_rank(cfg: PipelineConfig) -> dict:
+def cmd_rank(stage: Stage) -> dict:
     """Popularity measures on the cleaned graph."""
     from . import ranking
 
-    graph, paths = _read_cleaned_graph(cfg)
+    cfg = stage.cfg
+    graph = _read_cleaned_graph(stage)
     pr = ranking.pagerank(graph, cfg.damping, cfg.tol, cfg.max_iter, cfg.dangling_policy)
     counts = {
         "nodes": graph.n,
@@ -566,23 +569,21 @@ def cmd_rank(cfg: PipelineConfig) -> dict:
         hub = authority = None
         counts["hits"] = {"skipped": "graph has no arcs"}
 
-    stage_dir = _stage_dir(cfg, "rank")
     rankings = {"indegree": ranking.indegree_rank(graph), "pagerank": pr,
                 "hub": hub, "authority": authority}
-    for name, scores in rankings.items():
-        _write_ranking_csv(stage_dir, name, scores, graph.labels, cfg.rank_top_k)
-    _write_manifest(stage_dir, "rank", cfg, paths, counts, [f"{n}.csv" for n in rankings])
+    for name, scores in rankings.items():  # None writes the header alone
+        rows = [] if scores is None else [
+            (blog_id, repr(score), rank)
+            for blog_id, score, rank in ranking.ranked_rows(scores, graph.labels, cfg.rank_top_k)
+        ]
+        _write_csv(stage.output(f"{name}.csv"), ["blog_id", "score", "rank"], rows)
     return counts
 
 
 def _stats_window(cfg: PipelineConfig, posts) -> ActivityWindow | None:
     from . import profilestats
 
-    if (cfg.window_start is None) != (cfg.window_end is None):
-        raise ConfigError(
-            ["profilestats.window_start and window_end must be set together"]
-        )
-    if cfg.window_start is not None:
+    if cfg.window_start is not None:  # the config admits both bounds or neither
         # windows without an explicit offset use the dump's local convention
         return profilestats.ActivityWindow(
             start=ingest_mod.parse_timestamp(cfg.window_start, cfg.utc_offset),
@@ -595,11 +596,12 @@ def _stats_window(cfg: PipelineConfig, posts) -> ActivityWindow | None:
     return profilestats.dataset_window(posts, cfg.min_posts, cfg.require_monthly)
 
 
-def cmd_stats(cfg: PipelineConfig) -> dict:
+def cmd_stats(stage: Stage) -> dict:
     """Profile track: activity, temporal, demographic, and comment statistics."""
     from . import profilestats
 
-    paths, loaded = _load_ingested(cfg, ["posts", "comments", "profiles"])
+    cfg = stage.cfg
+    loaded = _load_ingested(stage, ["posts", "comments", "profiles"])
     window = _stats_window(cfg, loaded["posts"])
     report = profilestats.build_stats_report(
         loaded["posts"], loaded["comments"], loaded["profiles"],
@@ -637,27 +639,22 @@ def cmd_stats(cfg: PipelineConfig) -> dict:
         },
     }
 
-    stage_dir = _stage_dir(cfg, "stats")
-    _write_json(stage_dir / "report.json", payload)
-    _write_csv(stage_dir / "posts_by_hour.csv", ["hour", "count"],
+    _write_json(stage.output("report.json"), payload)
+    _write_csv(stage.output("posts_by_hour.csv"), ["hour", "count"],
                list(enumerate(report.posts_by_hour)))
-    _write_csv(stage_dir / "posts_by_month.csv", ["month", "count"],
+    _write_csv(stage.output("posts_by_month.csv"), ["month", "count"],
                sorted(report.posts_by_month.items()))
-    _write_csv(stage_dir / "comments_per_post.csv", ["comments", "posts"],
+    _write_csv(stage.output("comments_per_post.csv"), ["comments", "posts"],
                sorted(report.comments.histogram.items()))
-    _write_csv(stage_dir / "age_histogram.csv", ["age_bin_start", "count"],
+    _write_csv(stage.output("age_histogram.csv"), ["age_bin_start", "count"],
                sorted(demo.age_histogram.items()))
 
-    counts = {
+    return {
         "posts": report.post_count,
         "comments": report.comment_count,
         "profiles": demo.profile_count,
         "active_bloggers": report.active_count,
     }
-    outputs = ["report.json", "posts_by_hour.csv", "posts_by_month.csv",
-               "comments_per_post.csv", "age_histogram.csv"]
-    _write_manifest(stage_dir, "stats", cfg, paths, counts, outputs)
-    return counts
 
 
 def _read_ranking_csv(path: Path, top_k: int) -> list[dict]:
@@ -666,13 +663,13 @@ def _read_ranking_csv(path: Path, top_k: int) -> list[dict]:
     return [dict(zip(columns, row)) for row in islice(rows, top_k)]
 
 
-def cmd_report(cfg: PipelineConfig) -> dict:
+def cmd_report(stage: Stage) -> dict:
     """Combine metrics, rankings, and statistics into the final report."""
-    metrics_path = _require_artifact(cfg, "clean", "metrics.json")
-    histogram_path = _require_artifact(cfg, "clean", "scc_histogram.csv")
-    stats_path = _require_artifact(cfg, "stats", "report.json")
+    metrics_path = stage.require("clean", "metrics.json")
+    histogram_path = stage.require("clean", "scc_histogram.csv")
+    stats_path = stage.require("stats", "report.json", "stats")
     rank_paths = {
-        kind: _require_artifact(cfg, "rank", f"{kind}.csv")
+        kind: stage.require("rank", f"{kind}.csv")
         for kind in ("indegree", "pagerank", "hub", "authority")
     }
 
@@ -691,18 +688,11 @@ def cmd_report(cfg: PipelineConfig) -> dict:
         "rankings": rankings,
         "statistics": stats,
     }
-    stage_dir = _stage_dir(cfg, "report")
-    _write_json(stage_dir / "report.json", payload)
-    (stage_dir / "report.txt").write_text(
+    _write_json(stage.output("report.json"), payload)
+    stage.output("report.txt").write_text(
         _render_report_text(metrics, histogram, rankings, stats), encoding="utf-8"
     )
-
-    counts = {"ranking_rows": {k: len(v) for k, v in rankings.items()}}
-    inputs = {"metrics": metrics_path, "scc_histogram": histogram_path,
-              "stats": stats_path, **rank_paths}
-    _write_manifest(stage_dir, "report", cfg, inputs, counts,
-                    ["report.json", "report.txt"])
-    return counts
+    return {"ranking_rows": {k: len(v) for k, v in rankings.items()}}
 
 
 def _render_report_text(metrics, histogram, rankings, stats) -> str:
@@ -754,24 +744,15 @@ def _render_report_text(metrics, histogram, rankings, stats) -> str:
 
 # --- argument parsing ----------------------------------------------------------
 
-STAGE_FUNCS = {
-    "ingest": cmd_ingest,
-    "prep": cmd_prep,
-    "build": cmd_build,
-    "clean": cmd_clean,
-    "rank": cmd_rank,
-    "stats": cmd_stats,
-    "report": cmd_report,
-}
-
-_STAGE_HELP = {
-    "ingest": "validate raw dumps into canonical records",
-    "prep": "text track: vocabulary, TF-IDF vectors, similarity matrix",
-    "build": "structure track: extract and merge link layers",
-    "clean": "prune graph, components, before/after metrics",
-    "rank": "in-degree, PageRank, and HITS rankings",
-    "stats": "profile track: activity, temporal, demographic statistics",
-    "report": "combine everything into the final report",
+# stage -> (its function, its --help line), in pipeline order
+STAGE_FUNCS: dict[str, tuple[Callable[[Stage], dict], str]] = {
+    "ingest": (cmd_ingest, "validate raw dumps into canonical records"),
+    "prep": (cmd_prep, "text track: vocabulary, TF-IDF vectors, similarity matrix"),
+    "build": (cmd_build, "structure track: extract and merge link layers"),
+    "clean": (cmd_clean, "prune graph, components, before/after metrics"),
+    "rank": (cmd_rank, "in-degree, PageRank, and HITS rankings"),
+    "stats": (cmd_stats, "profile track: activity, temporal, demographic statistics"),
+    "report": (cmd_report, "combine everything into the final report"),
 }
 
 
@@ -799,7 +780,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[str]]:
     parser.add_argument("--version", action="version", version=f"blognet {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
     field_names: list[str] = []
-    for stage, help_text in _STAGE_HELP.items():
+    for stage, (_func, help_text) in STAGE_FUNCS.items():
         sub = subparsers.add_parser(stage, help=help_text)
         sub.add_argument("--config", default=None, help="path to the JSON config file")
         field_names = _add_override_flags(sub)
@@ -817,7 +798,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, {name: getattr(args, name) for name in field_names})
-        counts = STAGE_FUNCS[args.command](cfg)
+        stage = Stage(cfg, args.command)
+        counts = STAGE_FUNCS[args.command][0](stage)
+        stage.write_manifest(counts)
     except ConfigError as err:
         for problem in err.problems:
             print(f"config error: {problem}", file=sys.stderr)
@@ -830,7 +813,7 @@ def main(argv=None) -> int:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
 
-    print(f"stage {args.command} complete -> {Path(cfg.out_dir) / args.command}")
+    print(f"stage {args.command} complete -> {stage.dir}")
     for key, value in counts.items():
         print(f"  {key}: {value}")
     return EXIT_OK

@@ -181,6 +181,8 @@ def _validate(cfg: PipelineConfig) -> list[str]:
                 problems.append(f"profilestats.{key} is not an RFC 3339 timestamp: {value!r}")
     if len(bounds) == 2 and bounds["window_start"] >= bounds["window_end"]:
         problems.append("profilestats.window_start must precede window_end")
+    if len(bounds) == 1 and None in (cfg.window_start, cfg.window_end):
+        problems.append("profilestats.window_start and window_end must be set together")
     return [*failed.values(), *problems]
 
 

@@ -282,11 +282,13 @@ def merge_layers(
 
 def to_dot(graph: LayeredGraph, arcs: Sequence[tuple[str, str]] | None = None) -> str:
     """Collapsed view as DOT for visualization tools. ``arcs``, when given,
-    is ``graph.collapsed_arcs()`` already computed by the caller."""
+    is ``graph.collapsed_arcs()`` already computed by the caller. Each id is
+    a quoted DOT string, with ``"`` escaped (blog ids hold no ``\\``)."""
+    quoted = {node: '"' + node.replace('"', '\\"') + '"' for node in graph.nodes}
     lines = ["digraph blognet {"]
     for node in graph.nodes:
-        lines.append(f'  "{node}";')
+        lines.append(f"  {quoted[node]};")
     for src, dst in graph.collapsed_arcs() if arcs is None else arcs:
-        lines.append(f'  "{src}" -> "{dst}";')
+        lines.append(f"  {quoted[src]} -> {quoted[dst]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -510,6 +510,12 @@ TAMPERED_ARTIFACTS = {
         "rank", "clean/graph_cleaned.csv",
         lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",-3", *lines[2:]],
         ["graph_cleaned.csv", "weight -3"]),
+    "merged-unknown-layer": (
+        "clean", "build/edges_merged.csv", lambda lines: [*lines, "b01,b03,bogus,1"],
+        ["edges_merged.csv:{last}:", "'bogus'"]),
+    "layer-row-of-another-layer": (
+        "clean", "build/edges_citation.csv", lambda lines: [*lines, "b01,b03,comment,1"],
+        ["edges_citation.csv:{last}:", "'comment'"]),
 }
 
 
@@ -709,3 +715,43 @@ def test_report_prints_only_the_three_layers(extra, out_dir, tmp_path):
     metrics_path.write_text(json.dumps(metrics), encoding="utf-8")
     assert main(["report", *fixture_flags(out)]) == EXIT_OK
     assert (out / "report/report.txt").read_bytes() == (out_dir / "report/report.txt").read_bytes()
+
+
+def test_half_set_window_is_config_error_at_ingest(tmp_path, capsys):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["ingest", *fixture_flags(out), "--window-start", "2013-01-01T00:00:00"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "config error: profilestats.window_start and window_end must be set together\n")
+    assert not out.exists()
+
+
+# stage -> (its manifest's input keys, its manifest's outputs) on a fixture run
+MANIFEST_FILES = {
+    "ingest": ({"posts", "comments", "blogroll", "profiles"},
+               ["blogroll.jsonl", "comments.jsonl", "posts.jsonl", "profiles.jsonl",
+                "quarantine.jsonl"]),
+    "prep": ({"posts"}, ["similarity.csv", "vectors.jsonl", "vocabulary.csv"]),
+    "build": ({"posts", "comments", "blogroll", "profiles"},
+              ["edges_blogroll.csv", "edges_citation.csv", "edges_comment.csv",
+               "edges_merged.csv", "graph.dot", "nodes.txt"]),
+    "clean": ({"nodes", "edges", "edges_blogroll", "edges_comment", "edges_citation"},
+              ["graph_cleaned.csv", "metrics.json", "nodes_kept.txt", "scc_histogram.csv"]),
+    "rank": ({"nodes", "arcs"}, ["authority.csv", "hub.csv", "indegree.csv", "pagerank.csv"]),
+    "stats": ({"posts", "comments", "profiles"},
+              ["age_histogram.csv", "comments_per_post.csv", "posts_by_hour.csv",
+               "posts_by_month.csv", "report.json"]),
+    "report": ({"metrics", "scc_histogram", "stats", "indegree", "pagerank", "hub",
+                "authority"}, ["report.json", "report.txt"]),
+}
+
+
+@pytest.mark.parametrize("stage", ALL_STAGES)
+def test_manifest_lists_what_the_stage_read_and_wrote(stage, out_dir):
+    inputs, outputs = MANIFEST_FILES[stage]
+    recorded = manifest(out_dir, stage)
+    assert set(recorded["inputs"]) == inputs
+    assert recorded["outputs"] == outputs
+    written = sorted(p.name for p in (out_dir / stage).iterdir() if p.name != "manifest.json")
+    assert written == outputs

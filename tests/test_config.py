@@ -192,6 +192,8 @@ REJECTIONS = [
     ({"profilestats": {"window_start": "2010-02-01T00:00:00Z",
                        "window_end": "2010-01-01T00:00:00Z"}},
      "profilestats.window_start must precede window_end"),
+    ({"profilestats": {"window_end": "2010-02-01T00:00:00Z"}},
+     "profilestats.window_start and window_end must be set together"),
 ]
 
 

@@ -314,6 +314,12 @@ def test_dot_export():
     assert '"c";' in dot
 
 
+def test_dot_escapes_quotes_in_blog_ids():
+    g = merge_layers([[Edge('q"x', "b01", Layer.CITATION)]])
+    dot = graphbuild.to_dot(g)
+    assert dot.splitlines()[1:-1] == ['  "b01";', '  "q\\"x";', '  "q\\"x" -> "b01";']
+
+
 def outcome(fn, *args):
     try:
         return "ok", fn(*args)
