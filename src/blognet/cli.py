@@ -98,7 +98,8 @@ class Stage:
         return Path(self.cfg.out_dir) / self.name
 
     def require_inputs(self, names: list[str]) -> dict[str, Path]:
-        """The raw dump files ``names``; every unset one is a ConfigError."""
+        """The input files the settings ``names`` name; every unset one is a
+        ConfigError."""
         problems = [
             f"inputs.{name} is required for this stage" for name in names
             if getattr(self.cfg, name) is None
@@ -202,12 +203,14 @@ def cmd_prep(stage: Stage) -> dict:
 
     cfg = stage.cfg
     loaded = _load_ingested(stage, ["posts"])
-    stopwords = (
-        textprep.load_stopwords(cfg.stopwords) if cfg.stopwords
-        else textprep.default_stopwords()
-    )
+    files = stage.require_inputs([n for n in ("stopwords", "equivalences") if getattr(cfg, n)])
     equivalences = (
-        textprep.load_equivalences(cfg.equivalences) if cfg.equivalences else None
+        textprep.load_equivalences(files["equivalences"], cfg.unify_alef)
+        if "equivalences" in files else None
+    )
+    stopwords = (
+        textprep.load_stopwords(files["stopwords"], equivalences, cfg.unify_alef)
+        if "stopwords" in files else textprep.default_stopwords(equivalences, cfg.unify_alef)
     )
     docs = textprep.blog_documents(
         loaded["posts"], stopwords, equivalences, cfg.unify_alef
@@ -253,16 +256,10 @@ def cmd_prep(stage: Stage) -> dict:
     }
 
 
-# the columns of build's edges_*.csv, with the converter each is read through
+# the columns of build's edges_*.csv, in ``graphbuild.Edge`` field order (build
+# writes its edges as rows), with the converter each is read through
 # (``_read_edges`` checks the layer against the file's layers)
 EDGE_COLUMNS = {"src": str, "dst": str, "layer": str, "weight": int}
-
-
-def _edges_to_rows(edges) -> list[tuple[str, str, str, int]]:
-    from .graphbuild import Layer
-
-    value = {layer: layer.value for layer in Layer}  # ``.value`` is a descriptor call
-    return [(e.src, e.dst, value[e.layer], e.weight) for e in edges]
 
 
 def cmd_build(stage: Stage) -> dict:
@@ -315,17 +312,16 @@ def cmd_build(stage: Stage) -> dict:
         }
 
     merged = graphbuild.merge_layers(list(layers.values()), extra_nodes=universe)
-    collapsed = merged.collapsed_arcs()
     counts["merged"] = {
         "nodes": len(merged.nodes),
         "multigraph_edges": len(merged.edges),
-        "collapsed_arcs": len(collapsed),
+        "collapsed_arcs": len(merged.arcs),
     }
 
     for name, edges in (*layers.items(), ("merged", merged.edges)):
-        _write_csv(stage.output(f"edges_{name}.csv"), list(EDGE_COLUMNS), _edges_to_rows(edges))
+        _write_csv(stage.output(f"edges_{name}.csv"), list(EDGE_COLUMNS), edges)
     _write_lines(stage.output("nodes.txt"), merged.nodes)
-    stage.output("graph.dot").write_text(graphbuild.to_dot(merged, collapsed), encoding="utf-8")
+    stage.output("graph.dot").write_text(graphbuild.to_dot(merged), encoding="utf-8")
     return counts
 
 

@@ -11,29 +11,19 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
 from .ingest import BlogrollRecord, RawComment, RawPost, canonical_slug
 
 
-class Layer(str, Enum):
-    BLOGROLL = "blogroll"
-    COMMENT = "comment"
-    CITATION = "citation"
+class Edge(NamedTuple):
+    """One edge, in the column order of build's ``edges_*.csv`` rows."""
 
-
-@dataclass(frozen=True)
-class Edge:
     src: str
     dst: str
-    layer: Layer
+    layer: str                           # "blogroll", "comment" or "citation"
     weight: int = 1                      # multiplicity within the layer
-
-    def __post_init__(self):
-        if self.weight < 1:
-            raise ValueError("edge weight must be >= 1")
 
 
 # For str patterns ``\s`` matches exactly the characters ``str.isspace`` accepts.
@@ -103,7 +93,7 @@ class UrlResolver:
 
 # --- edge extraction ---------------------------------------------------------
 
-def _folded_edges(acc: Counter, layer: Layer) -> list[Edge]:
+def _folded_edges(acc: Counter, layer: str) -> list[Edge]:
     return [Edge(src, dst, layer, weight=n) for (src, dst), n in sorted(acc.items())]
 
 
@@ -126,7 +116,7 @@ def extract_blogroll_edges(
             counters["external_urls"] += 1
             continue
         acc[canonical_blog_id(rec.owner_blog_id), target] += 1
-    return _folded_edges(acc, Layer.BLOGROLL), counters
+    return _folded_edges(acc, "blogroll"), counters
 
 
 def extract_comment_edges(
@@ -151,7 +141,7 @@ def extract_comment_edges(
         commenter = canonical_blog_id(c.commenter_blog_id)
         src, dst = (commenter, author) if toward_author else (author, commenter)
         acc[src, dst] += 1
-    return _folded_edges(acc, Layer.COMMENT), counters
+    return _folded_edges(acc, "comment"), counters
 
 
 _HREF_RE = re.compile(r"""href\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>]+))""", re.IGNORECASE)
@@ -204,7 +194,7 @@ def extract_citation_edges(
                 counters["self_links"] += 1
             else:
                 acc[author, target] += 1
-    return _folded_edges(acc, Layer.CITATION), counters
+    return _folded_edges(acc, "citation"), counters
 
 
 # --- cleaning and merging ----------------------------------------------------
@@ -253,10 +243,8 @@ class LayeredGraph:
 
     nodes: tuple[str, ...]   # sorted
     edges: tuple[Edge, ...]  # sorted by (layer, src, dst)
-
-    def collapsed_arcs(self) -> list[tuple[str, str]]:
-        """Simple-digraph view: parallel edges across layers fold to one arc."""
-        return sorted({(e.src, e.dst) for e in self.edges})
+    # simple-digraph view, sorted: parallel edges across layers fold to one arc
+    arcs: list[tuple[str, str]]
 
 
 def merge_layers(
@@ -264,31 +252,25 @@ def merge_layers(
 ) -> LayeredGraph:
     """Union of the per-layer edge lists; duplicate (src, dst, layer) entries
     fold into one edge with the summed weight."""
-    folded: dict[tuple[str, str, Layer], Edge] = {}
+    folded: Counter = Counter()
     for per_layer in layers:
-        for e in per_layer:
-            key = (e.src, e.dst, e.layer)
-            prev = folded.get(key)
-            folded[key] = e if prev is None else Edge(
-                e.src, e.dst, e.layer, weight=prev.weight + e.weight
-            )
-    edges = tuple(
-        sorted(folded.values(), key=lambda e: (e.layer.value, e.src, e.dst))
-    )
-    nodes = {e.src for e in edges} | {e.dst for e in edges}
+        for src, dst, layer, weight in per_layer:
+            folded[layer, src, dst] += weight
+    edges = tuple(Edge(src, dst, layer, n) for (layer, src, dst), n in sorted(folded.items()))
+    arcs = sorted({(src, dst) for src, dst, _layer, _weight in edges})
+    nodes = {v for arc in arcs for v in arc}
     nodes.update(canonical_blog_id(n) for n in extra_nodes)
-    return LayeredGraph(nodes=tuple(sorted(nodes)), edges=edges)
+    return LayeredGraph(nodes=tuple(sorted(nodes)), edges=edges, arcs=arcs)
 
 
-def to_dot(graph: LayeredGraph, arcs: Sequence[tuple[str, str]] | None = None) -> str:
-    """Collapsed view as DOT for visualization tools. ``arcs``, when given,
-    is ``graph.collapsed_arcs()`` already computed by the caller. Each id is
-    a quoted DOT string, with ``"`` escaped (blog ids hold no ``\\``)."""
+def to_dot(graph: LayeredGraph) -> str:
+    """Collapsed view as DOT for visualization tools. Each id is a quoted DOT
+    string, with ``"`` escaped (blog ids hold no ``\\``)."""
     quoted = {node: '"' + node.replace('"', '\\"') + '"' for node in graph.nodes}
     lines = ["digraph blognet {"]
     for node in graph.nodes:
         lines.append(f"  {quoted[node]};")
-    for src, dst in graph.collapsed_arcs() if arcs is None else arcs:
+    for src, dst in graph.arcs:
         lines.append(f"  {quoted[src]} -> {quoted[dst]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -188,30 +188,40 @@ def remove_stopwords(tokens: Sequence[str], stoplist: set[str]) -> list[str]:
 
 # --- stop words and equivalence dictionary ----------------------------------
 
-def _parse_stopwords(content: str, equivalences: Mapping[str, str] | None = None) -> set[str]:
+# A stop list or equivalence dictionary is normalized with the equivalences
+# and ``unify_alef`` setting the documents are normalized with, or some of its
+# terms never match a document token.
+
+def _parse_stopwords(
+    content: str, equivalences: Mapping[str, str] | None, unify_alef: bool
+) -> set[str]:
     stops = set()
     for line in content.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        stops.add(normalize(line, equivalences))
+        stops.add(normalize(line, equivalences, unify_alef))
     return stops
 
 
-def load_stopwords(path: str | Path, equivalences: Mapping[str, str] | None = None) -> set[str]:
+def load_stopwords(
+    path: str | Path, equivalences: Mapping[str, str] | None = None, unify_alef: bool = True
+) -> set[str]:
     """Read a stop-word file: UTF-8, one term per line, '#' comments."""
-    return _parse_stopwords(read_text(path), equivalences)
+    return _parse_stopwords(read_text(path), equivalences, unify_alef)
 
 
-def default_stopwords() -> set[str]:
+def default_stopwords(
+    equivalences: Mapping[str, str] | None = None, unify_alef: bool = True
+) -> set[str]:
     """The Persian stop-word list shipped with the package."""
     from importlib import resources
 
     content = resources.files("blognet").joinpath("data/stopwords.txt").read_text("utf-8")
-    return _parse_stopwords(content)
+    return _parse_stopwords(content, equivalences, unify_alef)
 
 
-def load_equivalences(path: str | Path) -> dict[str, str]:
+def load_equivalences(path: str | Path, unify_alef: bool = True) -> dict[str, str]:
     """Read variant->canonical token pairs (two tab-separated columns).
 
     Both columns are normalized, chains (a->b, b->c) are resolved to their
@@ -226,7 +236,7 @@ def load_equivalences(path: str | Path) -> dict[str, str]:
         cols = line.split("\t")
         if len(cols) != 2:
             raise InputFileError(f"{path}:{line_no}: expected two tab-separated columns")
-        variant, canonical = normalize(cols[0]), normalize(cols[1])
+        variant, canonical = (normalize(col, unify_alef=unify_alef) for col in cols)
         if not variant or not canonical:
             raise InputFileError(f"{path}:{line_no}: empty variant or canonical form")
         mapping[variant] = canonical

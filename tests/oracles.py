@@ -222,7 +222,7 @@ def blogroll_edges_resolving_each_record(records, resolver):
             counters["external_urls"] += 1
             continue
         acc[graphbuild.canonical_blog_id(rec.owner_blog_id), target] += 1
-    return graphbuild._folded_edges(acc, graphbuild.Layer.BLOGROLL), counters
+    return graphbuild._folded_edges(acc, "blogroll"), counters
 
 
 def blogroll_url_error(url: str) -> str | None:

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import hashlib
 import json
 import os
 import shutil
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import blognet
-from blognet.cli import EXIT_DATA, EXIT_OK, EXIT_VALIDATION, main
+from blognet import graphbuild
+from blognet.cli import EDGE_COLUMNS, EXIT_DATA, EXIT_OK, EXIT_VALIDATION, main
 from conftest import FIXTURES
 
 SMALLBLOG = FIXTURES / "smallblog"
@@ -755,3 +757,74 @@ def test_manifest_lists_what_the_stage_read_and_wrote(stage, out_dir):
     assert recorded["outputs"] == outputs
     written = sorted(p.name for p in (out_dir / stage).iterdir() if p.name != "manifest.json")
     assert written == outputs
+
+
+def test_edge_columns_are_the_edge_fields():
+    # build writes each graphbuild.Edge as one row under the EDGE_COLUMNS header
+    assert tuple(EDGE_COLUMNS) == graphbuild.Edge._fields
+
+
+# Each case runs ingest and prep on the fixture plus one post by b99 with a
+# body: (extra flags, {file name: content} of the files the flags name, the
+# body, terms the vocabulary must list, terms it must not). Stop words and
+# equivalences are normalized as the documents are.
+PREP_NORMALIZATION = {
+    "packaged-stopwords-without-alef-unification": (
+        ["--unify-alef", "no"], {}, "آنها آنجا آمد دریاچه",
+        {"دریاچه"}, {"آن", "آنها", "آنجا", "آمد"}),
+    "equivalence-without-alef-unification": (
+        ["--unify-alef", "no", "--equivalences", "eq.tsv"], {"eq.tsv": "آسمان\tفلک\n"},
+        "آسمان", {"فلک"}, {"آسمان"}),
+    "stopword-file-through-equivalences": (
+        ["--stopwords", "stop.txt", "--equivalences", "eq.tsv"],
+        {"stop.txt": "میشه\n", "eq.tsv": "میشه\tمیشود\n"},
+        "میشه میشود باران", {"باران"}, {"میشه", "میشود"}),
+    "packaged-stopwords-through-equivalences": (
+        ["--equivalences", "eq.tsv"], {"eq.tsv": "خیلی\tفراوان\n"},
+        "خیلی فراوان باران", {"باران"}, {"خیلی", "فراوان"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREP_NORMALIZATION))
+def test_stopwords_and_equivalences_normalized_as_documents(case, tmp_path):
+    flags, files, body, listed, unlisted = PREP_NORMALIZATION[case]
+    for name, content in files.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    flags = [*flags_with_extra_post(tmp_path, body=body),
+             *(str(tmp_path / f) if f in files else f for f in flags)]
+    for stage in ("ingest", "prep"):
+        assert main([stage, *flags]) == EXIT_OK, stage
+    with open(tmp_path / "out/prep/vocabulary.csv", encoding="utf-8", newline="") as fh:
+        terms = {row[0] for row in islice(csv.reader(fh), 1, None)}
+    assert listed <= terms
+    assert not unlisted & terms
+
+
+@pytest.mark.parametrize("names", [["stopwords"], ["equivalences"], ["stopwords", "equivalences"]])
+def test_prep_manifest_hashes_stopword_and_equivalence_files(names, out_dir, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    contents = {"stopwords": "و\n", "equivalences": "میشه\tمیشود\n"}
+    flags = []
+    for name in names:
+        path = tmp_path / f"{name}.txt"
+        path.write_text(contents[name], encoding="utf-8")
+        flags += [f"--{name}", str(path)]
+    assert main(["prep", *fixture_flags(out), *flags]) == EXIT_OK
+    inputs = manifest(out, "prep")["inputs"]
+    assert inputs == {
+        "posts": manifest(out_dir, "prep")["inputs"]["posts"],
+        **{name: hashlib.sha256(contents[name].encode()).hexdigest() for name in names},
+    }
+
+
+@pytest.mark.parametrize("flag", ["--stopwords", "--equivalences"])
+def test_missing_stopword_or_equivalence_file_is_data_error(flag, out_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    missing = tmp_path / "nowhere.txt"
+    capsys.readouterr()
+    assert main(["prep", *fixture_flags(out), flag, str(missing)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert str(missing) in err

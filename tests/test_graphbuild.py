@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from blognet import graphbuild
 from blognet.graphbuild import (
     Edge,
-    Layer,
     UrlResolver,
     blog_universe,
     drop_external_links,
@@ -84,7 +83,7 @@ class TestBlogrollExtraction:
     def test_internal_target_becomes_edge(self):
         records = [BlogrollRecord("a", "http://b.parsiblog.com/")]
         edges, counters = extract_blogroll_edges(records, UrlResolver(PATTERNS))
-        assert edges == [Edge("a", "b", Layer.BLOGROLL, 1)]
+        assert edges == [Edge("a", "b", "blogroll", 1)]
         assert counters["external_urls"] == 0
 
     def test_external_target_counted_and_dropped(self):
@@ -107,7 +106,7 @@ class TestCommentExtraction:
     def test_commenter_to_author_direction(self):
         posts = [post("p1", "y")]
         edges, _ = extract_comment_edges([comment("c1", "p1", "x")], posts)
-        assert edges == [Edge("x", "y", Layer.COMMENT, 1)]
+        assert edges == [Edge("x", "y", "comment", 1)]
 
     def test_direction_flag_flips(self):
         posts = [post("p1", "y")]
@@ -137,7 +136,7 @@ class TestCitationExtraction:
     def test_href_to_other_blog(self):
         p = post("p1", "a", body='see <a href="http://b.parsiblog.com/post/7">this</a>')
         edges, counters = extract_citation_edges([p], UrlResolver(PATTERNS))
-        assert edges == [Edge("a", "b", Layer.CITATION, 1)]
+        assert edges == [Edge("a", "b", "citation", 1)]
         assert counters["links_found"] == 1
 
     def test_bare_url_detected(self):
@@ -208,7 +207,7 @@ class TestHrefMasking:
 
 
 class TestCleaningOps:
-    def edges(self, pairs, layer=Layer.BLOGROLL):
+    def edges(self, pairs, layer="blogroll"):
         return [Edge(s, d, layer, 1) for s, d in pairs]
 
     def test_drop_external_mixed(self):
@@ -232,31 +231,31 @@ class TestCleaningOps:
 
 class TestMergeLayers:
     def test_parallel_edges_across_layers(self):
-        blogroll = [Edge("a", "b", Layer.BLOGROLL, 1)]
-        comments = [Edge("a", "b", Layer.COMMENT, 1)]
+        blogroll = [Edge("a", "b", "blogroll", 1)]
+        comments = [Edge("a", "b", "comment", 1)]
         g = merge_layers([blogroll, comments])
         assert len(g.edges) == 2
-        assert g.collapsed_arcs() == [("a", "b")]
+        assert g.arcs == [("a", "b")]
 
     def test_disjoint_layers_sum(self):
-        blogroll = [Edge("a", "b", Layer.BLOGROLL)]
-        citations = [Edge("b", "c", Layer.CITATION)]
+        blogroll = [Edge("a", "b", "blogroll")]
+        citations = [Edge("b", "c", "citation")]
         g = merge_layers([blogroll, citations])
         assert len(g.edges) == 2
-        assert len(g.collapsed_arcs()) == 2
+        assert len(g.arcs) == 2
 
     def test_empty_layers(self):
         g = merge_layers([[], []])
         assert g.nodes == () and g.edges == ()
 
     def test_extra_nodes_without_edges_are_nodes(self):
-        g = merge_layers([[Edge("a", "b", Layer.BLOGROLL)]], extra_nodes=["Lonely"])
+        g = merge_layers([[Edge("a", "b", "blogroll")]], extra_nodes=["Lonely"])
         assert g.nodes == ("a", "b", "lonely")
 
     def test_provenance_preserved(self):
         g = merge_layers([
-            [Edge("a", "b", Layer.BLOGROLL, 2)],
-            [Edge("a", "b", Layer.BLOGROLL, 1)],
+            [Edge("a", "b", "blogroll", 2)],
+            [Edge("a", "b", "blogroll", 1)],
         ])
         assert g.edges[0].weight == 3
 
@@ -284,7 +283,7 @@ def test_cleaning_scan_property():
     for i in range(300):
         src = f"b{rng.randrange(8)}"
         dst = rng.choice([f"b{rng.randrange(8)}", src, rng.choice(outsiders)])
-        edges.append(Edge(src, dst, Layer.BLOGROLL, 1))
+        edges.append(Edge(src, dst, "blogroll", 1))
     kept, dropped_external = drop_external_links(edges, universe)
     kept, dropped_self = drop_self_loops(kept)
     assert len(kept) + dropped_external + dropped_self == len(edges)
@@ -307,7 +306,7 @@ def test_extraction_deterministic():
 
 
 def test_dot_export():
-    g = merge_layers([[Edge("a", "b", Layer.BLOGROLL)]], extra_nodes=["c"])
+    g = merge_layers([[Edge("a", "b", "blogroll")]], extra_nodes=["c"])
     dot = graphbuild.to_dot(g)
     assert dot.startswith("digraph")
     assert '"a" -> "b";' in dot
@@ -315,7 +314,7 @@ def test_dot_export():
 
 
 def test_dot_escapes_quotes_in_blog_ids():
-    g = merge_layers([[Edge('q"x', "b01", Layer.CITATION)]])
+    g = merge_layers([[Edge('q"x', "b01", "citation")]])
     dot = graphbuild.to_dot(g)
     assert dot.splitlines()[1:-1] == ['  "b01";', '  "q\\"x";', '  "q\\"x" -> "b01";']
 
@@ -388,5 +387,5 @@ class TestBlogrollResolvedOncePerUrl:
                 [], {"records": 2, "external_urls": 2}
             )
             assert extract_blogroll_edges(records, path) == (
-                [Edge("a", "b07", Layer.BLOGROLL, weight=2)], {"records": 2, "external_urls": 0}
+                [Edge("a", "b07", "blogroll", weight=2)], {"records": 2, "external_urls": 0}
             )
