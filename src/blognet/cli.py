@@ -2,9 +2,10 @@
 
 Each stage reads the previous stage's artifacts from the output directory,
 writes its own artifacts plus a manifest.json (input hashes, effective
-config, drop/quarantine counters, output names), and nothing else. A stage
-names each dump file or upstream artifact it reads, and each file it
-writes, through its ``Stage`` record, so the manifest lists exactly those.
+config, drop/quarantine counters, output names and hashes), and nothing
+else. A stage names each dump file or upstream artifact it reads, and each
+file it writes, through its ``Stage`` record, so the manifest lists exactly
+those.
 Two runs over the same inputs and config produce byte-identical output
 trees; manifests deliberately carry no timestamps.
 
@@ -31,7 +32,7 @@ from . import ingest as ingest_mod
 from .config import (
     FLAG_TYPES, SECTIONS, ConfigError, PipelineConfig, config_snapshot, load_config,
 )
-from .ingest import DuplicateIdError, EmptyCorpusError, InputFileError
+from .ingest import ArtifactError, DuplicateIdError, EmptyCorpusError, InputFileError
 
 if TYPE_CHECKING:
     from .graphclean import SimpleDigraph
@@ -47,10 +48,6 @@ LAYERS = ("blogroll", "comment", "citation")
 
 class StageDependencyError(Exception):
     """A required upstream artifact is missing."""
-
-
-class ArtifactError(ValueError):
-    """An on-disk artifact is malformed."""
 
 
 # --- small deterministic writers ---------------------------------------------
@@ -92,6 +89,7 @@ class Stage:
     name: str
     inputs: dict[str, Path] = field(default_factory=dict)  # manifest key -> file read
     outputs: list[str] = field(default_factory=list)  # file names written
+    digests: dict[Path, str] = field(default_factory=dict)  # file read -> its sha256
 
     @property
     def dir(self) -> Path:
@@ -122,6 +120,12 @@ class Stage:
         self.inputs[key or path.stem] = path
         return path
 
+    def sha256(self, path: Path) -> str:
+        """The digest of ``path``, a file the stage reads; hashed once."""
+        if path not in self.digests:
+            self.digests[path] = _sha256(path)
+        return self.digests[path]
+
     def output(self, name: str) -> Path:
         """Where to write artifact ``name``; the stage directory is made on
         first use, so a stage that fails before writing leaves none."""
@@ -138,9 +142,10 @@ class Stage:
             "stage": self.name,
             "tool_version": __version__,
             "config": snapshot,
-            "inputs": {key: _sha256(path) for key, path in sorted(self.inputs.items())},
+            "inputs": {key: self.sha256(path) for key, path in sorted(self.inputs.items())},
             "counts": counts,
             "outputs": sorted(self.outputs),
+            "output_sha256": {name: _sha256(self.dir / name) for name in sorted(self.outputs)},
         }
         _write_json(self.dir / "manifest.json", manifest)
 
@@ -175,21 +180,36 @@ def cmd_ingest(stage: Stage) -> dict:
     return counts
 
 
+def _ingest_digests(stage: Stage) -> dict:
+    """File name -> sha256 of each file ingest wrote, from its manifest; empty
+    when the manifest is missing, malformed or holds no ``output_sha256``."""
+    try:
+        manifest = json.loads((Path(stage.cfg.out_dir) / "ingest/manifest.json").read_bytes())
+        digests = manifest["output_sha256"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return {}
+    return digests if isinstance(digests, dict) else {}
+
+
 def _load_ingested(stage: Stage, names: list[str]) -> dict[str, list]:
-    """Reload ingest artifacts through the ingest loaders. Ingest writes only
-    lines its loaders accept, so a line they quarantine now was changed after
-    ingest: it raises ArtifactError naming ``file:line``."""
+    """Reload ingest artifacts through the ingest loaders. An artifact whose
+    digest is the one ingest recorded is read on the loaders' trusted path.
+    Any other is validated again: ingest writes only lines its loaders
+    accept, so a line they quarantine now was changed after ingest. Either
+    way a bad line raises ArtifactError naming ``file:line``."""
     paths = {name: stage.require("ingest", f"{name}.jsonl") for name in names}
+    written = _ingest_digests(stage)
 
     loaders = {"posts": ingest_mod.load_posts, "blogroll": ingest_mod.load_blogroll,
                "profiles": ingest_mod.load_profiles}
     loaded: dict[str, list] = {}
     for name, path in paths.items():
+        trusted = written.get(path.name) == stage.sha256(path)
         if name == "comments":  # posts, when reloaded too, come first
             known = {p.post_id for p in loaded.get("posts", [])}
-            result = ingest_mod.load_comments(path, known)
+            result = ingest_mod.load_comments(path, known, trusted=trusted)
         else:
-            result = loaders[name](path)
+            result = loaders[name](path, trusted=trusted)
         if result.quarantined:
             first = result.quarantined[0]
             raise ArtifactError(f"{path}:{first.line}: {first.reason}")
@@ -203,7 +223,9 @@ def cmd_prep(stage: Stage) -> dict:
 
     cfg = stage.cfg
     loaded = _load_ingested(stage, ["posts"])
-    files = stage.require_inputs([n for n in ("stopwords", "equivalences") if getattr(cfg, n)])
+    files = stage.require_inputs(
+        [n for n in ("stopwords", "equivalences") if getattr(cfg, n) is not None]
+    )
     equivalences = (
         textprep.load_equivalences(files["equivalences"], cfg.unify_alef)
         if "equivalences" in files else None
@@ -804,8 +826,8 @@ def main(argv=None) -> int:
     except StageDependencyError as err:
         print(f"stage error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DuplicateIdError, FileNotFoundError, EmptyCorpusError, InputFileError,
-            ArtifactError) as err:
+    except (DuplicateIdError, FileNotFoundError, IsADirectoryError, EmptyCorpusError,
+            InputFileError, ArtifactError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -4,14 +4,22 @@ Each loader is quarantine-not-crash: per-record problems are collected into
 a quarantine list with the offending line number, structural corruption
 (duplicate primary ids) is a hard error. Accepted + quarantined always adds
 up to the number of input lines.
+
+With ``trusted``, a loader reads an artifact that ingest wrote, and that no
+one changed since, without validating each field again (see
+``_load_trusted``); a line that is not as ingest writes it raises
+ArtifactError.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
+from itertools import product
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -30,6 +38,11 @@ class DuplicateIdError(ValueError):
 class InputFileError(ValueError):
     """An input file cannot be read: it is not UTF-8 text, or it breaks its
     format as a whole. The message names the file."""
+
+
+class ArtifactError(ValueError):
+    """An on-disk artifact is malformed. Declared here so a trusted reload
+    can raise it; the CLI maps it to an exit code."""
 
 
 class EmptyCorpusError(ValueError):
@@ -237,8 +250,87 @@ def _load_jsonl(
     return LoadResult(records, quarantined)
 
 
-def load_posts(path: str | Path, utc_offset: timedelta = timedelta(0)) -> LoadResult:
+# The JSON types an ingest artifact holds for each record field annotation;
+# a datetime is written by ``format_timestamp``.
+_ARTIFACT_TYPES = {
+    "str": (str,), "str | None": (str, type(None)), "int | None": (int, type(None)),
+    "datetime": (str,),
+}
+_CANONICAL_TS_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+# ``fromisoformat`` reads the ``Z`` suffix from Python 3.11 on
+_from_canonical_ts = (
+    datetime.fromisoformat if sys.version_info >= (3, 11)
+    else lambda ts: datetime.fromisoformat(ts[:-1] + "+00:00")
+)
+
+
+def _load_trusted(path: str | Path, record_type: type, check=None) -> LoadResult:
+    """Reload an artifact that ``write_jsonl`` wrote from ``record_type``
+    records without validating each field again. Each line must still be
+    exactly one JSON object of the record's fields, each of the JSON type
+    ``_ARTIFACT_TYPES`` gives it, with every timestamp in the canonical UTC
+    form and no lone surrogate, and ``check`` may reject a record with
+    ValueError: so a changed artifact cannot fail a later step. Any miss
+    raises ArtifactError naming ``file:line``."""
+    path = Path(path)
+    types = {f.name: _ARTIFACT_TYPES[f.type] for f in fields(record_type)}
+    in_field_order = itemgetter(*types)
+    names = sorted(types)  # the order write_jsonl writes them in
+    values_of = itemgetter(*names)
+    allowed = set(product(*(types[name] for name in names)))
+    stamps = [f.name for f in fields(record_type) if f.type == "datetime"]
+    raw_decode = json.JSONDecoder().raw_decode
+    width = len(names)
+    records: list = []
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    obj, end = raw_decode(raw)
+                    # write_jsonl puts nothing after an object but its newline
+                    if raw[end:] not in ("\n", ""):
+                        raise ValueError("unexpected text after the object")
+                    if type(obj) is not dict:
+                        raise ValueError("line is not a JSON object")
+                    values = values_of(obj)  # a KeyError names a missing field
+                    if len(obj) != width:
+                        raise ValueError(f"unexpected field {min(obj.keys() - types)!r}")
+                    if tuple(map(type, values)) not in allowed:
+                        name, value = next((n, v) for n, v in zip(names, values)
+                                           if type(v) not in types[n])
+                        raise ValueError(f"field {name!r} is of the wrong type "
+                                         f"({type(value).__name__})")
+                    # only a \u escape can decode to a lone surrogate (one
+                    # backslash is searched for faster than two characters)
+                    if "\\" in raw and "\\u" in raw:
+                        for name, value in zip(names, values):
+                            if type(value) is str:
+                                _string_field(obj, name, allow_empty=True)
+                    for name in stamps:
+                        if not _CANONICAL_TS_RE.fullmatch(obj[name]):
+                            raise ValueError(f"field {name!r} is not a canonical UTC timestamp")
+                        obj[name] = _from_canonical_ts(obj[name])
+                    record = record_type(*in_field_order(obj))
+                    if check is not None:
+                        check(record)
+                except json.JSONDecodeError as err:
+                    raise ArtifactError(f"{path}:{line_no}: invalid JSON: {err.msg}") from None
+                except KeyError as err:
+                    raise ArtifactError(f"{path}:{line_no}: field {err} missing") from None
+                except ValueError as err:
+                    raise ArtifactError(f"{path}:{line_no}: {err}") from None
+                records.append(record)
+        except UnicodeDecodeError as err:
+            raise not_utf8_error(path, err) from None
+    return LoadResult(records, [])
+
+
+def load_posts(
+    path: str | Path, utc_offset: timedelta = timedelta(0), *, trusted: bool = False
+) -> LoadResult:
     """Load posts.jsonl; see RawPost for the record schema."""
+    if trusted:
+        return _load_trusted(path, RawPost)
 
     def parse(obj: dict) -> RawPost:
         return RawPost(
@@ -256,8 +348,13 @@ def load_comments(
     path: str | Path,
     known_post_ids: set[str],
     utc_offset: timedelta = timedelta(0),
+    *,
+    trusted: bool = False,
 ) -> LoadResult:
-    """Load comments.jsonl; comments pointing at unknown posts are quarantined."""
+    """Load comments.jsonl; comments pointing at unknown posts are quarantined
+    (an artifact ingest wrote points at none, so ``trusted`` does not look)."""
+    if trusted:
+        return _load_trusted(path, RawComment)
 
     def parse(obj: dict) -> RawComment:
         post_id = _string_field(obj, "post_id").strip()
@@ -279,8 +376,10 @@ def load_comments(
     return _load_jsonl(path, parse, id_of=lambda c: c.comment_id)
 
 
-def load_blogroll(path: str | Path) -> LoadResult:
+def load_blogroll(path: str | Path, *, trusted: bool = False) -> LoadResult:
     """Load blogroll.jsonl; target URLs must be syntactically valid http(s)."""
+    if trusted:
+        return _load_trusted(path, BlogrollRecord)
     from urllib.parse import urlsplit
 
     valid: dict[str, bool] = {}  # each distinct URL is split once per file
@@ -308,16 +407,21 @@ def load_blogroll(path: str | Path) -> LoadResult:
     return _load_jsonl(path, parse)
 
 
-def load_profiles(path: str | Path) -> LoadResult:
+def load_profiles(path: str | Path, *, trusted: bool = False) -> LoadResult:
     """Load profiles.jsonl; one profile per blog, age restricted to [5, 120]."""
+
+    def check_age(age: int | None) -> None:
+        if age is not None and not AGE_MIN <= age <= AGE_MAX:
+            raise ValueError(f"age {age} outside [{AGE_MIN}, {AGE_MAX}]")
+
+    if trusted:  # an age that is out of range may not even convert to a float
+        return _load_trusted(path, ProfileRecord, lambda p: check_age(p.age))
 
     def parse(obj: dict) -> ProfileRecord:
         age = obj.get("age")
-        if age is not None:
-            if isinstance(age, bool) or not isinstance(age, int):
-                raise ValueError("field 'age' must be an integer or null")
-            if not AGE_MIN <= age <= AGE_MAX:
-                raise ValueError(f"age {age} outside [{AGE_MIN}, {AGE_MAX}]")
+        if age is not None and (isinstance(age, bool) or not isinstance(age, int)):
+            raise ValueError("field 'age' must be an integer or null")
+        check_age(age)
         return ProfileRecord(
             blog_id=canonical_slug(_string_field(obj, "blog_id")),
             age=age,

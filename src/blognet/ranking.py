@@ -8,6 +8,7 @@ beyond floating-point associativity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -47,6 +48,15 @@ def _to_scores(kind: str, vec: np.ndarray, iterations: int, converged: bool) -> 
     )
 
 
+def _norm(vec: np.ndarray, order: int) -> float:
+    """The l1 or l2 norm of ``vec``, summed by ``math.fsum``: correctly
+    rounded, so its bits depend on neither summation order nor the host's
+    BLAS kernel (``np.linalg.norm`` calls BLAS)."""
+    if order == 1:
+        return math.fsum(np.abs(vec).tolist())
+    return math.sqrt(math.fsum((vec * vec).tolist()))
+
+
 def indegree_rank(g: SimpleDigraph) -> RankScores:
     """score(v) = total weight of the arcs into v (their count if each weighs 1)."""
     _, dst, w = _weighted_arcs(g)
@@ -84,9 +94,9 @@ def hits(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         new_auth = np.bincount(dst, weights=hub[src] * w, minlength=n)
-        new_auth /= np.linalg.norm(new_auth, ord=order)
+        new_auth /= _norm(new_auth, order)
         new_hub = np.bincount(src, weights=new_auth[dst] * w, minlength=n)
-        new_hub /= np.linalg.norm(new_hub, ord=order)
+        new_hub /= _norm(new_hub, order)
         delta = max(
             np.max(np.abs(new_hub - hub)), np.max(np.abs(new_auth - auth))
         )

@@ -828,3 +828,155 @@ def test_missing_stopword_or_equivalence_file_is_data_error(flag, out_dir, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert str(missing) in err
+
+
+def test_build_on_an_untouched_tree_takes_the_trusted_path(out_dir, tmp_path, monkeypatch):
+    from blognet import ingest as ingest_mod
+
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    trusted = []
+    load_trusted = ingest_mod._load_trusted
+
+    def spy(path, *args):
+        trusted.append(Path(path).name)
+        return load_trusted(path, *args)
+
+    monkeypatch.setattr(ingest_mod, "_load_trusted", spy)
+    assert main(["build", *fixture_flags(out)]) == EXIT_OK
+    assert sorted(trusted) == ["blogroll.jsonl", "comments.jsonl", "posts.jsonl",
+                               "profiles.jsonl"]
+    for path in (out_dir / "build").iterdir():
+        assert (out / "build" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def rewrite_ingest_artifact(out, name, edit):
+    """Apply ``edit`` to the lines of ingest artifact ``name`` and record the
+    new bytes' digest in ingest's manifest, as if ingest had written them."""
+    path = out / "ingest" / name
+    lines = edit(path.read_text("utf-8").splitlines())
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest_path = out / "ingest/manifest.json"
+    recorded = json.loads(manifest_path.read_text("utf-8"))
+    recorded["output_sha256"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(recorded), encoding="utf-8")
+
+
+def edit_first_row(**fields):
+    """An edit that sets ``fields`` on the first row; ``...`` drops a field."""
+    def edit(lines):
+        row = json.loads(lines[0])
+        row.update(fields)
+        return [json.dumps({k: v for k, v in row.items() if v is not ...}), *lines[1:]]
+    return edit
+
+
+# Each case rewrites one ingest artifact and its digest in ingest's manifest,
+# so the stage reloads it on the trusted path: (stage, artifact, edit, what
+# the one-line message must name besides ``file:line``).
+TRUSTED_TAMPERING = {
+    "post-missing-field": ("build", "posts.jsonl", edit_first_row(title=...), "'title'"),
+    "profile-string-age": ("stats", "profiles.jsonl", edit_first_row(age="21"), "'age'"),
+    "comment-offsetless-timestamp": (
+        "stats", "comments.jsonl", edit_first_row(created_at="2010-04-06T09:00:00"),
+        "'created_at'"),
+    "blogroll-not-json": ("build", "blogroll.jsonl", lambda lines: ["{broken", *lines[1:]],
+                          "invalid JSON"),
+    "post-lone-surrogate": ("prep", "posts.jsonl", edit_first_row(blog_id="\ud800"),
+                            "'blog_id' holds a lone surrogate"),
+    "profile-huge-age": ("stats", "profiles.jsonl", edit_first_row(age=10 ** 400), "age"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUSTED_TAMPERING))
+def test_tampered_artifact_with_its_digest_is_data_error(case, out_dir, tmp_path, capsys):
+    stage, name, edit, named = TRUSTED_TAMPERING[case]
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    rewrite_ingest_artifact(out, name, edit)
+    capsys.readouterr()
+    assert main([stage, *fixture_flags(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert f"{out / 'ingest' / name}:1: " in err and named in err
+
+
+# Each case garbles ingest's manifest: the stages then validate the ingest
+# artifacts as the loaders do.
+GARBLED_INGEST_MANIFESTS = {
+    "truncated": lambda text: text[:-20],
+    "no-output-digests": lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != "output_sha256"}),
+    "digests-not-an-object": lambda text: json.dumps({**json.loads(text), "output_sha256": []}),
+    "array": lambda text: "[]",
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(GARBLED_INGEST_MANIFESTS))
+def test_garbled_ingest_manifest_falls_back_to_the_loaders(case, out_dir, tmp_path, monkeypatch):
+    from blognet import ingest as ingest_mod
+
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    manifest_path = out / "ingest/manifest.json"
+    garble = GARBLED_INGEST_MANIFESTS[case]
+    if garble is None:
+        manifest_path.unlink()
+    else:
+        manifest_path.write_text(garble(manifest_path.read_text("utf-8")), encoding="utf-8")
+    monkeypatch.setattr(ingest_mod, "_load_trusted", None)  # a call would raise TypeError
+    for stage in ("prep", "build", "stats"):
+        assert main([stage, *fixture_flags(out)]) == EXIT_OK, stage
+        for path in (out_dir / stage).iterdir():
+            assert (out / stage / path.name).read_bytes() == path.read_bytes(), path
+
+
+# Each case names a directory where a stage reads a file: (stage, flag,
+# value); the empty path is the current directory.
+DIRECTORY_INPUTS = {
+    "posts-empty-path": ("ingest", "--posts", ""),
+    "stopwords-directory": ("prep", "--stopwords", "{tmp}"),
+    "stopwords-empty-path": ("prep", "--stopwords", ""),
+    "equivalences-empty-path": ("prep", "--equivalences", ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECTORY_INPUTS))
+def test_directory_as_input_path_is_data_error(case, out_dir, tmp_path, capsys):
+    stage, flag, value = DIRECTORY_INPUTS[case]
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    capsys.readouterr()
+    assert main([stage, *fixture_flags(out), flag, value.format(tmp=tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "Is a directory" in err
+
+
+def _numpy_blas_is_dynamic_arch_openblas() -> bool:
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy that cannot report its build
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _numpy_blas_is_dynamic_arch_openblas(),
+                    reason="needs numpy on a DYNAMIC_ARCH OpenBLAS, whose kernel "
+                           "OPENBLAS_CORETYPE selects")
+def test_rank_bytes_do_not_depend_on_the_blas_kernel(out_dir, tmp_path):
+    src = str(Path(blognet.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    trees = {}
+    for name, env in (("default", base), ("prescott", {**base, "OPENBLAS_CORETYPE": "Prescott"})):
+        out = tmp_path / name
+        shutil.copytree(out_dir, out)
+        subprocess.run([sys.executable, "-m", "blognet.cli", "rank", *fixture_flags(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        trees[name] = {p.name: p.read_bytes() for p in (out / "rank").iterdir()}
+    assert trees["prescott"] == trees["default"]
