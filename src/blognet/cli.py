@@ -44,6 +44,24 @@ EXIT_DATA = 2
 
 REPORT_TOP_K = 10
 LAYERS = ("blogroll", "comment", "citation")
+RANKINGS = ("indegree", "pagerank", "hub", "authority")
+
+# the columns of build's edges_*.csv, in ``graphbuild.Edge`` field order (build
+# writes its edges as rows), with the converter each is read through
+EDGE_COLUMNS = {"src": str, "dst": str, "layer": str, "weight": int}
+RANKING_COLUMNS = {"blog_id": str, "score": float, "rank": int}
+# Each CSV artifact a later stage reads back: (stage, file name) -> (its
+# columns in order, each with the converter it is read through; how many
+# leading columns key a row, so that a repeated key is a data error).
+# ``Stage.write_csv`` writes the header and ``Stage.read_csv`` reads the rows
+# from this one declaration.
+CSV_ARTIFACTS: dict[tuple[str, str], tuple[dict[str, Callable[[str], Any]], int]] = {
+    **{("build", f"edges_{name}.csv"): (EDGE_COLUMNS, 0) for name in (*LAYERS, "merged")},
+    # clean writes each arc once, so a repeat is tampering, not a parallel arc
+    ("clean", "graph_cleaned.csv"): ({"src": str, "dst": str, "weight": float}, 2),
+    ("clean", "scc_histogram.csv"): ({"size": int, "count": int}, 1),
+    **{("rank", f"{kind}.csv"): (RANKING_COLUMNS, 0) for kind in RANKINGS},
+}
 
 
 class StageDependencyError(Exception):
@@ -66,13 +84,6 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _write_lines(path: Path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
@@ -82,8 +93,8 @@ def _write_lines(path: Path, lines) -> None:
 @dataclass
 class Stage:
     """One run of stage ``name``. The stage names each file it reads through
-    ``require_inputs`` or ``require`` and each file it writes through
-    ``output``; its manifest lists what was recorded."""
+    ``require_inputs``, ``require`` or ``read_csv`` and each file it writes
+    through ``output`` or ``write_csv``; its manifest lists what was recorded."""
 
     cfg: PipelineConfig
     name: str
@@ -132,6 +143,26 @@ class Stage:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.outputs.append(name)
         return self.dir / name
+
+    def write_csv(self, name: str, rows, header: list[str] | None = None) -> None:
+        """Write CSV artifact ``name``: its header, which is the
+        ``CSV_ARTIFACTS`` columns for a file a later stage reads back, then
+        ``rows``."""
+        with open(self.output(name), "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header or CSV_ARTIFACTS[self.name, name][0])
+            writer.writerows(rows)
+
+    def read_csv(self, stage: str, name: str, key: str | None = None,
+                 **overrides: Callable[[str], Any]) -> Iterator[list]:
+        """The rows of upstream CSV artifact ``name`` of ``stage`` (see
+        ``_read_artifact_csv``), read through its ``CSV_ARTIFACTS`` columns
+        with ``overrides`` replacing the converters of the columns they name.
+        The file is required now, as by ``require``, and read as the rows are
+        iterated, so a stage requires every input before it reads any."""
+        columns, key_columns = CSV_ARTIFACTS[stage, name]
+        path = self.require(stage, name, key)
+        return _read_artifact_csv(path, {**columns, **overrides}, key_columns)
 
     def write_manifest(self, counts: dict) -> None:
         snapshot = config_snapshot(self.cfg)
@@ -249,11 +280,7 @@ def cmd_prep(stage: Stage) -> dict:
     del docs, loaded
     matrix = textprep.similarity_matrix(vectors)
 
-    _write_csv(
-        stage.output("vocabulary.csv"),
-        ["term", "df"],
-        [(t, vocab.df[t]) for t in vocab.terms],
-    )
+    stage.write_csv("vocabulary.csv", ((t, vocab.df[t]) for t in vocab.terms), ["term", "df"])
     ingest_mod.write_jsonl(
         stage.output("vectors.jsonl"),
         [
@@ -262,13 +289,10 @@ def cmd_prep(stage: Stage) -> dict:
             for v in vectors
         ],
     )
-    _write_csv(
-        stage.output("similarity.csv"),
+    stage.write_csv(
+        "similarity.csv",
+        ([blog_id, *row] for blog_id, row in zip(matrix.blog_ids, matrix.values)),
         ["blog_id", *matrix.blog_ids],
-        [
-            [matrix.blog_ids[i], *(repr(x) for x in matrix.values[i])]
-            for i in range(len(matrix.blog_ids))
-        ],
     )
 
     return {
@@ -276,12 +300,6 @@ def cmd_prep(stage: Stage) -> dict:
         "vocabulary_terms": len(vocab.terms),
         "stopwords": len(stopwords),
     }
-
-
-# the columns of build's edges_*.csv, in ``graphbuild.Edge`` field order (build
-# writes its edges as rows), with the converter each is read through
-# (``_read_edges`` checks the layer against the file's layers)
-EDGE_COLUMNS = {"src": str, "dst": str, "layer": str, "weight": int}
 
 
 def cmd_build(stage: Stage) -> dict:
@@ -341,7 +359,7 @@ def cmd_build(stage: Stage) -> dict:
     }
 
     for name, edges in (*layers.items(), ("merged", merged.edges)):
-        _write_csv(stage.output(f"edges_{name}.csv"), list(EDGE_COLUMNS), edges)
+        stage.write_csv(f"edges_{name}.csv", edges)
     _write_lines(stage.output("nodes.txt"), merged.nodes)
     stage.output("graph.dot").write_text(graphbuild.to_dot(merged), encoding="utf-8")
     return counts
@@ -402,7 +420,7 @@ _STATS_SHAPE = {
 
 
 def _read_artifact_csv(
-    path: Path, columns: dict[str, Callable[[str], Any]], key_columns: int = 0
+    path: Path, columns: dict[str, Callable[[str], Any]], key_columns: int
 ) -> Iterator[list]:
     """Yield the rows of an artifact CSV whose header is ``columns``, each
     value passed through its column's converter (``str`` columns are left as
@@ -452,33 +470,28 @@ def _digraph(labels: list[str], arcs: list[tuple], source: str) -> SimpleDigraph
         raise ArtifactError(f"{source}: {err}") from None
 
 
-def _read_edges(path: Path, layers: tuple[str, ...]) -> list[tuple[str, str, int]]:
-    """The (src, dst, weight) arcs of a build ``edges_*.csv`` whose rows may
-    carry only ``layers``; another layer raises ArtifactError naming
-    ``file:line``."""
+def _read_edges(stage: Stage, name: str, layers: tuple[str, ...],
+                key: str | None = None) -> Iterator[tuple[str, str, int]]:
+    """The (src, dst, weight) arcs of build's ``name``, whose rows may carry
+    only ``layers``; another layer raises ArtifactError naming
+    ``file:line``. Required now, read as iterated (see ``Stage.read_csv``)."""
     def layer(value: str) -> str:
         if value not in layers:
             raise ValueError(f"unexpected layer {value!r} (expected {', '.join(layers)})")
         return value
 
-    rows = _read_artifact_csv(path, {**EDGE_COLUMNS, "layer": layer})
-    return [(src, dst, weight) for src, dst, _layer, weight in rows]
+    rows = stage.read_csv("build", name, key, layer=layer)
+    return ((src, dst, weight) for src, dst, _layer, weight in rows)
 
 
-def _read_merged_graph(nodes_path: Path, edges_path: Path) -> SimpleDigraph:
-    labels = _read_artifact_text(nodes_path).splitlines()
-    arcs = _read_edges(edges_path, LAYERS)
-    return _digraph(labels, arcs, f"{edges_path} (nodes from {nodes_path.name})")
-
-
-def _layer_metrics(path: Path, layer: str, clustering_variant: str) -> dict:
+def _layer_metrics(arcs, source: str, clustering_variant: str) -> dict:
     """Metrics for one edge layer viewed as its own graph over the blogs it
     touches (nodes = the layer's endpoints)."""
     from . import graphclean
 
-    arcs = _read_edges(path, (layer,))
+    arcs = list(arcs)
     labels = sorted({v for src, dst, _weight in arcs for v in (src, dst)})
-    graph = _digraph(labels, arcs, str(path))
+    graph = _digraph(labels, arcs, source)
     return asdict(graphclean.graph_metrics(graph, clustering_variant))
 
 
@@ -488,9 +501,10 @@ def cmd_clean(stage: Stage) -> dict:
 
     cfg = stage.cfg
     nodes_path = stage.require("build", "nodes.txt")
-    edges_path = stage.require("build", "edges_merged.csv", "edges")
-    layer_paths = {layer: stage.require("build", f"edges_{layer}.csv") for layer in LAYERS}
-    graph = _read_merged_graph(nodes_path, edges_path)
+    merged = _read_edges(stage, "edges_merged.csv", LAYERS, "edges")
+    layer_arcs = {layer: _read_edges(stage, f"edges_{layer}.csv", (layer,)) for layer in LAYERS}
+    graph = _digraph(_read_artifact_text(nodes_path).splitlines(), list(merged),
+                     f"{stage.inputs['edges']} (nodes from {nodes_path.name})")
 
     metrics_before = graphclean.graph_metrics(graph, cfg.clustering_variant)
     pruned, removed_labels = graphclean.remove_isolated(graph, cfg.isolated_strict)
@@ -506,21 +520,18 @@ def cmd_clean(stage: Stage) -> dict:
         for v, weight in zip(out, weights)
     ]
 
-    _write_csv(stage.output("graph_cleaned.csv"), ["src", "dst", "weight"], cleaned_rows)
+    stage.write_csv("graph_cleaned.csv", cleaned_rows)
     _write_lines(stage.output("nodes_kept.txt"), cleaned.labels)
-    _write_csv(
-        stage.output("scc_histogram.csv"),
-        ["size", "count"],
-        sorted(histogram.items()),
-    )
+    stage.write_csv("scc_histogram.csv", sorted(histogram.items()))
     payload = {
         "before": asdict(metrics_before),
         "after": asdict(metrics_after),
         # each layer as its own network, so the merged and per-layer
         # readings can both be compared against outside figures
         "layers": {
-            layer: _layer_metrics(path, layer, cfg.clustering_variant)
-            for layer, path in layer_paths.items()
+            layer: _layer_metrics(arcs, str(stage.inputs[f"edges_{layer}"]),
+                                  cfg.clustering_variant)
+            for layer, arcs in layer_arcs.items()
         },
         "isolated_removed": len(removed_labels),
         "isolated_mode": "strict" if cfg.isolated_strict else "no_outlink",
@@ -547,20 +558,17 @@ def cmd_clean(stage: Stage) -> dict:
 
 def _read_cleaned_graph(stage: Stage) -> SimpleDigraph:
     nodes_path = stage.require("clean", "nodes_kept.txt", "nodes")
-    arcs_path = stage.require("clean", "graph_cleaned.csv", "arcs")
-    labels = _read_artifact_text(nodes_path).splitlines()
-    known = set(labels)
 
     def node(label: str) -> str:
         if label not in known:
             raise ValueError(f"node {label!r} is not in {nodes_path.name}")
         return label
 
-    columns = {"src": node, "dst": node, "weight": float}
-    # clean writes each arc once, so a repeat is tampering, not a parallel arc
-    rows = _read_artifact_csv(arcs_path, columns, key_columns=2)
+    rows = stage.read_csv("clean", "graph_cleaned.csv", "arcs", src=node, dst=node)
+    labels = _read_artifact_text(nodes_path).splitlines()
+    known = set(labels)  # ``node`` runs only as the rows are read, below
     graph = _digraph(labels, [tuple(row) for row in rows],
-                     f"{arcs_path} (nodes from {nodes_path.name})")
+                     f"{stage.inputs['arcs']} (nodes from {nodes_path.name})")
     if not stage.cfg.weighted_rank:  # the weights were checked all the same
         graph = replace(graph, weights=tuple((1,) * len(out) for out in graph.adj))
     return graph
@@ -590,11 +598,8 @@ def cmd_rank(stage: Stage) -> dict:
     rankings = {"indegree": ranking.indegree_rank(graph), "pagerank": pr,
                 "hub": hub, "authority": authority}
     for name, scores in rankings.items():  # None writes the header alone
-        rows = [] if scores is None else [
-            (blog_id, repr(score), rank)
-            for blog_id, score, rank in ranking.ranked_rows(scores, graph.labels, cfg.rank_top_k)
-        ]
-        _write_csv(stage.output(f"{name}.csv"), ["blog_id", "score", "rank"], rows)
+        stage.write_csv(f"{name}.csv", [] if scores is None else
+                        ranking.ranked_rows(scores, graph.labels, cfg.rank_top_k))
     return counts
 
 
@@ -658,14 +663,13 @@ def cmd_stats(stage: Stage) -> dict:
     }
 
     _write_json(stage.output("report.json"), payload)
-    _write_csv(stage.output("posts_by_hour.csv"), ["hour", "count"],
-               list(enumerate(report.posts_by_hour)))
-    _write_csv(stage.output("posts_by_month.csv"), ["month", "count"],
-               sorted(report.posts_by_month.items()))
-    _write_csv(stage.output("comments_per_post.csv"), ["comments", "posts"],
-               sorted(report.comments.histogram.items()))
-    _write_csv(stage.output("age_histogram.csv"), ["age_bin_start", "count"],
-               sorted(demo.age_histogram.items()))
+    stage.write_csv("posts_by_hour.csv", enumerate(report.posts_by_hour), ["hour", "count"])
+    stage.write_csv("posts_by_month.csv", sorted(report.posts_by_month.items()),
+                    ["month", "count"])
+    stage.write_csv("comments_per_post.csv", sorted(report.comments.histogram.items()),
+                    ["comments", "posts"])
+    stage.write_csv("age_histogram.csv", sorted(demo.age_histogram.items()),
+                    ["age_bin_start", "count"])
 
     return {
         "posts": report.post_count,
@@ -675,29 +679,19 @@ def cmd_stats(stage: Stage) -> dict:
     }
 
 
-def _read_ranking_csv(path: Path, top_k: int) -> list[dict]:
-    columns = {"blog_id": str, "score": float, "rank": int}
-    rows = _read_artifact_csv(path, columns)
-    return [dict(zip(columns, row)) for row in islice(rows, top_k)]
-
-
 def cmd_report(stage: Stage) -> dict:
     """Combine metrics, rankings, and statistics into the final report."""
     metrics_path = stage.require("clean", "metrics.json")
-    histogram_path = stage.require("clean", "scc_histogram.csv")
+    histogram_rows = stage.read_csv("clean", "scc_histogram.csv")
     stats_path = stage.require("stats", "report.json", "stats")
-    rank_paths = {
-        kind: stage.require("rank", f"{kind}.csv")
-        for kind in ("indegree", "pagerank", "hub", "authority")
-    }
+    ranking_rows = {kind: stage.read_csv("rank", f"{kind}.csv") for kind in RANKINGS}
 
     metrics = _read_artifact_json(metrics_path, _METRICS_SHAPE)
     stats = _read_artifact_json(stats_path, _STATS_SHAPE)
-    histogram = dict(_read_artifact_csv(histogram_path, {"size": int, "count": int},
-                                        key_columns=1))
+    histogram = dict(histogram_rows)
     rankings = {
-        kind: _read_ranking_csv(path, REPORT_TOP_K)
-        for kind, path in sorted(rank_paths.items())
+        kind: [dict(zip(RANKING_COLUMNS, row)) for row in islice(rows, REPORT_TOP_K)]
+        for kind, rows in sorted(ranking_rows.items())
     }
 
     payload = {
@@ -740,7 +734,7 @@ def _render_report_text(metrics, histogram, rankings, stats) -> str:
     lines.append("component size distribution (size: count)")
     lines.append("  " + ", ".join(f"{k}: {v}" for k, v in sorted(histogram.items())))
     lines.append("")
-    for kind in ("indegree", "pagerank", "hub", "authority"):
+    for kind in RANKINGS:
         lines.append(f"top blogs by {kind}")
         rows = rankings.get(kind, [])
         if not rows:

@@ -3,6 +3,7 @@ import filecmp
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 import blognet
 from blognet import graphbuild
-from blognet.cli import EDGE_COLUMNS, EXIT_DATA, EXIT_OK, EXIT_VALIDATION, main
+from blognet.cli import CSV_ARTIFACTS, EDGE_COLUMNS, EXIT_DATA, EXIT_OK, EXIT_VALIDATION, main
 from conftest import FIXTURES
 
 SMALLBLOG = FIXTURES / "smallblog"
@@ -980,3 +981,137 @@ def test_rank_bytes_do_not_depend_on_the_blas_kernel(out_dir, tmp_path):
                        env=env, check=True, capture_output=True, timeout=120)
         trees[name] = {p.name: p.read_bytes() for p in (out / "rank").iterdir()}
     assert trees["prescott"] == trees["default"]
+
+
+def _numpy_cpu_dispatch() -> list[str]:
+    """The CPU features numpy's own SIMD kernels dispatch on at run time on
+    this build (empty where the build has none or does not say)."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        return []
+    return list(getattr(_multiarray_umath, "__cpu_dispatch__", []))
+
+
+@pytest.mark.skipif(not _numpy_cpu_dispatch(),
+                    reason="numpy was built without run-time SIMD dispatch")
+def test_prep_and_rank_bytes_do_not_depend_on_numpy_simd_dispatch(out_dir, tmp_path):
+    # NPY_DISABLE_CPU_FEATURES turns off every dispatched kernel, so numpy's
+    # sums and products run on its baseline code path
+    src = str(Path(blognet.__file__).resolve().parent.parent)
+    base = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    baseline = {**base, "NPY_DISABLE_CPU_FEATURES": " ".join(_numpy_cpu_dispatch())}
+    trees = {}
+    for name, env in (("default", base), ("baseline", baseline)):
+        out = tmp_path / name
+        shutil.copytree(out_dir, out)
+        for stage in ("prep", "rank"):
+            subprocess.run([sys.executable, "-m", "blognet.cli", stage, *fixture_flags(out)],
+                           env=env, check=True, capture_output=True, timeout=120)
+        trees[name] = {f"{stage}/{p.name}": p.read_bytes()
+                       for stage in ("prep", "rank") for p in (out / stage).iterdir()}
+    assert trees["baseline"] == trees["default"]
+
+
+def tampered_reads(out_dir) -> list[tuple[str, str]]:
+    """(artifact, the stage that reads it) for every upstream artifact a
+    stage of the run in ``out_dir`` read: each input digest in a stage's
+    manifest matched to the files whose digests the manifests record."""
+    written: dict[str, list[str]] = {}
+    for stage in ALL_STAGES:
+        for name, digest in manifest(out_dir, stage)["output_sha256"].items():
+            written.setdefault(digest, []).append(f"{stage}/{name}")
+    return sorted({(artifact, stage) for stage in ALL_STAGES
+                   for digest in manifest(out_dir, stage)["inputs"].values()
+                   for artifact in written.get(digest, [])})
+
+
+TAMPER_VALUES = {"nan": "NaN", "inf": "Infinity", "-1": "-1", "1e400": "1e400", "": '""'}
+
+
+def tampered_bytes(artifact: str, data: bytes) -> dict[str, bytes]:
+    """Name -> the bytes of one mutation of ``artifact``: byte and line edits
+    for every file, the first field of the first record and the last field of
+    the last set to each of ``TAMPER_VALUES`` (CSV text or JSON token) for a
+    CSV or JSONL file, and each field of the first record set to a value of
+    the wrong JSON type for a JSONL file."""
+    lines = data.decode("utf-8").splitlines()
+    first = 1 if artifact.endswith(".csv") else 0  # the first record's line
+
+    def with_line(i: int, line: str) -> bytes:
+        edited = list(lines)
+        edited[i] = line
+        return "".join(f"{x}\n" for x in edited).encode("utf-8")
+
+    mutations = {
+        "empty": b"",
+        "truncated": data[:len(data) // 2],
+        "duplicated-line": data + lines[-1].encode("utf-8") + b"\n",
+        "dropped-header": data.split(b"\n", 1)[1],
+        "crlf": data.replace(b"\n", b"\r\n"),
+        "bom": "\ufeff".encode("utf-8") + data,
+        "nul": with_line(first, lines[first][:1] + "\0" + lines[first][1:]),
+    }
+    for text, token in TAMPER_VALUES.items():
+        for where, i, j in (("first", first, 0), ("last", -1, -1)):
+            if artifact.endswith(".csv"):
+                fields = lines[i].split(",")
+                fields[j] = text
+                mutations[f"{where}-field-{text or 'empty'}"] = with_line(i, ",".join(fields))
+            elif artifact.endswith(".jsonl"):
+                record = json.loads(lines[i])
+                key = list(record)[j]
+                items = (f"{json.dumps(k)}: {token if k == key else json.dumps(v)}"
+                         for k, v in record.items())
+                mutations[f"{where}-field-{text or 'empty'}"] = with_line(
+                    i, "{" + ", ".join(items) + "}")
+    if artifact.endswith(".jsonl"):
+        for key, value in json.loads(lines[0]).items():
+            wrong = 7 if isinstance(value, str) else "7"
+            mutations[f"wrong-type-{key}"] = with_line(
+                0, json.dumps({**json.loads(lines[0]), key: wrong}))
+    return mutations
+
+
+TAMPER_CASES_PER_READ = 6
+
+
+def test_tampered_artifact_is_exit_0_or_one_line_data_error(out_dir, tmp_path, capsys):
+    # every (artifact, stage) read of the fixture run, each with a fixed
+    # seeded sample of its mutations; an ingest artifact's digest is either
+    # left as ingest recorded it (so the stage validates the file again) or
+    # set to the mutated bytes' (so the stage reads it on the trusted path)
+    reads = tampered_reads(out_dir)
+    assert {f"{stage}/{name}" for stage, name in CSV_ARTIFACTS} <= {a for a, _ in reads}
+    assert {f"ingest/{name}" for name in ("posts.jsonl", "comments.jsonl", "blogroll.jsonl",
+                                          "profiles.jsonl")} <= {a for a, _ in reads}
+    failures = []
+    for artifact, stage in reads:
+        mutations = tampered_bytes(artifact, (out_dir / artifact).read_bytes())
+        trusted = (False, True) if artifact.startswith("ingest/") else (False,)
+        cases = sorted((name, t) for name in mutations for t in trusted)
+        for name, record_digest in random.Random(f"{artifact} {stage}").sample(
+                cases, min(TAMPER_CASES_PER_READ, len(cases))):
+            out = tmp_path / "out"
+            shutil.rmtree(out, ignore_errors=True)
+            shutil.copytree(out_dir, out)
+            (out / artifact).write_bytes(mutations[name])
+            if record_digest:
+                ingest_manifest = out / "ingest/manifest.json"
+                recorded = json.loads(ingest_manifest.read_text("utf-8"))
+                recorded["output_sha256"][Path(artifact).name] = hashlib.sha256(
+                    mutations[name]).hexdigest()
+                ingest_manifest.write_text(json.dumps(recorded), encoding="utf-8")
+            case = f"{stage} on {artifact} {name}{' (digest recorded)' * record_digest}"
+            capsys.readouterr()
+            try:
+                code = main([stage, *fixture_flags(out)])
+            except Exception as err:  # a traceback, which the CLI must never end in
+                failures.append(f"{case}: {type(err).__name__}: {err}")
+                continue
+            err = capsys.readouterr().err
+            if not (code == EXIT_OK or (code == EXIT_DATA and err.startswith("data error: ")
+                                        and err.count("\n") == 1)):
+                failures.append(f"{case}: exit {code}: {err!r}")
+    assert not failures
