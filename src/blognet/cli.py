@@ -21,9 +21,11 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
-from itertools import islice
+from dataclasses import dataclass, field, replace
+from itertools import zip_longest
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
@@ -46,21 +48,33 @@ REPORT_TOP_K = 10
 LAYERS = ("blogroll", "comment", "citation")
 RANKINGS = ("indegree", "pagerank", "hub", "authority")
 
+
+def _checked(convert: Callable[[str], Any], holds: Callable[[Any], bool],
+             rule: str) -> Callable[[str], Any]:
+    """A column converter: ``convert``, then a ValueError saying the value is
+    not ``rule`` unless ``holds`` is true of what it converted to."""
+    def read(value: str):
+        if not holds(converted := convert(value)):
+            raise ValueError(f"{value!r} is not {rule}")
+        return converted
+    return read
+
+
 # the columns of build's edges_*.csv, in ``graphbuild.Edge`` field order (build
 # writes its edges as rows), with the converter each is read through
 EDGE_COLUMNS = {"src": str, "dst": str, "layer": str, "weight": int}
-RANKING_COLUMNS = {"blog_id": str, "score": float, "rank": int}
+RANKING_COLUMNS = {"blog_id": str, "score": _checked(float, math.isfinite, "finite"),
+                   "rank": _checked(int, lambda rank: rank >= 1, "at least 1")}
 # Each CSV artifact a later stage reads back: (stage, file name) -> (its
 # columns in order, each with the converter it is read through; how many
-# leading columns key a row, so that a repeated key is a data error).
-# ``Stage.write_csv`` writes the header and ``Stage.read_csv`` reads the rows
-# from this one declaration.
+# leading columns key a row). Each stage writes a key once, so a repeated
+# key is a data error. ``Stage.write_csv`` writes the header and
+# ``Stage.read_csv`` reads the rows from this one declaration.
 CSV_ARTIFACTS: dict[tuple[str, str], tuple[dict[str, Callable[[str], Any]], int]] = {
-    **{("build", f"edges_{name}.csv"): (EDGE_COLUMNS, 0) for name in (*LAYERS, "merged")},
-    # clean writes each arc once, so a repeat is tampering, not a parallel arc
+    **{("build", f"edges_{name}.csv"): (EDGE_COLUMNS, 3) for name in (*LAYERS, "merged")},
     ("clean", "graph_cleaned.csv"): ({"src": str, "dst": str, "weight": float}, 2),
     ("clean", "scc_histogram.csv"): ({"size": int, "count": int}, 1),
-    **{("rank", f"{kind}.csv"): (RANKING_COLUMNS, 0) for kind in RANKINGS},
+    **{("rank", f"{kind}.csv"): (RANKING_COLUMNS, 1) for kind in RANKINGS},
 }
 
 
@@ -427,11 +441,12 @@ def _read_artifact_csv(
     read). A wrong header raises ArtifactError naming the file, and a byte
     that is not UTF-8 InputFileError; a wrong column count, a value its
     converter rejects with ValueError, or a row whose first ``key_columns``
-    values repeat an earlier row's raises ArtifactError naming
+    (at least one) values repeat an earlier row's raises ArtifactError naming
     ``file:line``."""
     width = len(columns)
     converted = [(i, convert) for i, convert in enumerate(columns.values()) if convert is not str]
-    keys: set[tuple] = set()
+    key_of = itemgetter(*range(key_columns))
+    keys: set = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -444,11 +459,10 @@ def _read_artifact_csv(
                         raise ValueError(f"expected {width} columns, got {len(row)}")
                     for i, convert in converted:
                         row[i] = convert(row[i])
-                    if key_columns:
-                        key = tuple(row[:key_columns])
-                        if key in keys:
-                            raise ValueError(f"repeats an earlier row's {key}")
-                        keys.add(key)
+                    key = key_of(row)
+                    if key in keys:
+                        raise ValueError(f"repeats an earlier row's {tuple(row[:key_columns])}")
+                    keys.add(key)
                 except ValueError as err:
                     raise ArtifactError(
                         f"{path}:{reader.line_num}: malformed row: {err}"
@@ -471,28 +485,33 @@ def _digraph(labels: list[str], arcs: list[tuple], source: str) -> SimpleDigraph
 
 
 def _read_edges(stage: Stage, name: str, layers: tuple[str, ...],
-                key: str | None = None) -> Iterator[tuple[str, str, int]]:
-    """The (src, dst, weight) arcs of build's ``name``, whose rows may carry
-    only ``layers``; another layer raises ArtifactError naming
+                key: str | None = None) -> Iterator[list]:
+    """The (src, dst, layer, weight) rows of build's ``name``, which may
+    carry only ``layers``; another layer raises ArtifactError naming
     ``file:line``. Required now, read as iterated (see ``Stage.read_csv``)."""
-    def layer(value: str) -> str:
-        if value not in layers:
-            raise ValueError(f"unexpected layer {value!r} (expected {', '.join(layers)})")
-        return value
-
-    rows = stage.read_csv("build", name, key, layer=layer)
-    return ((src, dst, weight) for src, dst, _layer, weight in rows)
+    return stage.read_csv("build", name, key,
+                          layer=_checked(str, layers.__contains__, f"one of: {', '.join(layers)}"))
 
 
-def _layer_metrics(arcs, source: str, clustering_variant: str) -> dict:
+def _layer_metrics(rows, merged_arcs: list, source: str, clustering_variant: str) -> dict:
     """Metrics for one edge layer viewed as its own graph over the blogs it
-    touches (nodes = the layer's endpoints)."""
+    touches (nodes = the layer's endpoints). Its file must hold the layer's
+    rows of the merged file, whose arcs are ``merged_arcs``, in their order;
+    the first difference raises ArtifactError naming ``file:line``."""
     from . import graphclean
 
-    arcs = list(arcs)
+    arcs = [(src, dst, weight) for src, dst, _layer, weight in rows]
     labels = sorted({v for src, dst, _weight in arcs for v in (src, dst)})
     graph = _digraph(labels, arcs, source)
-    return asdict(graphclean.graph_metrics(graph, clustering_variant))
+    # Each row's layer is this file's (checked as read), so equal arcs are
+    # equal rows. A merged row holds no line break (its endpoints are lines
+    # of nodes.txt), so each row before the first difference is one line.
+    first = next((i for i, (arc, merged) in enumerate(zip_longest(arcs, merged_arcs))
+                  if arc != merged), None)
+    if first is not None:
+        raise ArtifactError(f"{source}:{first + 2}: differs from this layer's rows "
+                            "in edges_merged.csv")
+    return graphclean.graph_metrics(graph, clustering_variant)._asdict()
 
 
 def cmd_clean(stage: Stage) -> dict:
@@ -501,10 +520,22 @@ def cmd_clean(stage: Stage) -> dict:
 
     cfg = stage.cfg
     nodes_path = stage.require("build", "nodes.txt")
-    merged = _read_edges(stage, "edges_merged.csv", LAYERS, "edges")
-    layer_arcs = {layer: _read_edges(stage, f"edges_{layer}.csv", (layer,)) for layer in LAYERS}
-    graph = _digraph(_read_artifact_text(nodes_path).splitlines(), list(merged),
-                     f"{stage.inputs['edges']} (nodes from {nodes_path.name})")
+    merged_rows = _read_edges(stage, "edges_merged.csv", LAYERS, "edges")
+    layer_rows = {layer: _read_edges(stage, f"edges_{layer}.csv", (layer,)) for layer in LAYERS}
+    nodes = _read_artifact_text(nodes_path).splitlines()
+    arcs, merged_arcs = [], {layer: [] for layer in LAYERS}
+    for src, dst, layer, weight in merged_rows:  # in file order, and by layer
+        arcs.append((src, dst, weight))
+        merged_arcs[layer].append(arcs[-1])
+    graph = _digraph(nodes, arcs, f"{stage.inputs['edges']} (nodes from {nodes_path.name})")
+    # each layer as its own network, so the merged and per-layer readings
+    # can both be compared against outside figures
+    layer_metrics = {
+        layer: _layer_metrics(rows, merged_arcs[layer], str(stage.inputs[f"edges_{layer}"]),
+                              cfg.clustering_variant)
+        for layer, rows in layer_rows.items()
+    }
+    del arcs, merged_arcs  # checked; free them before the merged graph's metrics
 
     metrics_before = graphclean.graph_metrics(graph, cfg.clustering_variant)
     pruned, removed_labels = graphclean.remove_isolated(graph, cfg.isolated_strict)
@@ -524,15 +555,9 @@ def cmd_clean(stage: Stage) -> dict:
     _write_lines(stage.output("nodes_kept.txt"), cleaned.labels)
     stage.write_csv("scc_histogram.csv", sorted(histogram.items()))
     payload = {
-        "before": asdict(metrics_before),
-        "after": asdict(metrics_after),
-        # each layer as its own network, so the merged and per-layer
-        # readings can both be compared against outside figures
-        "layers": {
-            layer: _layer_metrics(arcs, str(stage.inputs[f"edges_{layer}"]),
-                                  cfg.clustering_variant)
-            for layer, arcs in layer_arcs.items()
-        },
+        "before": metrics_before._asdict(),
+        "after": metrics_after._asdict(),
+        "layers": layer_metrics,
         "isolated_removed": len(removed_labels),
         "isolated_mode": "strict" if cfg.isolated_strict else "no_outlink",
         "min_component_size": cfg.min_component_size,
@@ -558,12 +583,7 @@ def cmd_clean(stage: Stage) -> dict:
 
 def _read_cleaned_graph(stage: Stage) -> SimpleDigraph:
     nodes_path = stage.require("clean", "nodes_kept.txt", "nodes")
-
-    def node(label: str) -> str:
-        if label not in known:
-            raise ValueError(f"node {label!r} is not in {nodes_path.name}")
-        return label
-
+    node = _checked(str, lambda label: label in known, f"a node in {nodes_path.name}")
     rows = stage.read_csv("clean", "graph_cleaned.csv", "arcs", src=node, dst=node)
     labels = _read_artifact_text(nodes_path).splitlines()
     known = set(labels)  # ``node`` runs only as the rows are read, below
@@ -644,7 +664,7 @@ def cmd_stats(stage: Stage) -> dict:
             "require_monthly": window.require_monthly,
         },
         "demographics": {
-            **vars(demo), "age_histogram": {str(k): v for k, v in demo.age_histogram.items()},
+            **demo._asdict(), "age_histogram": {str(k): v for k, v in demo.age_histogram.items()},
         },
         "posts_by_hour": list(report.posts_by_hour),
         "posts_by_month": report.posts_by_month,
@@ -689,8 +709,8 @@ def cmd_report(stage: Stage) -> dict:
     metrics = _read_artifact_json(metrics_path, _METRICS_SHAPE)
     stats = _read_artifact_json(stats_path, _STATS_SHAPE)
     histogram = dict(histogram_rows)
-    rankings = {
-        kind: [dict(zip(RANKING_COLUMNS, row)) for row in islice(rows, REPORT_TOP_K)]
+    rankings = {  # every row is read, so every row is checked
+        kind: [dict(zip(RANKING_COLUMNS, row)) for row in list(rows)[:REPORT_TOP_K]]
         for kind, rows in sorted(ranking_rows.items())
     }
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
@@ -232,8 +231,7 @@ def blog_universe(
     return universe
 
 
-@dataclass(frozen=True)
-class LayeredGraph:
+class LayeredGraph(NamedTuple):
     """Directed multigraph over blog ids with per-edge layer tags.
 
     ``nodes`` covers every edge endpoint plus every blog seen in any input

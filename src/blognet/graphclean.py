@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,7 @@ class ComponentLabeling:
         return self.sizes[self.comp_id[node]]
 
 
-@dataclass(frozen=True)
-class GraphMetrics:
+class GraphMetrics(NamedTuple):
     nodes: int
     edges: int
     degree_avg: float

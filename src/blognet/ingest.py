@@ -16,12 +16,11 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from itertools import product
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple, get_type_hints
 
 GENDERS = ("male", "female", "unspecified")
 EDUCATION_LEVELS = ("below-diploma", "diploma", "bachelor", "master", "doctorate", "unspecified")
@@ -51,8 +50,7 @@ class EmptyCorpusError(ValueError):
     exit code without importing textprep."""
 
 
-@dataclass(frozen=True)
-class RawPost:
+class RawPost(NamedTuple):
     post_id: str
     blog_id: str
     title: str
@@ -60,8 +58,7 @@ class RawPost:
     published_at: datetime  # timezone-aware, UTC
 
 
-@dataclass(frozen=True)
-class RawComment:
+class RawComment(NamedTuple):
     comment_id: str
     post_id: str
     commenter_blog_id: str | None  # None = anonymous commenter
@@ -69,14 +66,12 @@ class RawComment:
     created_at: datetime
 
 
-@dataclass(frozen=True)
-class BlogrollRecord:
+class BlogrollRecord(NamedTuple):
     owner_blog_id: str
     target_url: str
 
 
-@dataclass(frozen=True)
-class ProfileRecord:
+class ProfileRecord(NamedTuple):
     blog_id: str
     age: int | None
     gender: str
@@ -84,15 +79,13 @@ class ProfileRecord:
     marital_status: str
 
 
-@dataclass(frozen=True)
-class QuarantinedLine:
+class QuarantinedLine(NamedTuple):
     file: str
     line: int
     reason: str
 
 
-@dataclass
-class LoadResult:
+class LoadResult(NamedTuple):
     """Accepted records plus the quarantine report for one file."""
 
     records: list
@@ -250,11 +243,11 @@ def _load_jsonl(
     return LoadResult(records, quarantined)
 
 
-# The JSON types an ingest artifact holds for each record field annotation;
+# The JSON types an ingest artifact holds for each record field type;
 # a datetime is written by ``format_timestamp``.
 _ARTIFACT_TYPES = {
-    "str": (str,), "str | None": (str, type(None)), "int | None": (int, type(None)),
-    "datetime": (str,),
+    str: (str,), str | None: (str, type(None)), int | None: (int, type(None)),
+    datetime: (str,),
 }
 _CANONICAL_TS_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 # ``fromisoformat`` reads the ``Z`` suffix from Python 3.11 on
@@ -273,12 +266,14 @@ def _load_trusted(path: str | Path, record_type: type, check=None) -> LoadResult
     ValueError: so a changed artifact cannot fail a later step. Any miss
     raises ArtifactError naming ``file:line``."""
     path = Path(path)
-    types = {f.name: _ARTIFACT_TYPES[f.type] for f in fields(record_type)}
+    # a NamedTuple holds its annotations as ForwardRefs; this evaluates them
+    hints = get_type_hints(record_type)
+    types = {name: _ARTIFACT_TYPES[hint] for name, hint in hints.items()}
     in_field_order = itemgetter(*types)
     names = sorted(types)  # the order write_jsonl writes them in
     values_of = itemgetter(*names)
     allowed = set(product(*(types[name] for name in names)))
-    stamps = [f.name for f in fields(record_type) if f.type == "datetime"]
+    stamps = [name for name, hint in hints.items() if hint is datetime]
     raw_decode = json.JSONDecoder().raw_decode
     width = len(names)
     records: list = []
@@ -436,19 +431,16 @@ def load_profiles(path: str | Path, *, trusted: bool = False) -> LoadResult:
 # --- serialization back to the dump schema (round-trip safe) ---------------
 
 def post_to_dict(p: RawPost) -> dict[str, Any]:
-    return {**vars(p), "published_at": format_timestamp(p.published_at)}
+    return {**p._asdict(), "published_at": format_timestamp(p.published_at)}
 
 
 def comment_to_dict(c: RawComment) -> dict[str, Any]:
-    return {**vars(c), "created_at": format_timestamp(c.created_at)}
+    return {**c._asdict(), "created_at": format_timestamp(c.created_at)}
 
 
-def blogroll_to_dict(r: BlogrollRecord) -> dict[str, Any]:
-    return dict(vars(r))
-
-
-def profile_to_dict(p: ProfileRecord) -> dict[str, Any]:
-    return dict(vars(p))
+blogroll_to_dict = BlogrollRecord._asdict
+profile_to_dict = ProfileRecord._asdict
+quarantine_to_dict = QuarantinedLine._asdict
 
 
 def write_jsonl(path: str | Path, rows: Iterator[dict] | list[dict]) -> int:
@@ -461,7 +453,3 @@ def write_jsonl(path: str | Path, rows: Iterator[dict] | list[dict]) -> int:
             fh.write("\n")
             n += 1
     return n
-
-
-def quarantine_to_dict(q: QuarantinedLine) -> dict[str, Any]:
-    return dict(vars(q))

@@ -10,10 +10,10 @@ sense in local time).
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from statistics import median
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ingest import ProfileRecord, RawComment, RawPost
 
@@ -34,8 +34,7 @@ class ActivityWindow:
             raise ValueError("min_posts must be >= 1")
 
 
-@dataclass(frozen=True)
-class CommentStats:
+class CommentStats(NamedTuple):
     mean: float
     histogram: dict[int, int]        # comments-per-post -> number of posts
     over_threshold: int              # posts with more than ``threshold`` comments
@@ -43,8 +42,7 @@ class CommentStats:
     matched_comments: int
 
 
-@dataclass(frozen=True)
-class Demographics:
+class Demographics(NamedTuple):
     profile_count: int
     age_mean: float | None           # None when no profile carries an age
     age_median: float | None
@@ -56,8 +54,7 @@ class Demographics:
     marital_counts: dict[str, int]
 
 
-@dataclass(frozen=True)
-class StatsReport:
+class StatsReport(NamedTuple):
     blogger_count: int
     active_count: int
     post_count: int

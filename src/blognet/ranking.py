@@ -9,9 +9,8 @@ beyond floating-point associativity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,8 +21,7 @@ class GraphHasNoArcsError(ValueError):
     """HITS is undefined on an arcless graph."""
 
 
-@dataclass(frozen=True)
-class RankScores:
+class RankScores(NamedTuple):
     kind: str                    # indegree | hub | authority | pagerank
     scores: dict[int, float]     # node index -> score
     iterations_used: int

@@ -14,10 +14,9 @@ import math
 import re
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import TFIDF_VARIANTS
 from .ingest import EmptyCorpusError, InputFileError, read_text
@@ -54,27 +53,23 @@ _CHAIN_NO_ALEF = _replacement_chain(_TABLE_NO_ALEF)
 _TOKEN_RE = re.compile(r"[\w‌]+")
 
 
-@dataclass(frozen=True)
-class NormalizedDocument:
+class NormalizedDocument(NamedTuple):
     blog_id: str
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(NamedTuple):
     terms: tuple[str, ...]       # sorted, unique
     df: dict[str, int]           # term -> number of documents containing it
     index: dict[str, int]        # term -> position in ``terms``
 
 
-@dataclass(frozen=True)
-class DocumentVector:
+class DocumentVector(NamedTuple):
     blog_id: str
     weights: dict[int, float]    # vocabulary index -> TF-IDF weight (no zeros)
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
+class SimilarityMatrix(NamedTuple):
     blog_ids: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]
 

@@ -1,6 +1,7 @@
 import csv
 import filecmp
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -519,6 +520,34 @@ TAMPERED_ARTIFACTS = {
     "layer-row-of-another-layer": (
         "clean", "build/edges_citation.csv", lambda lines: [*lines, "b01,b03,comment,1"],
         ["edges_citation.csv:{last}:", "'comment'"]),
+    # build writes each (src, dst, layer) once, and each layer file holds the
+    # rows of that layer in edges_merged.csv, in their order
+    "merged-repeated-edge": (
+        "clean", "build/edges_merged.csv", lambda lines: [*lines, lines[1]],
+        ["edges_merged.csv:{last}:", "repeats"]),
+    "layer-ghost-row": (
+        "clean", "build/edges_blogroll.csv", lambda lines: [*lines, "ghost,b01,blogroll,1"],
+        ["edges_blogroll.csv:{last}:", "edges_merged.csv"]),
+    "layer-rows-reordered": (
+        "clean", "build/edges_comment.csv",
+        lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+        ["edges_comment.csv:2:", "edges_merged.csv"]),
+    # report reads every ranking row, past the ten it prints too
+    "ranking-nan-score-negative-rank": (
+        "report", "rank/hub.csv",
+        lambda lines: [lines[0], lines[1].split(",")[0] + ",nan,-1", *lines[2:]],
+        ["hub.csv:2:", "'nan'"]),
+    "ranking-zero-rank": (
+        "report", "rank/authority.csv",
+        lambda lines: [lines[0], lines[1].rsplit(",", 1)[0] + ",0", *lines[2:]],
+        ["authority.csv:2:", "'0'"]),
+    "ranking-inf-score-in-row-12": (
+        "report", "rank/pagerank.csv",
+        lambda lines: [*lines[:12], "{0},inf,{2}".format(*lines[12].split(",")), *lines[13:]],
+        ["pagerank.csv:13:", "'inf'"]),
+    "ranking-repeated-blog": (
+        "report", "rank/indegree.csv", lambda lines: [*lines, lines[1]],
+        ["indegree.csv:{last}:", "repeats"]),
 }
 
 
@@ -763,6 +792,41 @@ def test_manifest_lists_what_the_stage_read_and_wrote(stage, out_dir):
 def test_edge_columns_are_the_edge_fields():
     # build writes each graphbuild.Edge as one row under the EDGE_COLUMNS header
     assert tuple(EDGE_COLUMNS) == graphbuild.Edge._fields
+
+
+# Each plain record is a named tuple, so it unpacks and compares as a tuple
+# and turns into a dict through ``_asdict``: "module.Record" -> its fields.
+RECORD_FIELDS = {
+    "ingest.RawPost": "post_id blog_id title body published_at",
+    "ingest.RawComment": "comment_id post_id commenter_blog_id body created_at",
+    "ingest.BlogrollRecord": "owner_blog_id target_url",
+    "ingest.ProfileRecord": "blog_id age gender education marital_status",
+    "ingest.QuarantinedLine": "file line reason",
+    "ingest.LoadResult": "records quarantined",
+    "textprep.NormalizedDocument": "blog_id tokens",
+    "textprep.Vocabulary": "terms df index",
+    "textprep.DocumentVector": "blog_id weights",
+    "textprep.SimilarityMatrix": "blog_ids values",
+    "graphclean.GraphMetrics":
+        "nodes edges degree_avg density clustering_coefficient scc_count",
+    "ranking.RankScores": "kind scores iterations_used converged",
+    "profilestats.CommentStats": "mean histogram over_threshold threshold matched_comments",
+    "profilestats.Demographics":
+        "profile_count age_mean age_median ages_present age_histogram gender_counts "
+        "male_female_ratio education_counts marital_counts",
+    "profilestats.StatsReport":
+        "blogger_count active_count post_count comment_count demographics posts_by_hour "
+        "posts_by_month comments",
+    "graphbuild.LayeredGraph": "nodes edges arcs",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FIELDS))
+def test_record_is_a_named_tuple_of_its_fields(name):
+    module, record = name.split(".")
+    cls = getattr(importlib.import_module(f"blognet.{module}"), record)
+    assert issubclass(cls, tuple)
+    assert cls._fields == tuple(RECORD_FIELDS[name].split())
 
 
 # Each case runs ingest and prep on the fixture plus one post by b99 with a
