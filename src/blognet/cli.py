@@ -24,7 +24,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import zip_longest
+from itertools import count, zip_longest
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
@@ -63,8 +63,10 @@ def _checked(convert: Callable[[str], Any], holds: Callable[[Any], bool],
 # the columns of build's edges_*.csv, in ``graphbuild.Edge`` field order (build
 # writes its edges as rows), with the converter each is read through
 EDGE_COLUMNS = {"src": str, "dst": str, "layer": str, "weight": int}
+# ``report`` reads each ``rank`` as its row's number (see ``_row_numbers``)
 RANKING_COLUMNS = {"blog_id": str, "score": _checked(float, math.isfinite, "finite"),
-                   "rank": _checked(int, lambda rank: rank >= 1, "at least 1")}
+                   "rank": int}
+_AT_LEAST_1 = _checked(int, lambda n: n >= 1, "at least 1")
 # Each CSV artifact a later stage reads back: (stage, file name) -> (its
 # columns in order, each with the converter it is read through; how many
 # leading columns key a row). Each stage writes a key once, so a repeated
@@ -73,7 +75,7 @@ RANKING_COLUMNS = {"blog_id": str, "score": _checked(float, math.isfinite, "fini
 CSV_ARTIFACTS: dict[tuple[str, str], tuple[dict[str, Callable[[str], Any]], int]] = {
     **{("build", f"edges_{name}.csv"): (EDGE_COLUMNS, 3) for name in (*LAYERS, "merged")},
     ("clean", "graph_cleaned.csv"): ({"src": str, "dst": str, "weight": float}, 2),
-    ("clean", "scc_histogram.csv"): ({"size": int, "count": int}, 1),
+    ("clean", "scc_histogram.csv"): ({"size": _AT_LEAST_1, "count": _AT_LEAST_1}, 1),
     **{("rank", f"{kind}.csv"): (RANKING_COLUMNS, 1) for kind in RANKINGS},
 }
 
@@ -402,8 +404,8 @@ def _read_artifact_json(path: Path, shape: dict) -> dict:
 
 def _check_shape(value: Any, shape: Any, where: str = "") -> None:
     """Raise ValueError unless ``value`` has ``shape``. A dict shape maps
-    each required key to the shape of its value; any other shape is the type
-    (or tuple of types) the value must be."""
+    each required key to the shape of its value; any other shape is a
+    converter (see ``_checked``) that rejects a wrong value with ValueError."""
     if isinstance(shape, dict):
         if not isinstance(value, dict):
             raise ValueError(f"{where[:-1] or 'top level'} is not an object")
@@ -411,25 +413,40 @@ def _check_shape(value: Any, shape: Any, where: str = "") -> None:
             if key not in value:
                 raise ValueError(f"missing key {where}{key}")
             _check_shape(value[key], sub, f"{where}{key}.")
-    elif not isinstance(value, shape):
-        raise ValueError(f"{where[:-1]} is of the wrong type ({type(value).__name__})")
+    else:
+        try:
+            shape(value)
+        except ValueError as err:
+            raise ValueError(f"{where[:-1]}: {err}") from None
 
 
-_NUMBER = (int, float)
+def _json_value(holds: Callable[[Any], bool], rule: str) -> Callable[[Any], Any]:
+    """The converter of a JSON value of which ``holds`` must be true."""
+    return _checked(lambda value: value, holds, rule)
+
+
+# a JSON true or false is no number, and a number past the float range is
+# not finite (comparisons keep a huge integer from overflowing)
+_COUNT = _json_value(lambda n: type(n) is int and n >= 0, "an integer >= 0")
+_REAL = _json_value(lambda x: type(x) in (int, float) and 0 <= x <= sys.float_info.max,
+                    "a finite number >= 0")
 _GRAPH_METRICS_SHAPE = {
-    "nodes": int, "edges": int, "degree_avg": _NUMBER, "density": _NUMBER,
-    "clustering_coefficient": _NUMBER, "scc_count": int,
+    "nodes": _COUNT, "edges": _COUNT, "degree_avg": _REAL, "density": _REAL,
+    "clustering_coefficient": _REAL, "scc_count": _COUNT,
 }
 # what the report reads of clean/metrics.json and stats/report.json
 _METRICS_SHAPE = {
     "before": _GRAPH_METRICS_SHAPE, "after": _GRAPH_METRICS_SHAPE,
-    "layers": dict.fromkeys(LAYERS, _GRAPH_METRICS_SHAPE),
-    "isolated_removed": int, "isolated_mode": str, "min_component_size": int,
+    "layers": dict.fromkeys(LAYERS, _GRAPH_METRICS_SHAPE), "isolated_removed": _COUNT,
+    "isolated_mode": _json_value(("strict", "no_outlink").__contains__, "strict or no_outlink"),
+    "min_component_size": _json_value(lambda n: type(n) is int and n >= 1, "an integer >= 1"),
 }
 _STATS_SHAPE = {
-    "blogger_count": int, "active_count": int, "post_count": int, "comment_count": int,
-    "comments_per_post": {"mean": _NUMBER},
-    "demographics": {"age_mean": (*_NUMBER, type(None))},
+    **dict.fromkeys(("blogger_count", "active_count", "post_count", "comment_count"), _COUNT),
+    "comments_per_post": {"mean": _REAL},
+    "demographics": {"age_mean": _json_value(
+        lambda x: x is None or type(x) in (int, float) and abs(x) <= sys.float_info.max,
+        "null or a finite number")},
 }
 
 
@@ -442,9 +459,12 @@ def _read_artifact_csv(
     that is not UTF-8 InputFileError; a wrong column count, a value its
     converter rejects with ValueError, or a row whose first ``key_columns``
     (at least one) values repeat an earlier row's raises ArtifactError naming
-    ``file:line``."""
+    ``file:line``. The key is checked before the other values are converted,
+    so a repeated row is named as one."""
     width = len(columns)
     converted = [(i, convert) for i, convert in enumerate(columns.values()) if convert is not str]
+    key_converted = [(i, convert) for i, convert in converted if i < key_columns]
+    value_converted = [(i, convert) for i, convert in converted if i >= key_columns]
     key_of = itemgetter(*range(key_columns))
     keys: set = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -457,12 +477,14 @@ def _read_artifact_csv(
                 try:
                     if len(row) != width:
                         raise ValueError(f"expected {width} columns, got {len(row)}")
-                    for i, convert in converted:
+                    for i, convert in key_converted:
                         row[i] = convert(row[i])
                     key = key_of(row)
                     if key in keys:
                         raise ValueError(f"repeats an earlier row's {tuple(row[:key_columns])}")
                     keys.add(key)
+                    for i, convert in value_converted:
+                        row[i] = convert(row[i])
                 except ValueError as err:
                     raise ArtifactError(
                         f"{path}:{reader.line_num}: malformed row: {err}"
@@ -699,12 +721,19 @@ def cmd_stats(stage: Stage) -> dict:
     }
 
 
+def _row_numbers() -> Callable[[str], int]:
+    """The converter of a ``rank`` column whose n-th row must hold rank n."""
+    rows = count(1)
+    return _checked(int, lambda rank: rank == next(rows), "its row's number")
+
+
 def cmd_report(stage: Stage) -> dict:
     """Combine metrics, rankings, and statistics into the final report."""
     metrics_path = stage.require("clean", "metrics.json")
     histogram_rows = stage.read_csv("clean", "scc_histogram.csv")
     stats_path = stage.require("stats", "report.json", "stats")
-    ranking_rows = {kind: stage.read_csv("rank", f"{kind}.csv") for kind in RANKINGS}
+    ranking_rows = {kind: stage.read_csv("rank", f"{kind}.csv", rank=_row_numbers())
+                    for kind in RANKINGS}
 
     metrics = _read_artifact_json(metrics_path, _METRICS_SHAPE)
     stats = _read_artifact_json(stats_path, _STATS_SHAPE)

@@ -7,8 +7,9 @@ coefficient, SCC count).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -43,10 +44,8 @@ class SimpleDigraph:
         return [len(out) for out in self.adj]
 
     def in_degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for _, v in self.arcs():
-            deg[v] += 1
-        return deg
+        deg = Counter(v for out in self.adj for v in out)
+        return [deg[v] for v in range(self.n)]
 
     @classmethod
     def from_arcs(
@@ -157,48 +156,44 @@ def strongly_connected_components(g: SimpleDigraph) -> ComponentLabeling:
     on_stack = bytearray(n)
     stack: list[int] = []
     components: list[list[int]] = []
-    counter = 0
+    preorder = count()
     adj = g.adj
 
     for root in range(n):
         if index[root] != -1:
             continue
-        # work frames: (node, next out-neighbor position to scan)
-        work = [(root, 0)]
+        index[root] = low[root] = next(preorder)
+        stack.append(root)
+        on_stack[root] = 1
+        # work frames: (node, iterator over its out-neighbors); a descent
+        # breaks out of the scan, and the iterator resumes it on return
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pos = work[-1]
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            out = adj[v]
-            descended = False
-            for i in range(pos, len(out)):
-                w = out[i]
+            v, out = work[-1]
+            for w in out:
                 if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = next(preorder)
+                    stack.append(w)
+                    on_stack[w] = 1
+                    work.append((w, iter(adj[w])))
                     break
                 if on_stack[w] and index[w] < low[v]:
                     low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
 
     components.sort(key=min)
     comp_id = [0] * n
@@ -221,12 +216,9 @@ def filter_components(
     return g.subgraph(keep)
 
 
-def scc_size_distribution(labeling: ComponentLabeling) -> dict[int, int]:
+def scc_size_distribution(labeling: ComponentLabeling) -> Counter[int]:
     """Histogram component size -> number of components of that size."""
-    hist: dict[int, int] = {}
-    for size in labeling.sizes:
-        hist[size] = hist.get(size, 0) + 1
-    return hist
+    return Counter(labeling.sizes)
 
 
 def degree_and_density(nodes: int, arcs: int) -> tuple[float, float]:

@@ -17,8 +17,6 @@ import json
 import re
 import sys
 from datetime import datetime, timedelta, timezone
-from itertools import product
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterator, NamedTuple, get_type_hints
 
@@ -268,14 +266,11 @@ def _load_trusted(path: str | Path, record_type: type, check=None) -> LoadResult
     path = Path(path)
     # a NamedTuple holds its annotations as ForwardRefs; this evaluates them
     hints = get_type_hints(record_type)
-    types = {name: _ARTIFACT_TYPES[hint] for name, hint in hints.items()}
-    in_field_order = itemgetter(*types)
-    names = sorted(types)  # the order write_jsonl writes them in
-    values_of = itemgetter(*names)
-    allowed = set(product(*(types[name] for name in names)))
-    stamps = [name for name, hint in hints.items() if hint is datetime]
+    # each field, in the order write_jsonl writes them: (name, its JSON types,
+    # whether it is a timestamp)
+    fields = [(name, _ARTIFACT_TYPES[hint], hint is datetime)
+              for name, hint in sorted(hints.items())]
     raw_decode = json.JSONDecoder().raw_decode
-    width = len(names)
     records: list = []
     with open(path, encoding="utf-8", newline="\n") as fh:
         try:
@@ -287,25 +282,24 @@ def _load_trusted(path: str | Path, record_type: type, check=None) -> LoadResult
                         raise ValueError("unexpected text after the object")
                     if type(obj) is not dict:
                         raise ValueError("line is not a JSON object")
-                    values = values_of(obj)  # a KeyError names a missing field
-                    if len(obj) != width:
-                        raise ValueError(f"unexpected field {min(obj.keys() - types)!r}")
-                    if tuple(map(type, values)) not in allowed:
-                        name, value = next((n, v) for n, v in zip(names, values)
-                                           if type(v) not in types[n])
-                        raise ValueError(f"field {name!r} is of the wrong type "
-                                         f"({type(value).__name__})")
                     # only a \u escape can decode to a lone surrogate (one
                     # backslash is searched for faster than two characters)
-                    if "\\" in raw and "\\u" in raw:
-                        for name, value in zip(names, values):
-                            if type(value) is str:
-                                _string_field(obj, name, allow_empty=True)
-                    for name in stamps:
-                        if not _CANONICAL_TS_RE.fullmatch(obj[name]):
-                            raise ValueError(f"field {name!r} is not a canonical UTC timestamp")
-                        obj[name] = _from_canonical_ts(obj[name])
-                    record = record_type(*in_field_order(obj))
+                    escaped = "\\" in raw and "\\u" in raw
+                    for name, types, stamp in fields:
+                        value = obj[name]  # a KeyError names a missing field
+                        if type(value) not in types:
+                            raise ValueError(f"field {name!r} is of the wrong type "
+                                             f"({type(value).__name__})")
+                        if escaped and type(value) is str:
+                            _string_field(obj, name, allow_empty=True)
+                        if stamp:
+                            if not _CANONICAL_TS_RE.fullmatch(value):
+                                raise ValueError(f"field {name!r} is not a canonical "
+                                                 "UTC timestamp")
+                            obj[name] = _from_canonical_ts(value)
+                    if len(obj) != len(fields):
+                        raise ValueError(f"unexpected field {min(obj.keys() - hints)!r}")
+                    record = record_type(**obj)
                     if check is not None:
                         check(record)
                 except json.JSONDecodeError as err:

@@ -75,15 +75,9 @@ def _year_month(dt: datetime) -> str:
 
 
 def _months_between(first: datetime, last: datetime) -> list[str]:
-    months = []
-    year, month = first.year, first.month
-    while (year, month) <= (last.year, last.month):
-        months.append(f"{year:04d}-{month:02d}")
-        if month == 12:
-            year, month = year + 1, 1
-        else:
-            month += 1
-    return months
+    # month index m is January of year 0 plus m months
+    months = range(first.year * 12 + first.month - 1, last.year * 12 + last.month)
+    return [f"{m // 12:04d}-{m % 12 + 1:02d}" for m in months]
 
 
 def active_bloggers(
@@ -142,20 +136,11 @@ def comment_distribution(
     pull it down; ``over_threshold`` counts posts with more than
     ``threshold`` comments.
     """
-    per_post: Counter[str] = Counter()
     known = {p.post_id for p in posts}
-    matched = 0
-    for c in comments:
-        if c.post_id in known:
-            per_post[c.post_id] += 1
-            matched += 1
-    histogram: dict[int, int] = {}
-    over = 0
-    for p in posts:
-        n = per_post.get(p.post_id, 0)
-        histogram[n] = histogram.get(n, 0) + 1
-        if n > threshold:
-            over += 1
+    per_post: Counter[str] = Counter(c.post_id for c in comments if c.post_id in known)
+    matched = sum(per_post.values())
+    histogram = Counter(per_post[p.post_id] for p in posts)
+    over = sum(count for n, count in histogram.items() if n > threshold)
     mean = matched / len(posts) if posts else 0.0
     return CommentStats(
         mean=mean,
@@ -170,12 +155,9 @@ def demographics(profiles: Sequence[ProfileRecord]) -> Demographics:
     """Age/gender/education summaries; missing fields never enter the means
     and show up as 'unspecified' counts instead."""
     ages = [p.age for p in profiles if p.age is not None]
-    age_histogram: dict[int, int] = {}
-    for age in ages:
-        start = (age // AGE_BIN_YEARS) * AGE_BIN_YEARS
-        age_histogram[start] = age_histogram.get(start, 0) + 1
+    age_histogram = Counter((age // AGE_BIN_YEARS) * AGE_BIN_YEARS for age in ages)
     gender_counts = Counter(p.gender for p in profiles)
-    males, females = gender_counts.get("male", 0), gender_counts.get("female", 0)
+    males, females = gender_counts["male"], gender_counts["female"]
     return Demographics(
         profile_count=len(profiles),
         age_mean=sum(ages) / len(ages) if ages else None,

@@ -3,6 +3,7 @@ import filecmp
 import hashlib
 import importlib
 import json
+import math
 import os
 import random
 import shutil
@@ -428,6 +429,20 @@ class TestStageOrderAndErrors:
         assert (tmp_path / "out/ingest/posts.jsonl").exists()
 
 
+def edit_json(settings):
+    """An edit of a JSON artifact that sets the value at each key path in
+    ``settings``."""
+    def edit(lines):
+        payload = json.loads("\n".join(lines))
+        for (*parents, key), value in settings.items():
+            target = payload
+            for parent in parents:
+                target = target[parent]
+            target[key] = value
+        return json.dumps(payload, indent=2).splitlines()
+    return edit
+
+
 # Each case edits one artifact of a finished fixture run: (the stage that
 # reads it, with any extra flags, the file, the edit on its lines, what the
 # one-line message must name). "{last}" is the number of lines after the edit.
@@ -548,6 +563,35 @@ TAMPERED_ARTIFACTS = {
     "ranking-repeated-blog": (
         "report", "rank/indegree.csv", lambda lines: [*lines, lines[1]],
         ["indegree.csv:{last}:", "repeats"]),
+    # report checks the values it reads, not only their types
+    "metrics-negative-nodes-nan-density": (
+        "report", "clean/metrics.json", edit_json({("after", "nodes"): -4,
+                                                   ("after", "density"): math.nan}),
+        ["clean/metrics.json", "after.nodes", "-4"]),
+    "metrics-nan-density": (
+        "report", "clean/metrics.json", edit_json({("after", "density"): math.nan}),
+        ["clean/metrics.json", "after.density", "nan"]),
+    "metrics-true-edges": (
+        "report", "clean/metrics.json", edit_json({("layers", "comment", "edges"): True}),
+        ["clean/metrics.json", "layers.comment.edges", "True"]),
+    "metrics-unknown-isolated-mode": (
+        "report", "clean/metrics.json", edit_json({("isolated_mode",): "loose"}),
+        ["clean/metrics.json", "isolated_mode", "'loose'"]),
+    "stats-report-infinite-mean": (
+        "report", "stats/report.json", edit_json({("comments_per_post", "mean"): math.inf}),
+        ["stats/report.json", "comments_per_post.mean", "inf"]),
+    "stats-report-huge-age-mean": (
+        "report", "stats/report.json", edit_json({("demographics", "age_mean"): 10 ** 400}),
+        ["stats/report.json", "demographics.age_mean"]),
+    "histogram-negative-count": (
+        "report", "clean/scc_histogram.csv",
+        lambda lines: [lines[0], lines[1].split(",")[0] + ",-5", *lines[2:]],
+        ["scc_histogram.csv:2:", "'-5'"]),
+    # the n-th row of a ranking holds rank n
+    "ranking-swapped-ranks": (
+        "report", "rank/hub.csv",
+        lambda lines: [lines[0], lines[1][:-1] + "2", lines[2][:-1] + "1", *lines[3:]],
+        ["hub.csv:2:", "'2'"]),
 }
 
 
@@ -950,6 +994,12 @@ TRUSTED_TAMPERING = {
     "post-lone-surrogate": ("prep", "posts.jsonl", edit_first_row(blog_id="\ud800"),
                             "'blog_id' holds a lone surrogate"),
     "profile-huge-age": ("stats", "profiles.jsonl", edit_first_row(age=10 ** 400), "age"),
+    "comment-extra-field": ("stats", "comments.jsonl", edit_first_row(extra=1),
+                            "unexpected field 'extra'"),
+    # a lone surrogate is named before the timestamp it spoils
+    "comment-lone-surrogate-in-timestamp": (
+        "stats", "comments.jsonl", edit_first_row(created_at="2010-04-06T09:00:0\ud800Z"),
+        "field 'created_at' holds a lone surrogate"),
 }
 
 

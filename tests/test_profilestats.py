@@ -52,6 +52,15 @@ class TestActiveBloggers:
         assert active_bloggers(posts, loose) == {"a"}
         assert active_bloggers(posts, strict) == set()
 
+    def test_monthly_rule_across_a_new_year(self):
+        window = ActivityWindow(ts(2010, 11, 1, 0), ts(2011, 3, 1, 0), 4, require_monthly=True)
+        months = {"a": [(2010, 11), (2010, 12), (2011, 1), (2011, 2)],
+                  "no-january": [(2010, 11), (2010, 12), (2010, 12), (2011, 2)],
+                  "no-december": [(2010, 11), (2011, 1), (2011, 1), (2011, 2)]}
+        posts = [post(f"{blog}-{i}", blog, ts(year, month, 3 + i))
+                 for blog, posted in months.items() for i, (year, month) in enumerate(posted)]
+        assert active_bloggers(posts, window) == {"a"}
+
     def test_no_posts_inactive(self):
         assert active_bloggers([], WINDOW) == set()
 
