@@ -95,15 +95,8 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_lines(path: Path, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(f"{line}\n")
+    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
+    ingest_mod.write_lines(path, [text])
 
 
 @dataclass
@@ -376,22 +369,16 @@ def cmd_build(stage: Stage) -> dict:
 
     for name, edges in (*layers.items(), ("merged", merged.edges)):
         stage.write_csv(f"edges_{name}.csv", edges)
-    _write_lines(stage.output("nodes.txt"), merged.nodes)
-    stage.output("graph.dot").write_text(graphbuild.to_dot(merged), encoding="utf-8")
+    ingest_mod.write_lines(stage.output("nodes.txt"), merged.nodes)
+    # no blog id holds a character that ``splitlines`` breaks on
+    ingest_mod.write_lines(stage.output("graph.dot"), graphbuild.to_dot(merged).splitlines())
     return counts
-
-
-def _read_artifact_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise ingest_mod.not_utf8_error(path, err) from None
 
 
 def _read_artifact_json(path: Path, shape: dict) -> dict:
     """A JSON artifact that must have ``shape`` (see ``_check_shape``);
     invalid JSON or another shape raises ArtifactError naming the file."""
-    text = _read_artifact_text(path)
+    text = ingest_mod.read_text(path, "utf-8")
     try:
         payload = json.loads(text)
         _check_shape(payload, shape)
@@ -467,31 +454,25 @@ def _read_artifact_csv(
     value_converted = [(i, convert) for i, convert in converted if i >= key_columns]
     key_of = itemgetter(*range(key_columns))
     keys: set = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(ingest_mod.read_lines(path, newline=""))
+    header = next(reader, None)
+    if header != list(columns):
+        raise ArtifactError(f"unexpected CSV header in {path}: {header}")
+    for row in reader:
         try:
-            header = next(reader, None)
-            if header != list(columns):
-                raise ArtifactError(f"unexpected CSV header in {path}: {header}")
-            for row in reader:
-                try:
-                    if len(row) != width:
-                        raise ValueError(f"expected {width} columns, got {len(row)}")
-                    for i, convert in key_converted:
-                        row[i] = convert(row[i])
-                    key = key_of(row)
-                    if key in keys:
-                        raise ValueError(f"repeats an earlier row's {tuple(row[:key_columns])}")
-                    keys.add(key)
-                    for i, convert in value_converted:
-                        row[i] = convert(row[i])
-                except ValueError as err:
-                    raise ArtifactError(
-                        f"{path}:{reader.line_num}: malformed row: {err}"
-                    ) from None
-                yield row
-        except UnicodeDecodeError as err:
-            raise ingest_mod.not_utf8_error(path, err) from None
+            if len(row) != width:
+                raise ValueError(f"expected {width} columns, got {len(row)}")
+            for i, convert in key_converted:
+                row[i] = convert(row[i])
+            key = key_of(row)
+            if key in keys:
+                raise ValueError(f"repeats an earlier row's {tuple(row[:key_columns])}")
+            keys.add(key)
+            for i, convert in value_converted:
+                row[i] = convert(row[i])
+        except ValueError as err:
+            raise ArtifactError(f"{path}:{reader.line_num}: malformed row: {err}") from None
+        yield row
 
 
 def _digraph(labels: list[str], arcs: list[tuple], source: str) -> SimpleDigraph:
@@ -544,7 +525,7 @@ def cmd_clean(stage: Stage) -> dict:
     nodes_path = stage.require("build", "nodes.txt")
     merged_rows = _read_edges(stage, "edges_merged.csv", LAYERS, "edges")
     layer_rows = {layer: _read_edges(stage, f"edges_{layer}.csv", (layer,)) for layer in LAYERS}
-    nodes = _read_artifact_text(nodes_path).splitlines()
+    nodes = ingest_mod.read_text(nodes_path, "utf-8").splitlines()
     arcs, merged_arcs = [], {layer: [] for layer in LAYERS}
     for src, dst, layer, weight in merged_rows:  # in file order, and by layer
         arcs.append((src, dst, weight))
@@ -574,7 +555,7 @@ def cmd_clean(stage: Stage) -> dict:
     ]
 
     stage.write_csv("graph_cleaned.csv", cleaned_rows)
-    _write_lines(stage.output("nodes_kept.txt"), cleaned.labels)
+    ingest_mod.write_lines(stage.output("nodes_kept.txt"), cleaned.labels)
     stage.write_csv("scc_histogram.csv", sorted(histogram.items()))
     payload = {
         "before": metrics_before._asdict(),
@@ -607,7 +588,7 @@ def _read_cleaned_graph(stage: Stage) -> SimpleDigraph:
     nodes_path = stage.require("clean", "nodes_kept.txt", "nodes")
     node = _checked(str, lambda label: label in known, f"a node in {nodes_path.name}")
     rows = stage.read_csv("clean", "graph_cleaned.csv", "arcs", src=node, dst=node)
-    labels = _read_artifact_text(nodes_path).splitlines()
+    labels = ingest_mod.read_text(nodes_path, "utf-8").splitlines()
     known = set(labels)  # ``node`` runs only as the rows are read, below
     graph = _digraph(labels, [tuple(row) for row in rows],
                      f"{stage.inputs['arcs']} (nodes from {nodes_path.name})")
@@ -750,13 +731,12 @@ def cmd_report(stage: Stage) -> dict:
         "statistics": stats,
     }
     _write_json(stage.output("report.json"), payload)
-    stage.output("report.txt").write_text(
-        _render_report_text(metrics, histogram, rankings, stats), encoding="utf-8"
-    )
+    ingest_mod.write_lines(stage.output("report.txt"),
+                           _render_report_text(metrics, histogram, rankings, stats))
     return {"ranking_rows": {k: len(v) for k, v in rankings.items()}}
 
 
-def _render_report_text(metrics, histogram, rankings, stats) -> str:
+def _render_report_text(metrics, histogram, rankings, stats) -> list[str]:
     lines = []
     lines.append("blog network report")
     lines.append("=" * 66)
@@ -799,8 +779,7 @@ def _render_report_text(metrics, histogram, rankings, stats) -> str:
     age_mean = stats["demographics"]["age_mean"]
     if age_mean is not None:
         lines.append(f"  mean blogger age: {age_mean:.1f}")
-    lines.append("")
-    return "\n".join(lines)
+    return lines
 
 
 # --- argument parsing ----------------------------------------------------------

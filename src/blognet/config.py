@@ -20,7 +20,7 @@ from datetime import timedelta
 from pathlib import Path
 from typing import Any, Callable
 
-from .ingest import parse_timestamp
+from .ingest import InputFileError, parse_timestamp, read_text
 
 TFIDF_VARIANTS = ("raw_ln", "log_tf", "smooth_idf")
 
@@ -137,6 +137,18 @@ _FIELDS = {f.name: f for f in fields(PipelineConfig)}
 FLAG_TYPES = {name: _TYPES[f.type.removesuffix(" | None")][0] for name, f in _FIELDS.items()}
 
 
+def parse_host_pattern(pattern: str) -> tuple[bool, str]:
+    """Read a ``{blog}.host`` or ``host/{blog}`` pattern, case-insensitively:
+    whether the blog is the subdomain, and the rest of the pattern lowercased
+    (the ``.host`` suffix or the host). Any other pattern raises ValueError."""
+    lowered = pattern.strip().lower()
+    if lowered.startswith("{blog}."):
+        return True, lowered[len("{blog}"):]
+    if lowered.endswith("/{blog}"):
+        return False, lowered[:-len("/{blog}")]
+    raise ValueError(f"{pattern!r} must look like '{{blog}}.host' or 'host/{{blog}}'")
+
+
 def _coerce(annotation: str, value: Any) -> Any:
     """A ``tuple[str, ...]`` field takes a list of strings or a
     comma-separated string; any other value is kept as given, for
@@ -164,9 +176,10 @@ def _validate(cfg: PipelineConfig) -> list[str]:
     problems = []
     if "host_patterns" not in failed:
         for pattern in cfg.host_patterns:
-            if not (pattern.startswith("{blog}.") or pattern.endswith("/{blog}")):
-                problems.append(f"graphbuild.host_patterns entry {pattern!r} must look like "
-                                "'{blog}.host' or 'host/{blog}'")
+            try:
+                parse_host_pattern(pattern)
+            except ValueError as err:
+                problems.append(f"graphbuild.host_patterns entry {err}")
 
     # bounds without an offset are read at the dump's offset, as stats reads them
     offset = timedelta(0) if "utc_offset_minutes" in failed else cfg.utc_offset
@@ -201,9 +214,13 @@ def load_config(
         if not path.exists():
             raise ConfigError([f"config file not found: {path}"])
         try:
-            document = json.loads(path.read_text(encoding="utf-8-sig"))
+            document = json.loads(read_text(path))
         except json.JSONDecodeError as err:
             raise ConfigError([f"config file is not valid JSON: {err.msg}"]) from None
+        except InputFileError as err:  # it names the file
+            raise ConfigError([f"config file {err}"]) from None
+        except OSError as err:
+            raise ConfigError([f"config file {path}: {err.strerror}"]) from None
         if not isinstance(document, dict):
             raise ConfigError(["config file must contain a JSON object"])
         for section, keys in document.items():

@@ -13,6 +13,7 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
+from .config import parse_host_pattern
 from .ingest import BlogrollRecord, RawComment, RawPost, canonical_slug
 
 
@@ -42,28 +43,21 @@ def canonical_blog_id(raw: str) -> str:
 class UrlResolver:
     """Maps URLs on the blogging platform to canonical blog ids.
 
-    Two pattern shapes are supported, configurable together:
-    ``{blog}.example.com`` (subdomain form; the path is ignored) and
-    ``example.com/{blog}`` (path form; the first path segment names the
-    blog). Host comparison is case-insensitive and tolerates a leading
-    ``www.`` label. Anything else, including malformed URLs, resolves to
-    None and is treated as external.
+    Two pattern shapes are supported, configurable together (read by
+    ``config.parse_host_pattern``): ``{blog}.example.com`` (subdomain form;
+    the path is ignored) and ``example.com/{blog}`` (path form; the first
+    path segment names the blog). Patterns and hosts compare
+    case-insensitively, and a host may carry a leading ``www.`` label.
+    Anything else, including malformed URLs, resolves to None and is
+    treated as external.
     """
 
     def __init__(self, patterns: Sequence[str]):
         self._subdomain_suffixes: list[str] = []
         self._path_hosts: list[str] = []
         for pattern in patterns:
-            p = pattern.strip().lower()
-            if p.startswith("{blog}."):
-                self._subdomain_suffixes.append(p[len("{blog}"):])
-            elif p.endswith("/{blog}"):
-                self._path_hosts.append(p[: -len("/{blog}")])
-            else:
-                raise ValueError(
-                    f"unsupported host pattern {pattern!r}; "
-                    "use '{blog}.host' or 'host/{blog}'"
-                )
+            subdomain, rest = parse_host_pattern(pattern)
+            (self._subdomain_suffixes if subdomain else self._path_hosts).append(rest)
         if not self._subdomain_suffixes and not self._path_hosts:
             raise ValueError("at least one host pattern is required")
 

@@ -18,7 +18,7 @@ import re
 import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Any, Iterator, NamedTuple, get_type_hints
+from typing import Any, Iterable, Iterator, NamedTuple, get_type_hints
 
 GENDERS = ("male", "female", "unspecified")
 EDUCATION_LEVELS = ("below-diploma", "diploma", "bachelor", "master", "doctorate", "unspecified")
@@ -157,21 +157,22 @@ def not_utf8_error(path: str | Path, err: UnicodeDecodeError) -> InputFileError:
     return InputFileError(f"{path}: not UTF-8 text ({err.reason})")
 
 
-def read_text(path: str | Path) -> str:
-    """A whole UTF-8 input file (a leading BOM is dropped)."""
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as err:
-        raise not_utf8_error(path, err) from None
-
-
-def _jsonl_lines(path: Path) -> Iterator[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8-sig") as fh:
+def read_lines(path: str | Path, encoding: str = "utf-8",
+               newline: str | None = None) -> Iterator[str]:
+    """Yield the lines of a text file as ``open`` reads them with
+    ``encoding`` and ``newline``. A byte that does not decode raises
+    ``not_utf8_error`` naming the file. Every text file the package reads
+    is read here."""
+    with open(path, encoding=encoding, newline=newline) as fh:
         try:
-            for line_no, raw in enumerate(fh, start=1):
-                yield line_no, raw.rstrip("\n").rstrip("\r")
+            yield from fh
         except UnicodeDecodeError as err:
             raise not_utf8_error(path, err) from None
+
+
+def read_text(path: str | Path, encoding: str = "utf-8-sig") -> str:
+    """A whole text file; the default encoding drops a leading BOM."""
+    return "".join(read_lines(path, encoding))
 
 
 def _string_field(obj: dict, key: str, *, allow_empty: bool = False) -> str:
@@ -215,7 +216,8 @@ def _load_jsonl(
     records: list = []
     quarantined: list[QuarantinedLine] = []
     seen_ids: set[str] = set()
-    for line_no, raw in _jsonl_lines(path):
+    for line_no, raw in enumerate(read_lines(path, "utf-8-sig"), start=1):
+        raw = raw.rstrip("\n")
         if not raw.strip():
             quarantined.append(QuarantinedLine(path.name, line_no, "empty line"))
             continue
@@ -272,45 +274,40 @@ def _load_trusted(path: str | Path, record_type: type, check=None) -> LoadResult
               for name, hint in sorted(hints.items())]
     raw_decode = json.JSONDecoder().raw_decode
     records: list = []
-    with open(path, encoding="utf-8", newline="\n") as fh:
+    for line_no, raw in enumerate(read_lines(path, newline="\n"), start=1):
         try:
-            for line_no, raw in enumerate(fh, start=1):
-                try:
-                    obj, end = raw_decode(raw)
-                    # write_jsonl puts nothing after an object but its newline
-                    if raw[end:] not in ("\n", ""):
-                        raise ValueError("unexpected text after the object")
-                    if type(obj) is not dict:
-                        raise ValueError("line is not a JSON object")
-                    # only a \u escape can decode to a lone surrogate (one
-                    # backslash is searched for faster than two characters)
-                    escaped = "\\" in raw and "\\u" in raw
-                    for name, types, stamp in fields:
-                        value = obj[name]  # a KeyError names a missing field
-                        if type(value) not in types:
-                            raise ValueError(f"field {name!r} is of the wrong type "
-                                             f"({type(value).__name__})")
-                        if escaped and type(value) is str:
-                            _string_field(obj, name, allow_empty=True)
-                        if stamp:
-                            if not _CANONICAL_TS_RE.fullmatch(value):
-                                raise ValueError(f"field {name!r} is not a canonical "
-                                                 "UTC timestamp")
-                            obj[name] = _from_canonical_ts(value)
-                    if len(obj) != len(fields):
-                        raise ValueError(f"unexpected field {min(obj.keys() - hints)!r}")
-                    record = record_type(**obj)
-                    if check is not None:
-                        check(record)
-                except json.JSONDecodeError as err:
-                    raise ArtifactError(f"{path}:{line_no}: invalid JSON: {err.msg}") from None
-                except KeyError as err:
-                    raise ArtifactError(f"{path}:{line_no}: field {err} missing") from None
-                except ValueError as err:
-                    raise ArtifactError(f"{path}:{line_no}: {err}") from None
-                records.append(record)
-        except UnicodeDecodeError as err:
-            raise not_utf8_error(path, err) from None
+            obj, end = raw_decode(raw)
+            # write_jsonl puts nothing after an object but its newline
+            if raw[end:] not in ("\n", ""):
+                raise ValueError("unexpected text after the object")
+            if type(obj) is not dict:
+                raise ValueError("line is not a JSON object")
+            # only a \u escape can decode to a lone surrogate (one backslash
+            # is searched for faster than two characters)
+            escaped = "\\" in raw and "\\u" in raw
+            for name, types, stamp in fields:
+                value = obj[name]  # a KeyError names a missing field
+                if type(value) not in types:
+                    raise ValueError(f"field {name!r} is of the wrong type "
+                                     f"({type(value).__name__})")
+                if escaped and type(value) is str:
+                    _string_field(obj, name, allow_empty=True)
+                if stamp:
+                    if not _CANONICAL_TS_RE.fullmatch(value):
+                        raise ValueError(f"field {name!r} is not a canonical UTC timestamp")
+                    obj[name] = _from_canonical_ts(value)
+            if len(obj) != len(fields):
+                raise ValueError(f"unexpected field {min(obj.keys() - hints)!r}")
+            record = record_type(**obj)
+            if check is not None:
+                check(record)
+        except json.JSONDecodeError as err:
+            raise ArtifactError(f"{path}:{line_no}: invalid JSON: {err.msg}") from None
+        except KeyError as err:
+            raise ArtifactError(f"{path}:{line_no}: field {err} missing") from None
+        except ValueError as err:
+            raise ArtifactError(f"{path}:{line_no}: {err}") from None
+        records.append(record)
     return LoadResult(records, [])
 
 
@@ -437,13 +434,18 @@ profile_to_dict = ProfileRecord._asdict
 quarantine_to_dict = QuarantinedLine._asdict
 
 
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write each line and a ``\\n`` to a UTF-8 file; returns the line count.
+    Every text artifact but a CSV is written here."""
+    n = 0
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for n, line in enumerate(lines, start=1):
+            fh.write(line)
+            fh.write("\n")
+    return n
+
+
 def write_jsonl(path: str | Path, rows: Iterator[dict] | list[dict]) -> int:
     """Write dicts as one JSON object per line; returns the line count."""
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
-    n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(encode(row))
-            fh.write("\n")
-            n += 1
-    return n
+    return write_lines(path, map(encode, rows))

@@ -194,9 +194,8 @@ def build_stats_report(
     utc_offset: timedelta = timedelta(0),
     comment_threshold: int = 10,
 ) -> StatsReport:
-    """Assemble the full statistics report over one dataset."""
-    if window is None and posts:
-        window = dataset_window(posts)
+    """Assemble the full statistics report over one dataset. No ``window``
+    means no active bloggers."""
     active = active_bloggers(posts, window, utc_offset) if window else set()
     return StatsReport(
         blogger_count=len({p.blog_id for p in posts}),

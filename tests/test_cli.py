@@ -1229,3 +1229,53 @@ def test_tampered_artifact_is_exit_0_or_one_line_data_error(out_dir, tmp_path, c
                                         and err.count("\n") == 1)):
                 failures.append(f"{case}: exit {code}: {err!r}")
     assert not failures
+
+
+@pytest.mark.parametrize("case", ["not-utf8", "directory"])
+def test_unreadable_config_file_is_one_config_error(case, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    if case == "not-utf8":
+        config.write_bytes(b"{}\xff")
+    else:
+        config.mkdir()
+    capsys.readouterr()
+    assert main(["ingest", "--config", str(config)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert str(config) in err
+
+
+def test_host_patterns_are_case_insensitive_in_the_config(out_dir, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(out_dir / "ingest", out / "ingest")
+    flags = fixture_flags(out)
+    flags[flags.index("--host-patterns") + 1] = "{BLOG}.Blogville.example"
+    assert main(["build", *flags]) == EXIT_OK
+    for name in ("edges_blogroll.csv", "edges_comment.csv", "edges_citation.csv",
+                 "edges_merged.csv", "nodes.txt", "graph.dot"):
+        assert (out / "build" / name).read_bytes() == (out_dir / "build" / name).read_bytes(), name
+
+
+def test_rank_and_report_on_an_arcless_cleaned_graph(out_dir, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    flags = [*fixture_flags(out), "--min-component-size", "1000"]
+    for stage in ("clean", "rank", "report"):
+        assert main([stage, *flags]) == EXIT_OK, stage
+    assert (out / "clean/nodes_kept.txt").read_bytes() == b""
+    for kind in ("hub", "authority"):
+        assert (out / f"rank/{kind}.csv").read_text("utf-8") == "blog_id,score,rank\n"
+    assert manifest(out, "rank")["counts"]["hits"] == {"skipped": "graph has no arcs"}
+    text = (out / "report/report.txt").read_text("utf-8")
+    for kind in ("indegree", "pagerank", "hub", "authority"):
+        assert f"top blogs by {kind}\n  (none)\n" in text
+
+
+def test_ingest_without_inputs_names_each_missing_setting(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["ingest", "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: inputs.{name} is required for this stage"
+        for name in ("posts", "comments", "blogroll", "profiles")
+    ]
+    assert not (tmp_path / "out").exists()

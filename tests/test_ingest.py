@@ -441,3 +441,19 @@ def test_trusted_reload_matches_loaders_on_ingest_artifacts(dumps):
             assert repr(trusted.records) == repr(validated.records), name
             if name == "posts":
                 known = {p.post_id for p in trusted.records}
+
+
+def test_read_lines_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_bytes(b"a\n\xffb\n")
+    with pytest.raises(ingest.InputFileError, match=r"words\.txt: not UTF-8 text"):
+        list(ingest.read_lines(path))
+
+
+def test_write_lines_ends_each_line_in_a_newline(tmp_path):
+    path = tmp_path / "lines.txt"
+    assert ingest.write_lines(path, ["a", "", "ب"]) == 3
+    assert ingest.write_lines(tmp_path / "empty.txt", []) == 0
+    assert path.read_bytes() == "a\n\nب\n".encode("utf-8")
+    assert list(ingest.read_lines(path)) == ["a\n", "\n", "ب\n"]
+    assert (tmp_path / "empty.txt").read_bytes() == b""
