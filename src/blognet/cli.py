@@ -149,7 +149,10 @@ class Stage:
     def output(self, name: str) -> Path:
         """Where to write artifact ``name``; the stage directory is made on
         first use, so a stage that fails before writing leaves none."""
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:  # such as a file where a directory must be
+            raise ConfigError([f"output.out_dir {self.cfg.out_dir}: {err.strerror}"]) from None
         self.outputs.append(name)
         return self.dir / name
 
@@ -224,7 +227,8 @@ def _ingest_digests(stage: Stage) -> dict:
     """File name -> sha256 of each file ingest wrote, from its manifest; empty
     when the manifest is missing, malformed or holds no ``output_sha256``."""
     try:
-        manifest = json.loads((Path(stage.cfg.out_dir) / "ingest/manifest.json").read_bytes())
+        manifest = ingest_mod.decode_json(
+            ingest_mod.read_text(Path(stage.cfg.out_dir) / "ingest/manifest.json", "utf-8"))
         digests = manifest["output_sha256"]
     except (OSError, ValueError, KeyError, TypeError):
         return {}
@@ -380,7 +384,7 @@ def _read_artifact_json(path: Path, shape: dict) -> dict:
     invalid JSON or another shape raises ArtifactError naming the file."""
     text = ingest_mod.read_text(path, "utf-8")
     try:
-        payload = json.loads(text)
+        payload = ingest_mod.decode_json(text)
         _check_shape(payload, shape)
     except json.JSONDecodeError as err:
         raise ArtifactError(f"{path}: invalid JSON: {err}") from None

@@ -20,7 +20,7 @@ from datetime import timedelta
 from pathlib import Path
 from typing import Any, Callable
 
-from .ingest import InputFileError, parse_timestamp, read_text
+from .ingest import InputFileError, decode_json, parse_timestamp, read_text
 
 TFIDF_VARIANTS = ("raw_ln", "log_tf", "smooth_idf")
 
@@ -214,7 +214,7 @@ def load_config(
         if not path.exists():
             raise ConfigError([f"config file not found: {path}"])
         try:
-            document = json.loads(read_text(path))
+            document = decode_json(read_text(path))
         except json.JSONDecodeError as err:
             raise ConfigError([f"config file is not valid JSON: {err.msg}"]) from None
         except InputFileError as err:  # it names the file

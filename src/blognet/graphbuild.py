@@ -8,6 +8,7 @@ counts the records behind it; which records those were is not kept.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
@@ -99,12 +100,9 @@ def extract_blogroll_edges(
     counters = {"records": len(records), "external_urls": 0}
     # many blogs list the same blogs, so each distinct URL is resolved once;
     # citation URLs carry post paths and rarely repeat, so they are not cached
-    targets: dict[str, str | None] = {}
+    resolve = functools.cache(resolver.resolve)
     for rec in records:
-        url = rec.target_url
-        if url not in targets:
-            targets[url] = resolver.resolve(url)
-        target = targets[url]
+        target = resolve(rec.target_url)
         if target is None:
             counters["external_urls"] += 1
             continue

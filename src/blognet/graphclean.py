@@ -232,14 +232,6 @@ def degree_and_density(nodes: int, arcs: int) -> tuple[float, float]:
     return 2 * arcs / nodes, arcs / (nodes * (nodes - 1))
 
 
-def _undirected_neighbor_sets(g: SimpleDigraph) -> list[set[int]]:
-    nbrs: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in g.arcs():
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    return nbrs
-
-
 def clustering_coefficient(g: SimpleDigraph, variant: str = "mean_local") -> float:
     """Clustering of the undirected projection.
 
@@ -251,7 +243,10 @@ def clustering_coefficient(g: SimpleDigraph, variant: str = "mean_local") -> flo
         raise ValueError(f"unknown clustering variant {variant!r}")
     if g.n == 0:
         return 0.0
-    nbrs = _undirected_neighbor_sets(g)
+    nbrs = [set(out) for out in g.adj]  # the undirected neighbors
+    for u, out in enumerate(g.adj):
+        for v in out:
+            nbrs[v].add(u)
     closed = 0.0
     triplets = 0.0
     local_sum = 0.0

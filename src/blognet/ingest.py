@@ -13,12 +13,13 @@ ArtifactError.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_type_hints
 
 GENDERS = ("male", "female", "unspecified")
 EDUCATION_LEVELS = ("below-diploma", "diploma", "bachelor", "master", "doctorate", "unspecified")
@@ -97,23 +98,14 @@ _TS_RE = re.compile(
 )
 
 
-# One timezone per offset string or assumed offset: bounded by the offsets
-# ``_TS_RE`` admits (and the configured dump offset), not by the input size.
-_TIMEZONES: dict[str | timedelta, timezone] = {}
-
-
+# cached per offset: bounded by what ``_TS_RE`` admits, not by the input size
+@functools.cache
 def _timezone(offset: str | None, assume_offset: timedelta) -> timezone:
-    key = assume_offset if offset is None else offset
-    tz = _TIMEZONES.get(key)
-    if tz is None:
-        if offset is None:
-            tz = timezone(assume_offset)
-        else:
-            sign = 1 if offset[0] == "+" else -1
-            hours, minutes = int(offset[1:3]), int(offset[4:6])
-            tz = timezone(sign * timedelta(hours=hours, minutes=minutes))
-        _TIMEZONES[key] = tz
-    return tz
+    if offset is None:
+        return timezone(assume_offset)
+    sign = 1 if offset[0] == "+" else -1
+    hours, minutes = int(offset[1:3]), int(offset[4:6])
+    return timezone(sign * timedelta(hours=hours, minutes=minutes))
 
 
 def parse_timestamp(value: str, assume_offset: timedelta = timedelta(0)) -> datetime:
@@ -121,8 +113,9 @@ def parse_timestamp(value: str, assume_offset: timedelta = timedelta(0)) -> date
 
     Timestamps without an explicit offset are taken as local wall-clock at
     ``assume_offset`` (the dump's fixed UTC offset). Sub-second digits are
-    dropped; the data model is seconds precision. A timestamp whose UTC
-    reading falls outside years 1-9999 raises ValueError.
+    dropped; the data model is seconds precision. A timestamp raises
+    ValueError unless its UTC reading one second on (a dataset window's end)
+    and its reading at ``assume_offset`` (``stats``' bins) are in years 1-9999.
     """
     if not isinstance(value, str):
         raise ValueError("timestamp must be a string")
@@ -131,13 +124,17 @@ def parse_timestamp(value: str, assume_offset: timedelta = timedelta(0)) -> date
         raise ValueError(f"unparseable timestamp: {value!r}")
     date_part, time_part, offset = m.group(1), m.group(2), m.group(3)
     naive = datetime.fromisoformat(f"{date_part}T{time_part}")  # validates ranges
-    if offset in ("Z", "z"):
-        return naive.replace(tzinfo=timezone.utc)
-    tz = _timezone(offset, assume_offset)
+    tz = timezone.utc if offset in ("Z", "z") else _timezone(offset, assume_offset)
     try:
-        return naive.replace(tzinfo=tz).astimezone(timezone.utc)
+        utc = naive.replace(tzinfo=tz).astimezone(timezone.utc)
+        utc + timedelta(seconds=1)
     except OverflowError:
         raise ValueError(f"timestamp out of range in UTC: {value!r}") from None
+    try:
+        utc + assume_offset
+    except OverflowError:
+        raise ValueError(f"timestamp out of range at the dump offset: {value!r}") from None
+    return utc
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -173,6 +170,20 @@ def read_lines(path: str | Path, encoding: str = "utf-8",
 def read_text(path: str | Path, encoding: str = "utf-8-sig") -> str:
     """A whole text file; the default encoding drops a leading BOM."""
     return "".join(read_lines(path, encoding))
+
+
+def decode_json(text: str, decode: Callable[[str], Any] = json.loads) -> Any:
+    """``decode(text)``; a text ``json`` rejects with another error, worded by
+    the interpreter (too deep, too long an integer), raises a JSONDecodeError
+    with a fixed message instead."""
+    try:
+        return decode(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the only other ValueError decoding a ``str`` raises
+        raise json.JSONDecodeError("integer literal too long", text, 0) from None
 
 
 def _string_field(obj: dict, key: str, *, allow_empty: bool = False) -> str:
@@ -217,22 +228,17 @@ def _load_jsonl(
     quarantined: list[QuarantinedLine] = []
     seen_ids: set[str] = set()
     for line_no, raw in enumerate(read_lines(path, "utf-8-sig"), start=1):
-        raw = raw.rstrip("\n")
-        if not raw.strip():
-            quarantined.append(QuarantinedLine(path.name, line_no, "empty line"))
-            continue
+        raw = raw.rstrip("\n")  # else json finds a control character, not an open string
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as err:
-            quarantined.append(QuarantinedLine(path.name, line_no, f"invalid JSON: {err.msg}"))
-            continue
-        if not isinstance(obj, dict):
-            quarantined.append(QuarantinedLine(path.name, line_no, "line is not a JSON object"))
-            continue
-        try:
+            if not raw.strip():
+                raise ValueError("empty line")
+            obj = decode_json(raw)
+            if not isinstance(obj, dict):
+                raise ValueError("line is not a JSON object")
             record = parse_record(obj)
-        except ValueError as err:
-            quarantined.append(QuarantinedLine(path.name, line_no, str(err)))
+        except ValueError as err:  # a JSONDecodeError's own text adds a position
+            reason = f"invalid JSON: {err.msg}" if type(err) is json.JSONDecodeError else str(err)
+            quarantined.append(QuarantinedLine(path.name, line_no, reason))
             continue
         if id_of is not None:
             rid = id_of(record)
@@ -276,7 +282,7 @@ def _load_trusted(path: str | Path, record_type: type, check=None) -> LoadResult
     records: list = []
     for line_no, raw in enumerate(read_lines(path, newline="\n"), start=1):
         try:
-            obj, end = raw_decode(raw)
+            obj, end = decode_json(raw, raw_decode)
             # write_jsonl puts nothing after an object but its newline
             if raw[end:] not in ("\n", ""):
                 raise ValueError("unexpected text after the object")
@@ -368,8 +374,7 @@ def load_blogroll(path: str | Path, *, trusted: bool = False) -> LoadResult:
         return _load_trusted(path, BlogrollRecord)
     from urllib.parse import urlsplit
 
-    valid: dict[str, bool] = {}  # each distinct URL is split once per file
-
+    @functools.cache  # each distinct URL is split once per file
     def is_http_url(url: str) -> bool:
         try:
             parts = urlsplit(url)
@@ -380,10 +385,7 @@ def load_blogroll(path: str | Path, *, trusted: bool = False) -> LoadResult:
 
     def parse(obj: dict) -> BlogrollRecord:
         url = _string_field(obj, "target_url").strip()
-        ok = valid.get(url)
-        if ok is None:
-            ok = valid[url] = is_http_url(url)
-        if not ok:
+        if not is_http_url(url):
             raise ValueError(f"invalid URL {url!r}")
         return BlogrollRecord(
             owner_blog_id=canonical_slug(_string_field(obj, "owner_blog_id")),

@@ -240,7 +240,9 @@ def blogroll_url_error(url: str) -> str | None:
 
 def parse_timestamp_uncached(value: str, assume_offset: timedelta = timedelta(0)) -> datetime:
     """RFC 3339 parsing with a new timezone per call and a conversion to UTC
-    even from ``Z``. A UTC reading outside years 1-9999 raises OverflowError."""
+    even from ``Z``. A UTC reading outside years 1-9999, or with no second
+    after it, raises OverflowError; a reading at ``assume_offset`` outside
+    those years raises ``parse_timestamp``'s ValueError."""
     if not isinstance(value, str):
         raise ValueError("timestamp must be a string")
     m = ingest._TS_RE.match(value.strip())
@@ -256,7 +258,13 @@ def parse_timestamp_uncached(value: str, assume_offset: timedelta = timedelta(0)
         sign = 1 if offset[0] == "+" else -1
         hours, minutes = int(offset[1:3]), int(offset[4:6])
         tz = timezone(sign * timedelta(hours=hours, minutes=minutes))
-    return naive.replace(tzinfo=tz).astimezone(timezone.utc)
+    utc = naive.replace(tzinfo=tz).astimezone(timezone.utc)
+    utc + timedelta(seconds=1)
+    try:
+        utc + assume_offset
+    except OverflowError:
+        raise ValueError(f"timestamp out of range at the dump offset: {value!r}") from None
+    return utc
 
 
 def format_timestamp_strftime(dt: datetime) -> str:

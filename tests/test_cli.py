@@ -1279,3 +1279,121 @@ def test_ingest_without_inputs_names_each_missing_setting(tmp_path, capsys):
         for name in ("posts", "comments", "blogroll", "profiles")
     ]
     assert not (tmp_path / "out").exists()
+
+
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+DEEP_OBJECT = '{"a": ' * 100_000 + "1" + "}" * 100_000
+LONG_AGE = '{"blog_id": "b98", "age": ' + "9" * 5_000 + "}"
+
+# Each case puts JSON that ``json`` rejects with other than a JSONDecodeError
+# (nesting past the recursion limit, an integer literal past the digit limit)
+# where a stage reads it: (stage, the file: a dump file, the config file or a
+# file of the output tree; how the text goes in: "append" a line, "digest"
+# (append it and record the new digest, so the reload is trusted) or "write"
+# the file; the text; the exit code; what the quarantine or stderr says).
+UNDECODABLE_JSON = {
+    "dump-line-deep": ("ingest", "posts.jsonl", "append", DEEP_ARRAY, EXIT_OK,
+                       "invalid JSON: nested too deeply"),
+    "dump-line-long-int": ("ingest", "profiles.jsonl", "append", LONG_AGE, EXIT_OK,
+                           "invalid JSON: integer literal too long"),
+    "config-deep": ("ingest", "config.json", "write", DEEP_ARRAY, EXIT_VALIDATION,
+                    "config error: config file is not valid JSON: nested too deeply"),
+    "config-long-int": ("ingest", "config.json", "write",
+                        '{"ranking": {"max_iter": ' + "9" * 5_000 + "}}", EXIT_VALIDATION,
+                        "config error: config file is not valid JSON: integer literal too long"),
+    "validating-reload-deep": ("build", "out/ingest/posts.jsonl", "append", DEEP_ARRAY,
+                               EXIT_DATA, "invalid JSON: nested too deeply"),
+    "validating-reload-long-int": ("stats", "out/ingest/profiles.jsonl", "append", LONG_AGE,
+                                   EXIT_DATA, "invalid JSON: integer literal too long"),
+    "trusted-reload-deep": ("build", "out/ingest/posts.jsonl", "digest", DEEP_ARRAY,
+                            EXIT_DATA, "invalid JSON: nested too deeply"),
+    "report-metrics-deep": ("report", "out/clean/metrics.json", "write", DEEP_OBJECT,
+                            EXIT_DATA, "invalid JSON: nested too deeply"),
+    # a garbled ingest manifest sends the stage to the loaders
+    "ingest-manifest-deep": ("stats", "out/ingest/manifest.json", "write", DEEP_ARRAY,
+                             EXIT_OK, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE_JSON))
+def test_json_that_json_cannot_decode_is_quarantined_or_one_line(case, out_dir, tmp_path,
+                                                                 capsys):
+    stage, name, how, text, code, said = UNDECODABLE_JSON[case]
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    flags = fixture_flags(out)
+    path = tmp_path / name
+    if name == "config.json":
+        flags += ["--config", str(path)]
+    elif not name.startswith("out/"):  # a copy of the dump file
+        shutil.copy(SMALLBLOG / name, path)
+        flags[flags.index(f"--{path.stem}") + 1] = str(path)
+    if how == "digest":
+        rewrite_ingest_artifact(out, path.name, lambda lines: [*lines, text])
+    elif how == "append":
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        path.write_text(text, encoding="utf-8")
+    line = len(path.read_text("utf-8").splitlines())
+    capsys.readouterr()
+    assert main([stage, *flags]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_VALIDATION:
+        assert err == f"{said}\n"
+    elif code == EXIT_DATA:
+        where = f"{path}:{line}" if path.suffix == ".jsonl" else f"{path}"
+        assert err.startswith(f"data error: {where}: {said}") and err.count("\n") == 1
+    elif stage == "ingest":
+        rows = [json.loads(row) for row in
+                (out / "ingest/quarantine.jsonl").read_text("utf-8").splitlines()]
+        assert err == "" and {"file": name, "line": line, "reason": said} in rows
+    else:  # the stage read the untouched artifacts and wrote the same files
+        assert err == ""
+        for done in (out_dir / stage).iterdir():
+            assert (out / stage / done.name).read_bytes() == done.read_bytes(), done.name
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_out_dir_through_a_file_is_one_config_error(sub, tmp_path, capsys):
+    file = tmp_path / "file"
+    file.write_text("kept", encoding="utf-8")
+    out = file / sub
+    capsys.readouterr()
+    assert main(["ingest", *fixture_flags(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"config error: output.out_dir {out}: Not a directory\n"
+    assert list(tmp_path.iterdir()) == [file] and file.read_text("utf-8") == "kept"
+
+
+# a post at the end of the datetime range: stats would read it one second on
+# (the dataset window's end), or at the dump's +03:30
+@pytest.mark.parametrize("stamp, reason", [
+    ("9999-12-31T23:59:59Z", "timestamp out of range in UTC"),
+    ("9999-12-31T22:00:00Z", "timestamp out of range at the dump offset"),
+])
+def test_timestamp_at_the_end_of_the_range_is_quarantined(stamp, reason, tmp_path):
+    flags = flags_with_extra_post(tmp_path, published_at=stamp)
+    for stage in ("ingest", "stats"):
+        assert main([stage, *flags]) == EXIT_OK, stage
+    out = tmp_path / "out"
+    rows = [json.loads(line) for line in
+            (out / "ingest/quarantine.jsonl").read_text("utf-8").splitlines()]
+    assert {"file": "posts.jsonl", "line": 16, "reason": f"{reason}: {stamp!r}"} in rows
+    assert manifest(out, "stats")["counts"]["posts"] == GROUND_TRUTH["stats"]["post_count"]
+
+
+@pytest.mark.parametrize("document, problem", [
+    ([{"ranking": {}}], "config file must contain a JSON object"),
+    ({"ranking": [1]}, "config section 'ranking' must be an object"),
+])
+def test_config_file_of_the_wrong_shape_is_one_config_error(document, problem, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["ingest", "--config", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"config error: {problem}\n"
+
+
+def test_flag_that_is_not_a_boolean_exits_1(capsys):
+    assert main(["rank", "--weighted-rank", "maybe"]) == EXIT_VALIDATION
+    assert "expected a boolean, got 'maybe'" in capsys.readouterr().err

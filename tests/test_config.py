@@ -230,3 +230,18 @@ def test_wrong_typed_value_is_one_problem(f, tmp_path):
             load_config(path)
         problems = err.value.problems
         assert len(problems) == 1 and problems[0].startswith(f"{section}.{key} "), (value, problems)
+
+
+# a bound stats could not read: no second after it, or outside years 1-9999
+# at the dump's offset
+@pytest.mark.parametrize("key, value, offset", [
+    ("window_end", "9999-12-31T23:59:59Z", 0),
+    ("window_end", "9999-12-31T22:00:00Z", 210),
+    ("window_start", "0001-01-01T00:30:00Z", -60),
+])
+def test_window_bound_at_the_end_of_the_range_is_rejected(key, value, offset):
+    bounds = {"window_start": "2010-10-01T00:00:00Z", "window_end": "2010-11-01T00:00:00Z"}
+    with pytest.raises(ConfigError) as err:
+        load_config(None, {**bounds, key: value, "utc_offset_minutes": offset})
+    assert err.value.problems == [f"profilestats.{key} is not an RFC 3339 timestamp: {value!r}"]
+

@@ -13,12 +13,15 @@ and says why.
 import hashlib
 import json
 import os
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import blognet
 from blognet.cli import EXIT_OK, main
 from conftest import FIXTURES
 
@@ -62,3 +65,59 @@ if __name__ == "__main__":
                  for name, flags in SETTINGS.items()}
     TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {TABLE}: {sum(map(len, table.values()))} digests", file=sys.stderr)
+
+
+# the stages that import no numpy, so they run under any CPython 3.10+
+NUMPY_FREE_STAGES = ("ingest", "build", "clean", "stats")
+# run by another interpreter from the fixture directory: the numpy-free
+# stages in each setting, into ``argv[1]/<setting>``
+RUN_NUMPY_FREE_STAGES = f"""
+import json, sys
+from blognet.cli import main
+for name, flags in json.loads(sys.argv[2]).items():
+    for stage in {NUMPY_FREE_STAGES!r}:
+        out = f"{{sys.argv[1]}}/{{name}}"
+        if main([stage, "--config", "config.json", *flags, "--out-dir", out]):
+            sys.exit(f"{{name}}: stage {{stage}} failed")
+"""
+# prints the interpreter's real path if it is CPython 3.10 or later, and
+# nothing otherwise (in a form Python 2 reads too)
+PROBE = ("import os, sys; print(os.path.realpath(sys.executable) if sys.version_info >= (3, 10)"
+         " and sys.implementation.name == 'cpython' else '')")
+
+
+def other_interpreters() -> list[str]:
+    """Every CPython 3.10+ under ``~/.pyenv/versions`` or on PATH as
+    ``python3.1x`` but the running one, by real path; one that fails to start
+    is left out."""
+    candidates = sorted(Path.home().glob(".pyenv/versions/*/bin/python3"))
+    candidates += filter(None, (shutil.which(f"python3.{minor}") for minor in range(10, 20)))
+    found = set()
+    for candidate in candidates:
+        try:
+            probe = subprocess.run([str(candidate), "-c", PROBE], capture_output=True,
+                                   text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0 and probe.stdout.strip():
+            found.add(probe.stdout.strip())
+    return sorted(found - {os.path.realpath(sys.executable)})
+
+
+def test_numpy_free_stages_write_the_table_under_every_other_interpreter(tmp_path):
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10+ found")
+    table = json.loads(TABLE.read_text(encoding="utf-8"))
+    expected = {f"{name}/{path}": digest for name, digests in table.items()
+                for path, digest in digests.items() if path.startswith(NUMPY_FREE_STAGES)}
+    env = {**os.environ, "PYTHONPATH": str(Path(blognet.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    for python in interpreters:
+        out = tmp_path / Path(python).name
+        run = subprocess.run([python, "-c", RUN_NUMPY_FREE_STAGES, str(out), json.dumps(SETTINGS)],
+                             cwd=SMALLBLOG, env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, f"{python}: {run.stderr}"
+        written = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(out.rglob("*")) if path.is_file()}
+        assert written == expected, python

@@ -389,3 +389,10 @@ class TestBlogrollResolvedOncePerUrl:
             assert extract_blogroll_edges(records, path) == (
                 [Edge("a", "b07", "blogroll", weight=2)], {"records": 2, "external_urls": 0}
             )
+
+
+def test_comment_on_a_post_outside_posts_is_unmatched():
+    edges, counters = extract_comment_edges(
+        [comment("c1", "p1", "x"), comment("c2", "p9", "x")], [post("p1", "y")])
+    assert edges == [Edge("x", "y", "comment", 1)]
+    assert counters == {"comments": 2, "anonymous": 0, "unmatched": 1}

@@ -457,3 +457,21 @@ def test_write_lines_ends_each_line_in_a_newline(tmp_path):
     assert path.read_bytes() == "a\n\nب\n".encode("utf-8")
     assert list(ingest.read_lines(path)) == ["a\n", "\n", "ب\n"]
     assert (tmp_path / "empty.txt").read_bytes() == b""
+
+
+def test_each_malformed_line_is_quarantined_with_its_reason(tmp_path):
+    path = tmp_path / "posts.jsonl"
+    lines = ['{"post_id": "p1', "[1, 2]", "", "  \t", '{"post_id": "p1",', '"a post"',
+             json.dumps(post_row(title=5)), json.dumps(post_row("p2"))]
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    result = ingest.load_posts(path)
+    assert [p.post_id for p in result.records] == ["p2"]
+    assert [(q.line, q.reason) for q in result.quarantined] == [
+        (1, "invalid JSON: Unterminated string starting at"),
+        (2, "line is not a JSON object"),
+        (3, "empty line"),
+        (4, "empty line"),
+        (5, "invalid JSON: Expecting property name enclosed in double quotes"),
+        (6, "line is not a JSON object"),
+        (7, "field 'title' missing or not a string"),
+    ]

@@ -252,3 +252,15 @@ class TestRankedRows:
         rows = ranked_rows(indegree_rank(g), g.labels, top_k=2)
         assert len(rows) == 2
         assert rows[0][0] == "n001"
+
+
+@pytest.mark.parametrize("rank, kwargs, message", [
+    (hits, {"max_iter": 0}, "max_iter must be >= 1"),
+    (hits, {"tol": 0}, "tol must be positive"),
+    (hits, {"norm": "l3"}, "unknown norm 'l3'"),
+    (pagerank, {"dangling": "drop"}, "unknown dangling policy 'drop'"),
+])
+def test_bad_argument_is_value_error(rank, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        rank(graph(2, [(0, 1)]), **kwargs)
+    assert str(err.value) == message

@@ -482,3 +482,23 @@ class TestBlogDocuments:
         alpha, beta = docs
         assert "متن" in alpha.tokens and "123" not in alpha.tokens
         assert "hello" in beta.tokens and "second" in beta.tokens
+
+
+def test_equivalences_skip_comment_lines(tmp_path):
+    path = tmp_path / "eq.tsv"
+    path.write_text("# variant\tcanonical\na\tb\n\n", encoding="utf-8")
+    assert textprep.load_equivalences(path) == {"a": "b"}
+
+
+def test_equivalence_column_that_normalizes_to_empty_names_its_line(tmp_path):
+    path = tmp_path / "eq.tsv"
+    path.write_text("a\tb\nــ\tc\n", encoding="utf-8")  # tatweel only
+    with pytest.raises(textprep.InputFileError) as err:
+        textprep.load_equivalences(path)
+    assert str(err.value) == f"{path}:2: empty variant or canonical form"
+
+
+def test_tfidf_of_an_empty_corpus_is_value_error():
+    vocab = textprep.build_vocabulary([textprep.NormalizedDocument("a", ("x",))], 1, 1.0)
+    with pytest.raises(ValueError, match="corpus_size must be >= 1"):
+        textprep.vectorize_tfidf(textprep.NormalizedDocument("a", ("x",)), vocab, 0)
