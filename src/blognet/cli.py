@@ -244,16 +244,12 @@ def _load_ingested(stage: Stage, names: list[str]) -> dict[str, list]:
     paths = {name: stage.require("ingest", f"{name}.jsonl") for name in names}
     written = _ingest_digests(stage)
 
-    loaders = {"posts": ingest_mod.load_posts, "blogroll": ingest_mod.load_blogroll,
-               "profiles": ingest_mod.load_profiles}
     loaded: dict[str, list] = {}
     for name, path in paths.items():
         trusted = written.get(path.name) == stage.sha256(path)
-        if name == "comments":  # posts, when reloaded too, come first
-            known = {p.post_id for p in loaded.get("posts", [])}
-            result = ingest_mod.load_comments(path, known, trusted=trusted)
-        else:
-            result = loaders[name](path, trusted=trusted)
+        # comments also take the post ids; posts, when reloaded too, come first
+        known = [{p.post_id for p in loaded.get("posts", [])}] if name == "comments" else []
+        result = getattr(ingest_mod, f"load_{name}")(path, *known, trusted=trusted)
         if result.quarantined:
             first = result.quarantined[0]
             raise ArtifactError(f"{path}:{first.line}: {first.reason}")
@@ -374,8 +370,8 @@ def cmd_build(stage: Stage) -> dict:
     for name, edges in (*layers.items(), ("merged", merged.edges)):
         stage.write_csv(f"edges_{name}.csv", edges)
     ingest_mod.write_lines(stage.output("nodes.txt"), merged.nodes)
-    # no blog id holds a character that ``splitlines`` breaks on
-    ingest_mod.write_lines(stage.output("graph.dot"), graphbuild.to_dot(merged).splitlines())
+    ingest_mod.write_lines(stage.output("graph.dot"),
+                           [graphbuild.to_dot(merged).removesuffix("\n")])
     return counts
 
 
@@ -630,9 +626,19 @@ def cmd_rank(stage: Stage) -> dict:
     return counts
 
 
-def _stats_window(cfg: PipelineConfig, posts) -> ActivityWindow | None:
+def _stats_window(stage: Stage, posts) -> ActivityWindow | None:
     from . import profilestats
 
+    cfg = stage.cfg
+    # ingest checked each post at the offset it ran with; stats may run at another
+    for line, post in enumerate(posts, start=1):
+        try:
+            post.published_at + cfg.utc_offset
+        except OverflowError:
+            raise ArtifactError(
+                f"{stage.inputs['posts']}:{line}: timestamp out of range at "
+                f"ingest.utc_offset_minutes {cfg.utc_offset_minutes}: "
+                f"{ingest_mod.format_timestamp(post.published_at)!r}") from None
     if cfg.window_start is not None:  # the config admits both bounds or neither
         # windows without an explicit offset use the dump's local convention
         return profilestats.ActivityWindow(
@@ -652,7 +658,7 @@ def cmd_stats(stage: Stage) -> dict:
 
     cfg = stage.cfg
     loaded = _load_ingested(stage, ["posts", "comments", "profiles"])
-    window = _stats_window(cfg, loaded["posts"])
+    window = _stats_window(stage, loaded["posts"])
     report = profilestats.build_stats_report(
         loaded["posts"], loaded["comments"], loaded["profiles"],
         window, cfg.utc_offset, cfg.comment_threshold,
@@ -660,10 +666,7 @@ def cmd_stats(stage: Stage) -> dict:
 
     demo = report.demographics
     payload = {
-        "blogger_count": report.blogger_count,
-        "active_count": report.active_count,
-        "post_count": report.post_count,
-        "comment_count": report.comment_count,
+        **report._asdict(),
         "window": None if window is None else {
             "start": ingest_mod.format_timestamp(window.start),
             "end": ingest_mod.format_timestamp(window.end),
@@ -673,8 +676,6 @@ def cmd_stats(stage: Stage) -> dict:
         "demographics": {
             **demo._asdict(), "age_histogram": {str(k): v for k, v in demo.age_histogram.items()},
         },
-        "posts_by_hour": list(report.posts_by_hour),
-        "posts_by_month": report.posts_by_month,
         # raw percentages; no baseline convention is imposed on month peaks
         "posts_by_month_pct": {
             month: 100.0 * count / report.post_count
@@ -688,6 +689,7 @@ def cmd_stats(stage: Stage) -> dict:
             "histogram": {str(k): v for k, v in report.comments.histogram.items()},
         },
     }
+    del payload["comments"]  # written as comments_per_post
 
     _write_json(stage.output("report.json"), payload)
     stage.write_csv("posts_by_hour.csv", enumerate(report.posts_by_hour), ["hour", "count"])
@@ -800,21 +802,6 @@ STAGE_FUNCS: dict[str, tuple[Callable[[Stage], dict], str]] = {
 }
 
 
-def _add_override_flags(parser: argparse.ArgumentParser) -> list[str]:
-    field_names = []
-    for section, keys in SECTIONS.items():
-        for key, field_name in keys.items():
-            parser.add_argument(
-                f"--{key.replace('_', '-')}",
-                dest=field_name,
-                type=FLAG_TYPES[field_name],
-                default=None,
-                help=f"override {section}.{key}",
-            )
-            field_names.append(field_name)
-    return field_names
-
-
 def build_parser() -> tuple[argparse.ArgumentParser, list[str]]:
     parser = argparse.ArgumentParser(
         prog="blognet",
@@ -822,12 +809,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[str]]:
                     "link-graph cleaning, rankings, and profile statistics.",
     )
     parser.add_argument("--version", action="version", version=f"blognet {__version__}")
+    flags = argparse.ArgumentParser(add_help=False)  # every stage's, as a parent
+    flags.add_argument("--config", default=None, help="path to the JSON config file")
+    field_names = []
+    for section, keys in SECTIONS.items():
+        for key, field_name in keys.items():
+            flags.add_argument(
+                f"--{key.replace('_', '-')}",
+                dest=field_name,
+                type=FLAG_TYPES[field_name],
+                default=None,
+                help=f"override {section}.{key}",
+            )
+            field_names.append(field_name)
     subparsers = parser.add_subparsers(dest="command", required=True)
-    field_names: list[str] = []
     for stage, (_func, help_text) in STAGE_FUNCS.items():
-        sub = subparsers.add_parser(stage, help=help_text)
-        sub.add_argument("--config", default=None, help="path to the JSON config file")
-        field_names = _add_override_flags(sub)
+        subparsers.add_parser(stage, help=help_text, parents=[flags])
     return parser, field_names
 
 

@@ -147,20 +147,15 @@ def _candidate_links(html: str) -> list[tuple[str, bool]]:
     is not counted twice.
     """
     out: list[tuple[str, bool]] = []
-    pieces: list[str] = []   # the text between href matches, and blanks over them
-    prev = 0
-    for m in _HREF_RE.finditer(html):
-        start, end = m.span()
-        pieces += (html[prev:start], " " * (end - start))
-        prev = end
+
+    def mask(m: re.Match) -> str:
         value = (m.group(1) or m.group(2) or m.group(3) or "").strip()
-        if not value or value.startswith("#"):
-            continue
-        absolute = bool(_SCHEME_RE.match(value)) or value.startswith("//")
-        out.append((value, not absolute))
-    pieces.append(html[prev:])
-    masked = "".join(pieces)
-    for m in _BARE_URL_RE.finditer(masked):
+        if value and not value.startswith("#"):
+            absolute = bool(_SCHEME_RE.match(value)) or value.startswith("//")
+            out.append((value, not absolute))
+        return " " * (m.end() - m.start())
+
+    for m in _BARE_URL_RE.finditer(_HREF_RE.sub(mask, html)):
         out.append((m.group(), False))
     return out
 

@@ -138,10 +138,9 @@ def remove_isolated(
     nodes that lose their last out-neighbor to a removal stay.
     """
     in_deg = g.in_degrees() if strict else [0] * g.n
-    removed = [v for v, out in enumerate(g.adj) if not out and not in_deg[v]]
-    removed_set = set(removed)
-    kept = [v for v in range(g.n) if v not in removed_set]
-    return g.subgraph(kept), tuple(g.labels[v] for v in removed)
+    isolated = [not out and not in_deg[v] for v, out in enumerate(g.adj)]
+    kept = (v for v, gone in enumerate(isolated) if not gone)
+    return g.subgraph(kept), tuple(compress(g.labels, isolated))
 
 
 def strongly_connected_components(g: SimpleDigraph) -> ComponentLabeling:

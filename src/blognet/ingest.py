@@ -149,22 +149,17 @@ def canonical_slug(value: str) -> str:
     return value.strip().lower()
 
 
-def not_utf8_error(path: str | Path, err: UnicodeDecodeError) -> InputFileError:
-    """The error for a file that is not UTF-8 text, naming the file."""
-    return InputFileError(f"{path}: not UTF-8 text ({err.reason})")
-
-
 def read_lines(path: str | Path, encoding: str = "utf-8",
                newline: str | None = None) -> Iterator[str]:
     """Yield the lines of a text file as ``open`` reads them with
     ``encoding`` and ``newline``. A byte that does not decode raises
-    ``not_utf8_error`` naming the file. Every text file the package reads
-    is read here."""
+    InputFileError naming the file. Every text file the package reads is
+    read here."""
     with open(path, encoding=encoding, newline=newline) as fh:
         try:
             yield from fh
         except UnicodeDecodeError as err:
-            raise not_utf8_error(path, err) from None
+            raise InputFileError(f"{path}: not UTF-8 text ({err.reason})") from None
 
 
 def read_text(path: str | Path, encoding: str = "utf-8-sig") -> str:

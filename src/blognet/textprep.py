@@ -219,7 +219,8 @@ def default_stopwords(
 def load_equivalences(path: str | Path, unify_alef: bool = True) -> dict[str, str]:
     """Read variant->canonical token pairs (two tab-separated columns).
 
-    Both columns are normalized, chains (a->b, b->c) are resolved to their
+    Both columns are normalized, each must then be one token run (what
+    ``normalize`` substitutes), chains (a->b, b->c) are resolved to their
     endpoint, and cycles are rejected, so applying the dictionary is a
     one-shot idempotent substitution.
     """
@@ -234,6 +235,8 @@ def load_equivalences(path: str | Path, unify_alef: bool = True) -> dict[str, st
         variant, canonical = (normalize(col, unify_alef=unify_alef) for col in cols)
         if not variant or not canonical:
             raise InputFileError(f"{path}:{line_no}: empty variant or canonical form")
+        if not (_TOKEN_RE.fullmatch(variant) and _TOKEN_RE.fullmatch(canonical)):
+            raise InputFileError(f"{path}:{line_no}: variant or canonical form is not one token")
         mapping[variant] = canonical
     resolved: dict[str, str] = {}
     for start in mapping:

@@ -617,6 +617,7 @@ def test_tampered_artifact_is_data_error(case, out_dir, tmp_path, capsys):
 UNREADABLE_INPUTS = {
     "one-column-equivalence": ("prep", "--equivalences", "eq.tsv", b"a\tb\nc\n"),
     "equivalence-cycle": ("prep", "--equivalences", "eq.tsv", b"a\tb\nb\ta\n"),
+    "two-token-equivalence": ("prep", "--equivalences", "eq.tsv", b"x\ta b\na\tc\n"),
     "non-utf8-stopwords": ("prep", "--stopwords", "stop.txt", "و\n".encode() + b"\xff\n"),
     "non-utf8-posts": ("ingest", "--posts", "posts.jsonl",
                        (SMALLBLOG / "posts.jsonl").read_bytes() + b"\xff\n"),
@@ -991,6 +992,8 @@ TRUSTED_TAMPERING = {
         "'created_at'"),
     "blogroll-not-json": ("build", "blogroll.jsonl", lambda lines: ["{broken", *lines[1:]],
                           "invalid JSON"),
+    "post-not-an-object": ("stats", "posts.jsonl", lambda lines: ["[]", *lines[1:]],
+                           "line is not a JSON object"),
     "post-lone-surrogate": ("prep", "posts.jsonl", edit_first_row(blog_id="\ud800"),
                             "'blog_id' holds a lone surrogate"),
     "profile-huge-age": ("stats", "profiles.jsonl", edit_first_row(age=10 ** 400), "age"),
@@ -1380,6 +1383,25 @@ def test_timestamp_at_the_end_of_the_range_is_quarantined(stamp, reason, tmp_pat
             (out / "ingest/quarantine.jsonl").read_text("utf-8").splitlines()]
     assert {"file": "posts.jsonl", "line": 16, "reason": f"{reason}: {stamp!r}"} in rows
     assert manifest(out, "stats")["counts"]["posts"] == GROUND_TRUTH["stats"]["post_count"]
+
+
+# ingest reads each post at +03:30; stats at another offset may not
+@pytest.mark.parametrize("stamp, minutes", [
+    ("9999-12-31T20:00:00Z", "960"),
+    ("0001-01-01T10:00:00Z", "-960"),
+])
+def test_post_stats_cannot_read_at_its_offset_is_one_data_error(stamp, minutes, tmp_path,
+                                                                 capsys):
+    flags = flags_with_extra_post(tmp_path, published_at=stamp)
+    assert main(["ingest", *flags]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["stats", *flags, "--utc-offset-minutes", minutes]) == EXIT_DATA
+    posts = tmp_path / "out/ingest/posts.jsonl"
+    line = len(posts.read_text("utf-8").splitlines())
+    assert capsys.readouterr().err == (
+        f"data error: {posts}:{line}: timestamp out of range at "
+        f"ingest.utc_offset_minutes {minutes}: {stamp!r}\n")
+    assert not (tmp_path / "out/stats").exists()
 
 
 @pytest.mark.parametrize("document, problem", [

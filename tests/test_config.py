@@ -245,3 +245,8 @@ def test_window_bound_at_the_end_of_the_range_is_rejected(key, value, offset):
         load_config(None, {**bounds, key: value, "utc_offset_minutes": offset})
     assert err.value.problems == [f"profilestats.{key} is not an RFC 3339 timestamp: {value!r}"]
 
+
+def test_override_of_no_field_is_a_config_error():
+    with pytest.raises(ConfigError) as err:
+        load_config(None, {"bogus": 1})
+    assert err.value.problems == ["unknown config field 'bogus'"]

@@ -110,6 +110,10 @@ class TestActiveBloggers:
         window = dataset_window(posts)
         assert active_bloggers(posts, ActivityWindow(window.start, window.end, 1)) == {"a", "b"}
 
+    def test_dataset_window_of_no_posts(self):
+        with pytest.raises(ValueError, match="zero posts"):
+            dataset_window([])
+
 
 class TestPostsByHour:
     def test_all_same_hour(self):

@@ -498,6 +498,19 @@ def test_equivalence_column_that_normalizes_to_empty_names_its_line(tmp_path):
     assert str(err.value) == f"{path}:2: empty variant or canonical form"
 
 
+# ``normalize`` substitutes one token run at a time, so a column of two runs,
+# or of none, would never match, and as a canonical form it would break
+# idempotence: with x -> "a b" and a -> c, normalize("x") is "a b" and
+# normalize("a b") is "c b"
+@pytest.mark.parametrize("pair", ["x\ta b", "a b\tc", "x\ta-b", "x\tc!", "!\tc", "x \tc"])
+def test_equivalence_column_that_is_not_one_token_names_its_line(pair, tmp_path):
+    path = tmp_path / "eq.tsv"
+    path.write_text(f"a\tc\n{pair}\n", encoding="utf-8")
+    with pytest.raises(textprep.InputFileError) as err:
+        textprep.load_equivalences(path)
+    assert str(err.value) == f"{path}:2: variant or canonical form is not one token"
+
+
 def test_tfidf_of_an_empty_corpus_is_value_error():
     vocab = textprep.build_vocabulary([textprep.NormalizedDocument("a", ("x",))], 1, 1.0)
     with pytest.raises(ValueError, match="corpus_size must be >= 1"):
