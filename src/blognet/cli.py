@@ -185,10 +185,10 @@ class Stage:
             "stage": self.name,
             "tool_version": __version__,
             "config": snapshot,
-            "inputs": {key: self.sha256(path) for key, path in sorted(self.inputs.items())},
+            "inputs": {key: self.sha256(path) for key, path in self.inputs.items()},
             "counts": counts,
             "outputs": sorted(self.outputs),
-            "output_sha256": {name: _sha256(self.dir / name) for name in sorted(self.outputs)},
+            "output_sha256": {name: _sha256(self.dir / name) for name in self.outputs},
         }
         _write_json(self.dir / "manifest.json", manifest)
 
@@ -292,11 +292,7 @@ def cmd_prep(stage: Stage) -> dict:
     stage.write_csv("vocabulary.csv", ((t, vocab.df[t]) for t in vocab.terms), ["term", "df"])
     ingest_mod.write_jsonl(
         stage.output("vectors.jsonl"),
-        [
-            {"blog_id": v.blog_id,
-             "terms": [[i, v.weights[i]] for i in sorted(v.weights)]}
-            for v in vectors
-        ],
+        [{"blog_id": v.blog_id, "terms": sorted(v.weights.items())} for v in vectors],
     )
     stage.write_csv(
         "similarity.csv",
@@ -680,7 +676,7 @@ def cmd_stats(stage: Stage) -> dict:
         "posts_by_month_pct": {
             month: 100.0 * count / report.post_count
             for month, count in report.posts_by_month.items()
-        } if report.post_count else {},
+        },
         "comments_per_post": {
             "mean": report.comments.mean,
             "matched_comments": report.comments.matched_comments,
@@ -732,7 +728,7 @@ def cmd_report(stage: Stage) -> dict:
 
     payload = {
         "network": metrics,
-        "scc_histogram": {str(k): v for k, v in sorted(histogram.items())},
+        "scc_histogram": {str(k): v for k, v in histogram.items()},
         "rankings": rankings,
         "statistics": stats,
     }
@@ -849,8 +845,7 @@ def main(argv=None) -> int:
     except StageDependencyError as err:
         print(f"stage error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (DuplicateIdError, FileNotFoundError, IsADirectoryError, EmptyCorpusError,
-            InputFileError, ArtifactError) as err:
+    except (DuplicateIdError, OSError, EmptyCorpusError, InputFileError, ArtifactError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -210,13 +210,10 @@ def load_config(
     problems: list[str] = []
     values: dict[str, Any] = {}
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError([f"config file not found: {path}"])
         try:
             document = decode_json(read_text(path))
         except json.JSONDecodeError as err:
-            raise ConfigError([f"config file is not valid JSON: {err.msg}"]) from None
+            raise ConfigError([f"config file {path}: not valid JSON: {err.msg}"]) from None
         except InputFileError as err:  # it names the file
             raise ConfigError([f"config file {err}"]) from None
         except OSError as err:
@@ -253,12 +250,7 @@ def load_config(
 
 def config_snapshot(cfg: PipelineConfig) -> dict[str, dict[str, Any]]:
     """Section-structured echo of the effective configuration (for manifests)."""
-    snapshot: dict[str, dict[str, Any]] = {}
-    for section, keys in SECTIONS.items():
-        snapshot[section] = {}
-        for key, field_name in keys.items():
-            value = getattr(cfg, field_name)
-            if isinstance(value, tuple):
-                value = list(value)
-            snapshot[section][key] = value
-    return snapshot
+    return {
+        section: {key: getattr(cfg, field_name) for key, field_name in keys.items()}
+        for section, keys in SECTIONS.items()
+    }

@@ -70,8 +70,7 @@ class UrlResolver:
             return None
         if not host:
             return None
-        if host.startswith("www."):
-            host = host[4:]
+        host = host.removeprefix("www.")
         for suffix in self._subdomain_suffixes:
             if host.endswith(suffix):
                 label = host[: -len(suffix)]

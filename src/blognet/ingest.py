@@ -217,8 +217,6 @@ def _load_jsonl(
     primary id from an accepted record for duplicate detection (hard error).
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"input file not found: {path}")
     records: list = []
     quarantined: list[QuarantinedLine] = []
     seen_ids: set[str] = set()

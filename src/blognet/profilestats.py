@@ -2,9 +2,9 @@
 hour-of-day and calendar-month post histograms, comments-per-post
 distribution, and demographic summaries.
 
-Post timestamps are stored UTC; pass the dataset's fixed UTC offset to get
-local wall-clock hours and months (sleep-hour and holiday effects only make
-sense in local time).
+Post timestamps are stored UTC. Added to an instant, the dataset's fixed UTC
+offset makes its fields read as the local wall-clock hour and month
+(sleep-hour and holiday effects only make sense in local time).
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ class StatsReport(NamedTuple):
     comments: CommentStats
 
 
-def _local(dt: datetime, utc_offset: timedelta) -> datetime:
-    # Shifting the aware instant makes its UTC fields read as local wall clock.
-    return dt + utc_offset
-
-
 def _year_month(dt: datetime) -> str:
     return f"{dt.year:04d}-{dt.month:02d}"
 
@@ -95,12 +90,12 @@ def active_bloggers(
     active = {blog for blog, n in counts.items() if n >= window.min_posts}
     if window.require_monthly:
         span = _months_between(
-            _local(window.start, utc_offset),
-            _local(window.end - timedelta(seconds=1), utc_offset),
+            window.start + utc_offset,
+            window.end - timedelta(seconds=1) + utc_offset,
         )
         months_by_blog: dict[str, set[str]] = defaultdict(set)
         for p in in_window:
-            months_by_blog[p.blog_id].add(_year_month(_local(p.published_at, utc_offset)))
+            months_by_blog[p.blog_id].add(_year_month(p.published_at + utc_offset))
         active = {blog for blog in active if months_by_blog[blog].issuperset(span)}
     return active
 
@@ -111,7 +106,7 @@ def posts_by_hour(
     """24 bins of post counts by local hour of day; bins sum to the post count."""
     bins = [0] * 24
     for p in posts:
-        bins[_local(p.published_at, utc_offset).hour] += 1
+        bins[(p.published_at + utc_offset).hour] += 1
     return tuple(bins)
 
 
@@ -120,7 +115,7 @@ def posts_by_month(
 ) -> dict[str, int]:
     """Calendar-month bins ("YYYY-MM", local time) over the dataset span."""
     bins: Counter[str] = Counter(
-        _year_month(_local(p.published_at, utc_offset)) for p in posts
+        _year_month(p.published_at + utc_offset) for p in posts
     )
     return dict(sorted(bins.items()))
 

@@ -188,14 +188,19 @@ def remove_stopwords(tokens: Sequence[str], stoplist: set[str]) -> list[str]:
 # terms never match a document token.
 
 def _parse_stopwords(
-    content: str, equivalences: Mapping[str, str] | None, unify_alef: bool
+    content: str, source: object, equivalences: Mapping[str, str] | None, unify_alef: bool
 ) -> set[str]:
+    """The stop list in ``content``; each term must normalize to one token
+    run, or it would never match a token."""
     stops = set()
-    for line in content.splitlines():
+    for line_no, line in enumerate(content.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        stops.add(normalize(line, equivalences, unify_alef))
+        term = normalize(line, equivalences, unify_alef)
+        if not _TOKEN_RE.fullmatch(term):
+            raise InputFileError(f"{source}:{line_no}: stop word is not one token")
+        stops.add(term)
     return stops
 
 
@@ -203,7 +208,7 @@ def load_stopwords(
     path: str | Path, equivalences: Mapping[str, str] | None = None, unify_alef: bool = True
 ) -> set[str]:
     """Read a stop-word file: UTF-8, one term per line, '#' comments."""
-    return _parse_stopwords(read_text(path), equivalences, unify_alef)
+    return _parse_stopwords(read_text(path), path, equivalences, unify_alef)
 
 
 def default_stopwords(
@@ -212,8 +217,8 @@ def default_stopwords(
     """The Persian stop-word list shipped with the package."""
     from importlib import resources
 
-    content = resources.files("blognet").joinpath("data/stopwords.txt").read_text("utf-8")
-    return _parse_stopwords(content, equivalences, unify_alef)
+    path = resources.files("blognet").joinpath("data/stopwords.txt")
+    return _parse_stopwords(path.read_text("utf-8"), path, equivalences, unify_alef)
 
 
 def load_equivalences(path: str | Path, unify_alef: bool = True) -> dict[str, str]:

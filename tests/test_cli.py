@@ -618,6 +618,7 @@ UNREADABLE_INPUTS = {
     "one-column-equivalence": ("prep", "--equivalences", "eq.tsv", b"a\tb\nc\n"),
     "equivalence-cycle": ("prep", "--equivalences", "eq.tsv", b"a\tb\nb\ta\n"),
     "two-token-equivalence": ("prep", "--equivalences", "eq.tsv", b"x\ta b\na\tc\n"),
+    "two-token-stopword": ("prep", "--stopwords", "stop.txt", "و\na b\n".encode()),
     "non-utf8-stopwords": ("prep", "--stopwords", "stop.txt", "و\n".encode() + b"\xff\n"),
     "non-utf8-posts": ("ingest", "--posts", "posts.jsonl",
                        (SMALLBLOG / "posts.jsonl").read_bytes() + b"\xff\n"),
@@ -636,6 +637,40 @@ def test_unreadable_input_is_data_error(case, out_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert str(path) in err
+
+
+# Each input flag, with the stage that reads it. A path ``open`` refuses is
+# one line with the OS's reason: a data error, or a config error (exit 1) for
+# the config file.
+OPENED_INPUTS = {"posts": "ingest", "stopwords": "prep", "equivalences": "prep",
+                 "config": "ingest"}
+UNOPENABLE = {"not-a-directory": "Not a directory",
+              "symlink-loop": "Too many levels of symbolic links"}
+
+
+@pytest.mark.parametrize("kind", sorted(UNOPENABLE))
+@pytest.mark.parametrize("flag", sorted(OPENED_INPUTS))
+def test_input_that_cannot_be_opened_is_one_line_with_the_reason(flag, kind, out_dir,
+                                                                  tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    if kind == "not-a-directory":
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        path = tmp_path / "file" / "x"
+    else:
+        path = tmp_path / "loop1"
+        os.symlink(tmp_path / "loop2", path)
+        os.symlink(path, tmp_path / "loop2")
+    capsys.readouterr()
+    code = main([OPENED_INPUTS[flag], *fixture_flags(out), f"--{flag}", str(path)])
+    err = capsys.readouterr().err
+    if flag == "config":
+        assert code == EXIT_VALIDATION
+        assert err == f"config error: config file {path}: {UNOPENABLE[kind]}\n"
+    else:
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(path) in err and UNOPENABLE[kind] in err
 
 
 # Each case appends a byte that is not UTF-8 to one artifact of a finished
@@ -1300,10 +1335,11 @@ UNDECODABLE_JSON = {
     "dump-line-long-int": ("ingest", "profiles.jsonl", "append", LONG_AGE, EXIT_OK,
                            "invalid JSON: integer literal too long"),
     "config-deep": ("ingest", "config.json", "write", DEEP_ARRAY, EXIT_VALIDATION,
-                    "config error: config file is not valid JSON: nested too deeply"),
+                    "config error: config file {path}: not valid JSON: nested too deeply"),
     "config-long-int": ("ingest", "config.json", "write",
                         '{"ranking": {"max_iter": ' + "9" * 5_000 + "}}", EXIT_VALIDATION,
-                        "config error: config file is not valid JSON: integer literal too long"),
+                        "config error: config file {path}: not valid JSON: "
+                        "integer literal too long"),
     "validating-reload-deep": ("build", "out/ingest/posts.jsonl", "append", DEEP_ARRAY,
                                EXIT_DATA, "invalid JSON: nested too deeply"),
     "validating-reload-long-int": ("stats", "out/ingest/profiles.jsonl", "append", LONG_AGE,
@@ -1343,7 +1379,7 @@ def test_json_that_json_cannot_decode_is_quarantined_or_one_line(case, out_dir, 
     assert main([stage, *flags]) == code
     err = capsys.readouterr().err
     if code == EXIT_VALIDATION:
-        assert err == f"{said}\n"
+        assert err == f"{said.format(path=path)}\n"
     elif code == EXIT_DATA:
         where = f"{path}:{line}" if path.suffix == ".jsonl" else f"{path}"
         assert err.startswith(f"data error: {where}: {said}") and err.count("\n") == 1

@@ -511,6 +511,17 @@ def test_equivalence_column_that_is_not_one_token_names_its_line(pair, tmp_path)
     assert str(err.value) == f"{path}:2: variant or canonical form is not one token"
 
 
+# A stop word is compared with whole tokens, so a line that normalizes to two
+# runs, to punctuation or to nothing would be kept and never match
+@pytest.mark.parametrize("term", ["a b", "c!", "!", "a-b", "ــ"])
+def test_stop_word_that_is_not_one_token_names_its_line(term, tmp_path):
+    path = tmp_path / "stops.txt"
+    path.write_text(f"# comment\nو\n{term}\n", encoding="utf-8")
+    with pytest.raises(textprep.InputFileError) as err:
+        textprep.load_stopwords(path)
+    assert str(err.value) == f"{path}:3: stop word is not one token"
+
+
 def test_tfidf_of_an_empty_corpus_is_value_error():
     vocab = textprep.build_vocabulary([textprep.NormalizedDocument("a", ("x",))], 1, 1.0)
     with pytest.raises(ValueError, match="corpus_size must be >= 1"):
