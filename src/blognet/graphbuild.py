@@ -12,10 +12,9 @@ import functools
 import re
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
-from urllib.parse import urlsplit
 
 from .config import parse_host_pattern
-from .ingest import BlogrollRecord, RawComment, RawPost, canonical_slug
+from .ingest import BlogrollRecord, RawComment, RawPost, _split_url, canonical_slug
 
 
 class Edge(NamedTuple):
@@ -64,8 +63,7 @@ class UrlResolver:
 
     def resolve(self, url: str) -> str | None:
         try:
-            parts = urlsplit(url.strip())
-            host = parts.hostname
+            _scheme, host, path = _split_url(url.strip())
         except ValueError:
             return None
         if not host:
@@ -78,7 +76,7 @@ class UrlResolver:
                     return label
         for pattern_host in self._path_hosts:
             if host == pattern_host:
-                segment = parts.path.lstrip("/").split("/", 1)[0]
+                segment = path.lstrip("/").split("/", 1)[0]
                 if segment:
                     return segment.lower()
         return None

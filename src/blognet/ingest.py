@@ -20,6 +20,7 @@ import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_type_hints
+from urllib.parse import urlsplit
 
 GENDERS = ("male", "female", "unspecified")
 EDUCATION_LEVELS = ("below-diploma", "diploma", "bachelor", "master", "doctorate", "unspecified")
@@ -147,6 +148,25 @@ def format_timestamp(dt: datetime) -> str:
 def canonical_slug(value: str) -> str:
     """Blog ids are case-insensitive slugs; fold to stripped lowercase."""
     return value.strip().lower()
+
+
+# A URL that ``urlsplit`` splits as this pattern reads it: scheme://host,
+# then an optional path, query and fragment. The host is ASCII letters,
+# digits, "." and "-", and nothing holds a tab or a line break, which
+# ``urlsplit`` deletes before splitting.
+_SIMPLE_URL_RE = re.compile(
+    r"([A-Za-z][A-Za-z0-9+.-]*)://([A-Za-z0-9.-]*)(/[^?#\t\r\n]*)?(?:[?#][^\t\r\n]*)?")
+
+
+def _split_url(url: str) -> tuple[str, str | None, str]:
+    """``url``'s scheme, host and path as ``urlsplit(url)`` gives them in its
+    ``scheme``, ``hostname`` and ``path``; raises ValueError where it does."""
+    simple = _SIMPLE_URL_RE.fullmatch(url)
+    if simple:
+        scheme, host, path = simple.groups()
+        return scheme.lower(), host.lower() or None, path or ""
+    parts = urlsplit(url)
+    return parts.scheme, parts.hostname, parts.path
 
 
 def read_lines(path: str | Path, encoding: str = "utf-8",
@@ -365,16 +385,14 @@ def load_blogroll(path: str | Path, *, trusted: bool = False) -> LoadResult:
     """Load blogroll.jsonl; target URLs must be syntactically valid http(s)."""
     if trusted:
         return _load_trusted(path, BlogrollRecord)
-    from urllib.parse import urlsplit
 
     @functools.cache  # each distinct URL is split once per file
     def is_http_url(url: str) -> bool:
         try:
-            parts = urlsplit(url)
-            host = parts.hostname
+            scheme, host, _path = _split_url(url)
         except ValueError:
             return False
-        return parts.scheme in ("http", "https") and bool(host)
+        return scheme in ("http", "https") and bool(host)
 
     def parse(obj: dict) -> BlogrollRecord:
         url = _string_field(obj, "target_url").strip()

@@ -9,6 +9,7 @@ running it twice never changes the result.
 
 from __future__ import annotations
 
+import html
 import itertools
 import math
 import re
@@ -115,17 +116,98 @@ class _TextExtractor(HTMLParser):
         if not self._skip_depth:
             self.parts.append(data)
 
+    def parse_marked_section(self, i, report=1):
+        # a "<![" with no keyword HTMLParser knows raises AssertionError
+        # there; its "<" is text, as it is before any other unknown markup
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            self.handle_data("<")
+            return i + 1
+
+
+# The tags the fast path reads: a start tag with attributes that are names,
+# or names with a quoted value holding no "<", ">" or "&", and an end tag with
+# no attributes. A name is ASCII letters and digits and ends at one of
+# " \t\n\r\f" or ">", as HTMLParser ends a tag name (other whitespace would
+# be part of its name).
+_SIMPLE_TAG_RE = re.compile(
+    r"<(?:([A-Za-z][A-Za-z0-9]*)"
+    r"""(?:[ \t\n\r\f]+[A-Za-z_:][-A-Za-z0-9_:.]*(?:="[^"<>&]*"|='[^'<>&]*')?)*"""
+    r"|/([A-Za-z][A-Za-z0-9]*))[ \t\n\r\f]*>"
+)
+
+
+def _strip_simple_markup(raw: str) -> str | None:
+    """What ``_TextExtractor`` collects from ``raw`` when every "<" in it opens
+    a ``_SIMPLE_TAG_RE`` tag other than script or style; None otherwise.
+
+    HTMLParser unescapes the text between two tags on its own, so each piece
+    is unescaped apart: "&am<b>p;" is two pieces, not an "&amp;".
+    """
+    pieces = _SIMPLE_TAG_RE.split(raw)  # text, start name, end name, text, ...
+    if 3 * raw.count("<") != len(pieces) - 1:
+        return None
+    out = [html.unescape(pieces[0])]
+    for i in range(1, len(pieces), 3):
+        tag = (pieces[i] or pieces[i + 1]).lower()
+        if tag in _SKIPPED_ELEMENTS:
+            return None
+        if tag in _BLOCK_ELEMENTS:
+            out.append(" ")
+        out.append(html.unescape(pieces[i + 2]))
+    return "".join(out)
+
+
+# HTMLParser ends a tag name at one of these
+_TAG_NAME_END_RE = re.compile(r"([\t\n\r\f />\x00])")
+_TAG_OPEN_RE = re.compile(r"<[A-Za-z]")
+
+
+def _escape_tail(tail: str) -> str:
+    """``tail``, the text after the last ">", with "&lt;" for each "<" that
+    HTMLParser reads as text, so that it reads none as a tag.
+
+    Every tag, comment and declaration HTMLParser completes ends with ">",
+    but one: a start tag whose name runs into a NUL that follows neither a
+    quote nor whitespace is passed on verbatim, entities and all, up to the
+    NUL. HTMLParser emits any other "<" in ``tail`` as text, alone or with
+    the text up to the next "<", entity-decoded. "&lt;" decodes to that "<"
+    and ends any entity before it, so the text is the same.
+    """
+    if "\x00" not in tail:
+        return tail.replace("<", "&lt;")
+    pieces = _TAG_NAME_END_RE.split(tail)  # name run, end, name run, ...
+    for i in range(0, len(pieces), 2):
+        run = pieces[i]
+        verbatim = len(run)
+        last = run[-1:]
+        if pieces[i + 1:i + 2] == ["\x00"] and last and last not in "'\"" and not last.isspace():
+            opened = _TAG_OPEN_RE.search(run)
+            if opened:
+                verbatim = opened.start()
+        pieces[i] = run[:verbatim].replace("<", "&lt;") + run[verbatim:]
+    return "".join(pieces)
+
 
 def strip_html(raw: str) -> str:
     """Drop tags and script/style bodies, decode entities, collapse whitespace.
 
-    Ill-formed markup is handled best-effort; an unclosed <script> swallows
-    the rest of the input, matching how browsers terminate it at EOF.
+    Markup that ``_SIMPLE_TAG_RE`` covers is read without HTMLParser; any
+    other input goes to it. Ill-formed markup is handled best-effort; an
+    unclosed <script> swallows the rest of the input, matching how browsers
+    terminate it at EOF. HTMLParser scans to the end of the input from each
+    "<" it finds no ">" after, so that text is escaped first: the time
+    stays linear in the input.
     """
-    parser = _TextExtractor()
-    parser.feed(raw)
-    parser.close()
-    return " ".join("".join(parser.parts).split())
+    text = _strip_simple_markup(raw)
+    if text is None:
+        cut = raw.rfind(">") + 1
+        parser = _TextExtractor()
+        parser.feed(raw[:cut] + _escape_tail(raw[cut:]))
+        parser.close()
+        text = "".join(parser.parts)
+    return " ".join(text.split())
 
 
 # --- character normalization ------------------------------------------------
@@ -190,15 +272,16 @@ def remove_stopwords(tokens: Sequence[str], stoplist: set[str]) -> list[str]:
 def _parse_stopwords(
     content: str, source: object, equivalences: Mapping[str, str] | None, unify_alef: bool
 ) -> set[str]:
-    """The stop list in ``content``; each term must normalize to one token
-    run, or it would never match a token."""
+    """The stop list in ``content``; each term must normalize to a string
+    that ``tokenize`` reads as that one token, or it would never match one
+    (a ZWNJ at its edge or an all-digit term would be kept and never met)."""
     stops = set()
     for line_no, line in enumerate(content.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         term = normalize(line, equivalences, unify_alef)
-        if not _TOKEN_RE.fullmatch(term):
+        if tokenize(term) != [term]:
             raise InputFileError(f"{source}:{line_no}: stop word is not one token")
         stops.add(term)
     return stops

@@ -5,9 +5,9 @@ test: SCCs via Floyd-Warshall transitive closure instead of Tarjan,
 PageRank/HITS via dense matrix power iteration instead of sparse scatter
 sums, clustering via triple enumeration. The similarity matrix, character
 unification, tokenization, href masking, blog-id checks, blogroll URL
-resolution and validation, timestamp parsing and formatting, and JSONL
-writing keep the slow, direct versions that the faster library code
-replaced.
+resolution and validation, HTML stripping, URL resolution, timestamp parsing
+and formatting, and JSONL writing keep the slow, direct versions that the
+faster library code replaced.
 """
 
 from __future__ import annotations
@@ -199,6 +199,38 @@ def candidate_links_by_rebuild(html: str) -> list[tuple[str, bool]]:
     for m in graphbuild._BARE_URL_RE.finditer(masked):
         out.append((m.group(), False))
     return out
+
+
+def strip_html_by_parser(raw: str) -> str:
+    """HTML stripping with all of ``raw`` fed to ``HTMLParser`` as it is
+    (quadratic in the text after the last ">")."""
+    parser = textprep._TextExtractor()
+    parser.feed(raw)
+    parser.close()
+    return " ".join("".join(parser.parts).split())
+
+
+def resolve_by_urlsplit(resolver: graphbuild.UrlResolver, url: str) -> str | None:
+    """``resolver.resolve(url)`` with every URL split by ``urlsplit``."""
+    try:
+        parts = urlsplit(url.strip())
+        host = parts.hostname
+    except ValueError:
+        return None
+    if not host:
+        return None
+    host = host.removeprefix("www.")
+    for suffix in resolver._subdomain_suffixes:
+        if host.endswith(suffix):
+            label = host[: -len(suffix)]
+            if label and "." not in label:
+                return label
+    for pattern_host in resolver._path_hosts:
+        if host == pattern_host:
+            segment = parts.path.lstrip("/").split("/", 1)[0]
+            if segment:
+                return segment.lower()
+    return None
 
 
 def canonical_blog_id_by_scan(raw: str) -> str:

@@ -1,0 +1,196 @@
+"""The exact fast paths for markup (``textprep.strip_html``) and URLs
+(``ingest._split_url``) against the parsers they stand in for: generated
+input compared with ``HTMLParser`` fed whole and with ``urlsplit``
+(differential testing, McKeeman 1998), and the fast paths' output compared
+across every CPython 3.10+ on the host.
+
+Input the fast paths do not take goes to ``html.parser`` and ``urlsplit``,
+whose rules differ between interpreter releases, so only input the fast paths
+take is compared across interpreters.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from urllib.parse import urlsplit
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import blognet
+from blognet import graphbuild, ingest, textprep
+from conftest import FIXTURES
+from oracles import resolve_by_urlsplit, strip_html_by_parser
+from test_digests import other_interpreters
+
+CORPUS = FIXTURES / "fast_paths.json"
+SMALLBLOG_POSTS = FIXTURES / "smallblog" / "posts.jsonl"
+
+# each list's first part holds what the fast path reads, the rest what it
+# leaves to HTMLParser
+TAG_NAMES = (["p", "P", "dIv", "td", "TR", "li", "br", "h1", "a", "B", "span", "x1"],
+             ["sCrIpT", "style", "p\xa0", "div\x0b", "a\x00"])
+ATTRIBUTES = (["", ' href="http://b01.blogville.example/post/1"', " title='t'", " hidden",
+               ' data-x=""', "\n\tclass=\"c\"", "\fid='i'"],
+              [" x=1", ' x="<"', " x='>'", ' x="a&amp;b"', ' x="1"y="2"', " /", ' "q"'])
+TAG_ENDS = ([">", " >", "\r\n>"], ["/>", " />", ""])
+TEXT = ["x", "سلام", " ", "\n", "&amp;", "&am", "p;", "&#1587;", "&#x41", "&nbsp",
+        "&", ">", "\x00", "\xa0", "'", '"', "=", "/"]
+OTHER_MARKUP = ["<", "< p>", "<1>", "</", "</ a>", "</>", "<!-- c -->", "<!--", "-->",
+                "<!x>", "<!doctype html>", "<![CDATA[x]]>", "<![", "<![ x>", "<![if x]>",
+                "<?pi?>", "<?"]
+
+
+@st.composite
+def tags(draw, simple: bool) -> str:
+    def part(choices):
+        return draw(st.sampled_from(choices[0] if simple else choices[0] + choices[1]))
+
+    name = part(TAG_NAMES)
+    if draw(st.booleans()):
+        return f"</{name}{part(TAG_ENDS)}"
+    attributes = "".join(part(ATTRIBUTES) for _ in range(draw(st.integers(0, 3))))
+    return f"<{name}{attributes}{part(TAG_ENDS)}"
+
+
+def markup(*pieces) -> st.SearchStrategy[str]:
+    return st.lists(st.one_of(*pieces), max_size=14).map("".join)
+
+
+# half the examples are built from what the fast path reads
+MARKUP = st.one_of(
+    markup(tags(simple=True), st.sampled_from(TEXT)),
+    markup(tags(simple=False), st.sampled_from(TEXT), st.sampled_from(OTHER_MARKUP)),
+)
+
+
+def test_markup_fast_path_matches_html_parser():
+    taken = []
+
+    @settings(max_examples=1000, deadline=None)
+    @given(MARKUP)
+    def check(raw):
+        taken.append(textprep._strip_simple_markup(raw) is not None)
+        assert textprep.strip_html(raw) == strip_html_by_parser(raw)
+
+    check()
+    assert len(taken) / 4 <= sum(taken) <= len(taken) * 3 / 4
+
+
+@pytest.mark.parametrize("raw, expected", [
+    ("&am<b>p;", "&amp;"),                    # each piece is unescaped on its own
+    ("<p>a</P><SPAN>b</span>", "a b"),
+    ('<a href="u" title=\'t\' hidden>x</a>y', "xy"),
+    ("a<p\xa0>b", "ab"),                     # "p\xa0" is the tag's name, not a block
+    ("a<div\x0b>b", "ab"),
+    ("x<a&amp;\x00y", "x<a&amp;\x00y"),       # a name cut by NUL is text, verbatim
+    ("x<a&amp;\"\x00y", "x<a&\"\x00y"),        # ... unless a quote or space ends it
+    ("a<![ b", "a<![ b"),                     # HTMLParser raises on this "<!["
+    ("a<![ b>c", "a<![ b>c"),
+])
+def test_strip_html_cases(raw, expected):
+    assert textprep.strip_html(raw) == expected == strip_html_by_parser(raw)
+
+
+# each list's first part holds what the fast path reads, the rest what it
+# leaves to urlsplit
+SCHEMES = (["http", "https", "HTTP", "hTtPs", "ftp", "git+ssh", "a.b-c"], ["1x", "-x", ""])
+SEPARATORS = (["://"], [":", "//", ":///", ":/"])
+USERINFO = ([""], ["user@", "u:p@", "@"])
+HOSTS = (["b01.blogville.example", "www.B02.blogville.example", "blogville.example",
+          "a.b.blogville.example", "evil.com", "xn--4ca.example", "-.", ""],
+         ["[::1]", "[bad", "a]b", "ä.blogville.example", "user﹫host.com",
+          "b03．blogville.example", "h_1.example"])
+PORTS = ([""], [":80", ":x", ":"])
+PATHS = (["", "/", "/b04/post/1", "//x", "/%41/%zz", "/a b", "/ا"], [])
+QUERIES = (["", "?q=1", "?a=/b#c", "#f", "#/x?y"], [])
+
+
+@st.composite
+def urls(draw, simple: bool) -> str:
+    url = "".join(draw(st.sampled_from(parts[0] if simple else parts[0] + parts[1]))
+                  for parts in (SCHEMES, SEPARATORS, USERINFO, HOSTS, PORTS, PATHS, QUERIES))
+    if simple:
+        return url
+    if draw(st.integers(0, 3)) == 0:  # urlsplit deletes these wherever they are
+        at = draw(st.integers(0, len(url)))
+        url = url[:at] + draw(st.sampled_from(["\t", "\n", "\r"])) + url[at:]
+    pad = draw(st.sampled_from(["", " ", "\x1f"]))
+    return pad + url + pad
+
+
+def outcome(split, url):
+    try:
+        return split(url)
+    except ValueError:
+        return "ValueError"
+
+
+def split_by_urlsplit(url):
+    parts = urlsplit(url)
+    return parts.scheme, parts.hostname, parts.path
+
+
+RESOLVER = graphbuild.UrlResolver(["{blog}.blogville.example", "blogville.example/{blog}"])
+
+
+def test_url_fast_path_matches_urlsplit():
+    taken = []
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(urls(simple=True), urls(simple=False)))
+    def check(url):
+        taken.append(bool(ingest._SIMPLE_URL_RE.fullmatch(url)))
+        assert outcome(ingest._split_url, url) == outcome(split_by_urlsplit, url)
+        assert RESOLVER.resolve(url) == resolve_by_urlsplit(RESOLVER, url)
+
+    check()
+    assert len(taken) / 5 <= sum(taken) <= len(taken) * 4 / 5
+
+
+# run by each interpreter: the stripped text of every title and body of the
+# fixture and of the corpus, and the resolution of every citation URL in the
+# fixture and of the corpus's URLs
+RUN_FAST_PATHS = """
+import json, sys
+from blognet import graphbuild, ingest, textprep
+corpus = json.loads(open(sys.argv[1], encoding="utf-8").read())
+posts = ingest.load_posts(sys.argv[2]).records
+resolver = graphbuild.UrlResolver(corpus["patterns"])
+markup = [text for post in posts for text in (post.title, post.body)] + corpus["markup"]
+links = [url for post in posts for url, relative in graphbuild._candidate_links(post.body)
+         if not relative]
+print(json.dumps({"markup": [textprep.strip_html(text) for text in markup],
+                  "urls": [resolver.resolve(url) for url in links + corpus["urls"]],
+                  "splits": [ingest._split_url(url) for url in corpus["urls"]]}))
+"""
+
+
+def fast_path_results(python: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(Path(blognet.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run([python, "-c", RUN_FAST_PATHS, str(CORPUS), str(SMALLBLOG_POSTS)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, f"{python}: {run.stderr}"
+    return json.loads(run.stdout)
+
+
+def test_corpus_takes_the_fast_paths():
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    posts = ingest.load_posts(SMALLBLOG_POSTS).records
+    fixture_markup = [text for post in posts for text in (post.title, post.body)]
+    assert [raw for raw in corpus["markup"] + fixture_markup
+            if textprep._strip_simple_markup(raw) is None] == []
+    assert [url for url in corpus["urls"] if not ingest._SIMPLE_URL_RE.fullmatch(url)] == []
+
+
+def test_fast_paths_give_the_same_results_under_every_other_interpreter():
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10+ found")
+    expected = fast_path_results(sys.executable)
+    for python in interpreters:
+        assert fast_path_results(python) == expected, python

@@ -1,11 +1,16 @@
+import gc
+import json
 import math
 import random
+import shutil
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blognet import textprep
+from blognet.cli import EXIT_OK, main
 from blognet.textprep import (
     DocumentVector,
     NormalizedDocument,
@@ -18,6 +23,7 @@ from blognet.textprep import (
     tokenize,
     vectorize_tfidf,
 )
+from conftest import FIXTURES
 from oracles import pairwise_similarity_matrix, tokenize_by_finditer, translate_unify_chars
 
 ZWNJ = "‌"
@@ -526,3 +532,58 @@ def test_tfidf_of_an_empty_corpus_is_value_error():
     vocab = textprep.build_vocabulary([textprep.NormalizedDocument("a", ("x",))], 1, 1.0)
     with pytest.raises(ValueError, match="corpus_size must be >= 1"):
         textprep.vectorize_tfidf(textprep.NormalizedDocument("a", ("x",)), vocab, 0)
+
+
+# HTMLParser scans to the end of the input from each "<" that no ">" follows,
+# so these grew ~4x per doubling before ``strip_html`` escaped that text
+@pytest.mark.parametrize("unit", ["<a ", "x <a", "<a x=1 "])
+def test_unclosed_start_tags_strip_in_linear_time(unit):
+    def seconds(copies: int) -> float:
+        raw = unit * copies
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            strip_html(raw)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    # the collector's full passes cost what the rest of the suite left on the
+    # heap, not what this input costs
+    gc.collect()
+    gc.disable()
+    try:
+        small, large = seconds(2000), seconds(8000)
+    finally:
+        gc.enable()
+    # ~2.3x per doubling at most, over two doublings from 6 KB of "<a "
+    assert large <= 2.3 ** 2 * small + 0.001
+    assert strip_html(unit * 3) == " ".join((unit * 3).split())
+
+
+@pytest.mark.parametrize("term", ["‌و", "و‌", "123", "۱۲۳", "1‌2"])
+def test_stop_word_that_tokenize_reads_otherwise_names_its_line(term, tmp_path):
+    path = tmp_path / "stops.txt"
+    path.write_text(f"# comment\nو\n{term}\n", encoding="utf-8")
+    with pytest.raises(textprep.InputFileError) as err:
+        textprep.load_stopwords(path)
+    assert str(err.value) == f"{path}:3: stop word is not one token"
+
+
+@pytest.mark.parametrize("unify_alef", [True, False])
+def test_each_packaged_stop_word_is_the_one_token_tokenize_reads(unify_alef):
+    stops = textprep.default_stopwords(unify_alef=unify_alef)
+    assert stops and all(tokenize(term) == [term] for term in stops)
+    assert "می‌کند" in stops  # a ZWNJ inside a term is part of it
+
+
+def test_prep_strips_a_post_of_48_kb_of_unclosed_tags_in_seconds(tmp_path, monkeypatch):
+    shutil.copytree(FIXTURES / "smallblog", tmp_path / "dump")
+    monkeypatch.chdir(tmp_path / "dump")
+    post = {"post_id": "huge", "blog_id": "b01", "title": "t", "body": "<a " * 16000,
+            "published_at": "2010-04-05T10:00:00Z"}
+    with open("posts.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(post) + "\n")
+    assert main(["ingest", "--config", "config.json", "--out-dir", "out"]) == EXIT_OK
+    start = time.perf_counter()
+    assert main(["prep", "--config", "config.json", "--out-dir", "out"]) == EXIT_OK
+    assert time.perf_counter() - start < 5
