@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import count, zip_longest
 from operator import itemgetter
 from pathlib import Path
@@ -159,11 +159,16 @@ class Stage:
     def write_csv(self, name: str, rows, header: list[str] | None = None) -> None:
         """Write CSV artifact ``name``: its header, which is the
         ``CSV_ARTIFACTS`` columns for a file a later stage reads back, then
-        ``rows``."""
-        with open(self.output(name), "w", encoding="utf-8", newline="") as fh:
+        ``rows``. A value the csv module cannot write (a NUL before Python
+        3.11) raises ArtifactError naming the file."""
+        path = self.output(name)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header or CSV_ARTIFACTS[self.name, name][0])
-            writer.writerows(rows)
+            try:
+                writer.writerow(header or CSV_ARTIFACTS[self.name, name][0])
+                writer.writerows(rows)
+            except csv.Error as err:
+                raise ArtifactError(f"{path}: cannot write a row: {err}") from None
 
     def read_csv(self, stage: str, name: str, key: str | None = None,
                  **overrides: Callable[[str], Any]) -> Iterator[list]:
@@ -225,14 +230,12 @@ def cmd_ingest(stage: Stage) -> dict:
 
 def _ingest_digests(stage: Stage) -> dict:
     """File name -> sha256 of each file ingest wrote, from its manifest; empty
-    when the manifest is missing, malformed or holds no ``output_sha256``."""
+    when the manifest is missing, malformed or holds no ``output_sha256`` object."""
     try:
-        manifest = ingest_mod.decode_json(
-            ingest_mod.read_text(Path(stage.cfg.out_dir) / "ingest/manifest.json", "utf-8"))
-        digests = manifest["output_sha256"]
-    except (OSError, ValueError, KeyError, TypeError):
+        return _read_artifact_json(Path(stage.cfg.out_dir) / "ingest/manifest.json",
+                                   {"output_sha256": {}})["output_sha256"]
+    except (OSError, ValueError):
         return {}
-    return digests if isinstance(digests, dict) else {}
 
 
 def _load_ingested(stage: Stage, names: list[str]) -> dict[str, list]:
@@ -442,33 +445,40 @@ def _read_artifact_csv(
     that is not UTF-8 InputFileError; a wrong column count, a value its
     converter rejects with ValueError, or a row whose first ``key_columns``
     (at least one) values repeat an earlier row's raises ArtifactError naming
-    ``file:line``. The key is checked before the other values are converted,
-    so a repeated row is named as one."""
+    ``file:line``, as does a line the csv module rejects (a NUL before Python
+    3.11). The key is checked before the other values are converted, so a
+    repeated row is named as one."""
     width = len(columns)
     converted = [(i, convert) for i, convert in enumerate(columns.values()) if convert is not str]
     key_converted = [(i, convert) for i, convert in converted if i < key_columns]
     value_converted = [(i, convert) for i, convert in converted if i >= key_columns]
     key_of = itemgetter(*range(key_columns))
     keys: set = set()
+    # a field of any length a stage wrote is read back, where the csv module's
+    # default limit is 131,072 characters (2**31 - 1 fits every C long)
+    csv.field_size_limit(2**31 - 1)
     reader = csv.reader(ingest_mod.read_lines(path, newline=""))
-    header = next(reader, None)
-    if header != list(columns):
-        raise ArtifactError(f"unexpected CSV header in {path}: {header}")
-    for row in reader:
-        try:
-            if len(row) != width:
-                raise ValueError(f"expected {width} columns, got {len(row)}")
-            for i, convert in key_converted:
-                row[i] = convert(row[i])
-            key = key_of(row)
-            if key in keys:
-                raise ValueError(f"repeats an earlier row's {tuple(row[:key_columns])}")
-            keys.add(key)
-            for i, convert in value_converted:
-                row[i] = convert(row[i])
-        except ValueError as err:
-            raise ArtifactError(f"{path}:{reader.line_num}: malformed row: {err}") from None
-        yield row
+    try:
+        header = next(reader, None)
+        if header != list(columns):
+            raise ArtifactError(f"unexpected CSV header in {path}: {header}")
+        for row in reader:
+            try:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} columns, got {len(row)}")
+                for i, convert in key_converted:
+                    row[i] = convert(row[i])
+                key = key_of(row)
+                if key in keys:
+                    raise ValueError(f"repeats an earlier row's {tuple(row[:key_columns])}")
+                keys.add(key)
+                for i, convert in value_converted:
+                    row[i] = convert(row[i])
+            except ValueError as err:
+                raise ArtifactError(f"{path}:{reader.line_num}: malformed row: {err}") from None
+            yield row
+    except csv.Error as err:
+        raise ArtifactError(f"{path}:{reader.line_num}: malformed row: {err}") from None
 
 
 def _digraph(labels: list[str], arcs: list[tuple], source: str) -> SimpleDigraph:
@@ -606,12 +616,11 @@ def cmd_rank(stage: Stage) -> dict:
         "weighted": cfg.weighted_rank,
         "pagerank": {"iterations": pr.iterations_used, "converged": pr.converged},
     }
-    if graph.arc_count:
+    hub = authority = None  # HITS is undefined without arcs; the files are written all the same
+    try:
         hub, authority = ranking.hits(graph, cfg.max_iter, cfg.tol, cfg.hits_norm)
         counts["hits"] = {"iterations": hub.iterations_used, "converged": hub.converged}
-    else:
-        # HITS is undefined without arcs; keep the artifact set stable
-        hub = authority = None
+    except ranking.GraphHasNoArcsError:
         counts["hits"] = {"skipped": "graph has no arcs"}
 
     rankings = {"indegree": ranking.indegree_rank(graph), "pagerank": pr,
@@ -664,10 +673,9 @@ def cmd_stats(stage: Stage) -> dict:
     payload = {
         **report._asdict(),
         "window": None if window is None else {
+            **asdict(window),
             "start": ingest_mod.format_timestamp(window.start),
             "end": ingest_mod.format_timestamp(window.end),
-            "min_posts": window.min_posts,
-            "require_monthly": window.require_monthly,
         },
         "demographics": {
             **demo._asdict(), "age_histogram": {str(k): v for k, v in demo.age_histogram.items()},

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_type_hints
@@ -269,11 +268,6 @@ _ARTIFACT_TYPES = {
     datetime: (str,),
 }
 _CANONICAL_TS_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
-# ``fromisoformat`` reads the ``Z`` suffix from Python 3.11 on
-_from_canonical_ts = (
-    datetime.fromisoformat if sys.version_info >= (3, 11)
-    else lambda ts: datetime.fromisoformat(ts[:-1] + "+00:00")
-)
 
 
 def _load_trusted(path: str | Path, record_type: type, check=None) -> LoadResult:
@@ -314,7 +308,7 @@ def _load_trusted(path: str | Path, record_type: type, check=None) -> LoadResult
                 if stamp:
                     if not _CANONICAL_TS_RE.fullmatch(value):
                         raise ValueError(f"field {name!r} is not a canonical UTC timestamp")
-                    obj[name] = _from_canonical_ts(value)
+                    obj[name] = datetime.fromisoformat(value[:-1] + "+00:00")  # 3.10 reads no Z
             if len(obj) != len(fields):
                 raise ValueError(f"unexpected field {min(obj.keys() - hints)!r}")
             record = record_type(**obj)

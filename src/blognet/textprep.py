@@ -9,12 +9,14 @@ running it twice never changes the result.
 
 from __future__ import annotations
 
+import heapq
 import html
 import itertools
 import math
 import re
 import unicodedata
 from collections import Counter, defaultdict
+from graphlib import CycleError, TopologicalSorter
 from html.parser import HTMLParser
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -175,8 +177,6 @@ def _escape_tail(tail: str) -> str:
     the text up to the next "<", entity-decoded. "&lt;" decodes to that "<"
     and ends any entity before it, so the text is the same.
     """
-    if "\x00" not in tail:
-        return tail.replace("<", "&lt;")
     pieces = _TAG_NAME_END_RE.split(tail)  # name run, end, name run, ...
     for i in range(0, len(pieces), 2):
         run = pieces[i]
@@ -212,14 +212,57 @@ def strip_html(raw: str) -> str:
 
 # --- character normalization ------------------------------------------------
 
-def _unify_chars(text: str, chain: tuple[tuple[str, str], ...]) -> str:
+# madda above, hamza above and hamza below: NFC composes each with a bare alef
+_ALEF_MARKS = "\u0653\u0654\u0655"
+_ALEF_MARK_RE = re.compile(f"[{_ALEF_MARKS}]")
+_ALEFS = "\u0622\u0623\u0625\u0627"
+
+
+def _drop_alef_marks(text: str) -> str:
+    """NFC ``text`` without the marks that later passes would compose into
+    an alef, one a pass, for the alef map to turn back into a bare alef.
+
+    NFC leaves a combining run in class order and composes a mark with the
+    letter before it unless an earlier mark of the run has an equal or
+    higher class ("blocked", UAX #15). So those are, in the run after an
+    alef, each of ``_ALEF_MARKS`` whose class is above that of every mark
+    kept before it. Each run is scanned once.
+    """
+    pieces, copied = [], 0
+    match = _ALEF_MARK_RE.search(text)
+    while match:
+        start = end = match.start()
+        while start and unicodedata.combining(text[start - 1]):
+            start -= 1
+        while end < len(text) and unicodedata.combining(text[end]):
+            end += 1
+        if start and text[start - 1] in _ALEFS:
+            top = 0
+            pieces.append(text[copied:start])
+            for mark in text[start:end]:
+                ccc = unicodedata.combining(mark)
+                if mark not in _ALEF_MARKS or ccc <= top:
+                    pieces.append(mark)
+                    top = max(top, ccc)
+            copied = end
+        match = _ALEF_MARK_RE.search(text, end)
+    return "".join(pieces) + text[copied:] if pieces else text
+
+
+def _unify_chars(text: str, unify_alef: bool) -> str:
     # NFC can re-create mapped codepoints by composing a base letter with a
     # stray combining mark (e.g. alef + madda), so iterate to a fixpoint.
-    # Every changing pass shortens the string; this terminates quickly.
+    # NFC composes one mark a pass into an alef that the chain turns back
+    # into a bare one, so the marks it would go on composing are dropped at
+    # once; a tatweel whose removal joins a letter to its marks can still
+    # take one more pass, so the passes stay few.
+    chain = _CHAIN_WITH_ALEF if unify_alef else _CHAIN_NO_ALEF
     prev = None
     while text != prev:
         prev = text
         text = unicodedata.normalize("NFC", text)
+        if unify_alef and any(mark in text for mark in _ALEF_MARKS):
+            text = _drop_alef_marks(text)
         for src, dst in chain:
             text = text.replace(src, dst)
     return text
@@ -236,13 +279,12 @@ def normalize(
     ``equivalences`` must come from :func:`load_equivalences`, which
     pre-normalizes both columns so that this function stays idempotent.
     """
-    chain = _CHAIN_WITH_ALEF if unify_alef else _CHAIN_NO_ALEF
-    text = _unify_chars(text, chain)
+    text = _unify_chars(text, unify_alef)
     if equivalences:
         text = _TOKEN_RE.sub(
             lambda m: equivalences.get(m.group().lower(), m.group()), text
         )
-        text = _unify_chars(text, chain)
+        text = _unify_chars(text, unify_alef)
     return text.lower()
 
 
@@ -326,18 +368,14 @@ def load_equivalences(path: str | Path, unify_alef: bool = True) -> dict[str, st
         if not (_TOKEN_RE.fullmatch(variant) and _TOKEN_RE.fullmatch(canonical)):
             raise InputFileError(f"{path}:{line_no}: variant or canonical form is not one token")
         mapping[variant] = canonical
-    resolved: dict[str, str] = {}
-    for start in mapping:
-        seen = {start}
-        target = mapping[start]
-        while target in mapping:
-            if target in seen:
-                raise InputFileError(f"{path}: equivalence cycle involving {start!r}")
-            seen.add(target)
-            target = mapping[target]
-        if target != start:
-            resolved[start] = target
-    return resolved
+    order = TopologicalSorter({variant: (canonical,) for variant, canonical in mapping.items()})
+    try:
+        for term in order.static_order():  # a canonical form before its variants
+            if (target := mapping.get(term)) is not None:
+                mapping[term] = mapping.get(target, target)
+    except CycleError as err:
+        raise InputFileError(f"{path}: equivalence cycle involving {err.args[1][0]!r}") from None
+    return mapping
 
 
 # --- vocabulary and vectors --------------------------------------------------
@@ -364,9 +402,8 @@ def build_vocabulary(
         df.update(set(doc.tokens))
     max_df = max_df_ratio * len(docs)
     kept = [t for t, n in df.items() if min_df <= n <= max_df]
-    if top_k is not None and len(kept) > top_k:
-        kept.sort(key=lambda t: (-df[t], t))
-        kept = kept[:top_k]
+    if top_k is not None:
+        kept = heapq.nsmallest(top_k, kept, key=lambda t: (-df[t], t))
     kept.sort()
     return Vocabulary(
         terms=tuple(kept),

@@ -639,6 +639,19 @@ def test_unreadable_input_is_data_error(case, out_dir, tmp_path, capsys):
     assert str(path) in err
 
 
+def test_equivalence_cycle_reached_through_a_chain_is_one_data_error(out_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    path = tmp_path / "eq.tsv"
+    path.write_text("x\ta\na\tb\nb\ta\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["prep", *fixture_flags(out), "--equivalences", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"data error: {path}: equivalence cycle involving ")
+    assert err.rstrip().endswith(("'a'", "'b'"))  # a term on the cycle, not 'x'
+
+
 # Each input flag, with the stage that reads it. A path ``open`` refuses is
 # one line with the OS's reason: a data error, or a config error (exit 1) for
 # the config file.
@@ -1455,3 +1468,52 @@ def test_config_file_of_the_wrong_shape_is_one_config_error(document, problem, t
 def test_flag_that_is_not_a_boolean_exits_1(capsys):
     assert main(["rank", "--weighted-rank", "maybe"]) == EXIT_VALIDATION
     assert "expected a boolean, got 'maybe'" in capsys.readouterr().err
+
+
+def _fixture_dump_with_blog(tmp_path, blog_id: str) -> Path:
+    """A copy of the fixture dump with one more blog, ``blog_id``: a profile
+    and a blogroll entry to b01, so the id reaches the edge files clean reads."""
+    dump = tmp_path / "dump"
+    shutil.copytree(SMALLBLOG, dump)
+    with open(dump / "blogroll.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"owner_blog_id": blog_id,
+                             "target_url": "http://b01.blogville.example/"}) + "\n")
+    with open(dump / "profiles.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"blog_id": blog_id, "age": 30, "gender": "male",
+                             "education": "bachelor", "marital_status": "single"}) + "\n")
+    return dump
+
+
+# the csv module reads no field longer than 131,072 characters by default
+def test_a_blog_id_longer_than_the_csv_field_limit_runs_every_stage(tmp_path, monkeypatch):
+    blog_id = "z" * 200_000
+    monkeypatch.chdir(_fixture_dump_with_blog(tmp_path, blog_id))
+    for stage in ALL_STAGES:
+        assert main([stage, "--config", "config.json", "--out-dir", "out"]) == EXIT_OK, stage
+    with open("out/build/edges_merged.csv", encoding="utf-8", newline="") as fh:
+        assert [blog_id, "b01", "blogroll", "1"] in csv.reader(fh)
+
+
+# Python 3.10's csv reader raises on a NUL anywhere in a line; 3.11 reads it
+RUN_CLEAN = "import sys; from blognet.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_a_nul_in_a_csv_artifact_is_one_data_error_under_every_other_interpreter(tmp_path):
+    from test_digests import other_interpreters
+
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10+ found")
+    out = tmp_path / "out"
+    for stage in ("ingest", "build"):
+        assert main([stage, *fixture_flags(out)]) == EXIT_OK
+    merged = out / "build/edges_merged.csv"
+    merged.write_text(merged.read_text("utf-8").replace("b02,", "b0\0" "2,", 1), "utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(blognet.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    for python in interpreters:
+        run = subprocess.run([python, "-c", RUN_CLEAN, "clean", *fixture_flags(out)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == EXIT_DATA, f"{python}: {run.stderr}"
+        assert run.stderr.startswith(f"data error: {merged}") and run.stderr.count("\n") == 1, \
+            f"{python}: {run.stderr}"

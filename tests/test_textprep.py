@@ -587,3 +587,75 @@ def test_prep_strips_a_post_of_48_kb_of_unclosed_tags_in_seconds(tmp_path, monke
     start = time.perf_counter()
     assert main(["prep", "--config", "config.json", "--out-dir", "out"]) == EXIT_OK
     assert time.perf_counter() - start < 5
+
+
+
+# Alefs, the three marks NFC composes with a bare alef (madda above, hamza
+# above, hamza below), marks of other combining classes, tatweel, whose
+# removal joins a letter to the marks after it, Hangul jamo, which compose as
+# starters, and letters a hamza composes with or none does
+COMPOSING_ALPHABET = (
+    "\u0627\u0622\u0623\u0625"
+    "\u0653\u0654\u0655"
+    "\u0657\u0670\u0301\u05b0\u0f71"  # combining classes 31, 35, 230, 10, 129
+    "\u0640"
+    "\u1100\u1161\u11a8"
+    "\u0648\u064a\u0647 a"
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=COMPOSING_ALPHABET, max_size=40))
+def test_composing_marks_unify_as_the_translate_oracle_does(text):
+    for unify_alef, table in ((True, textprep._TABLE_WITH_ALEF),
+                              (False, textprep._TABLE_NO_ALEF)):
+        assert normalize(text, unify_alef=unify_alef) == (
+            translate_unify_chars(text, table).lower()
+        )
+
+
+# each pass used to compose one mark into the alef, and the alef map turned
+# it back into a bare alef: one whole-text pass per mark, ~4x per doubling
+@pytest.mark.parametrize("mark", ["\u0653", "\u0654", "\u0655"])
+def test_alef_with_composing_marks_normalizes_in_linear_time(mark):
+    def seconds(copies: int) -> float:
+        text = "\u0627" + mark * copies
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            normalize(text)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    gc.collect()
+    gc.disable()
+    try:
+        small, large = seconds(1000), seconds(4000)
+    finally:
+        gc.enable()
+    # ~2.3x per doubling at most, over two doublings
+    assert large <= 2.3 ** 2 * small + 0.001
+    assert normalize("\u0627" + mark * 3) == "\u0627"
+
+
+def test_prep_normalizes_a_post_of_48_kb_of_alef_maddas_in_seconds(tmp_path, monkeypatch):
+    shutil.copytree(FIXTURES / "smallblog", tmp_path / "dump")
+    monkeypatch.chdir(tmp_path / "dump")
+    post = {"post_id": "huge", "blog_id": "b01", "title": "t",
+            "body": "\u0627" + "\u0653" * 24000, "published_at": "2010-04-05T10:00:00Z"}
+    with open("posts.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(post) + "\n")
+    assert main(["ingest", "--config", "config.json", "--out-dir", "out"]) == EXIT_OK
+    start = time.perf_counter()
+    assert main(["prep", "--config", "config.json", "--out-dir", "out"]) == EXIT_OK
+    assert time.perf_counter() - start < 5
+
+
+# each variant used to be walked to its chain's end: quadratic in the chain
+def test_a_20000_line_equivalence_chain_loads_in_linear_time(tmp_path):
+    path = tmp_path / "eq.tsv"
+    path.write_text("".join(f"w{i}\tw{i + 1}\n" for i in range(20000)), encoding="utf-8")
+    start = time.perf_counter()
+    resolved = textprep.load_equivalences(path)
+    assert time.perf_counter() - start < 2
+    assert resolved == {f"w{i}": "w20000" for i in range(20000)}
