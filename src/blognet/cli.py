@@ -95,7 +95,8 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, payload) -> None:
-    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
+    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2,
+                      default=ingest_mod.format_timestamp)
     ingest_mod.write_lines(path, [text])
 
 
@@ -206,25 +207,21 @@ def cmd_ingest(stage: Stage) -> dict:
     offset = stage.cfg.utc_offset
 
     posts = ingest_mod.load_posts(inputs["posts"], offset)
-    loaded = {  # file name -> (load result, record serializer)
-        "posts": (posts, ingest_mod.post_to_dict),
-        "comments": (ingest_mod.load_comments(
-            inputs["comments"], {p.post_id for p in posts.records}, offset
-        ), ingest_mod.comment_to_dict),
-        "blogroll": (ingest_mod.load_blogroll(inputs["blogroll"]), ingest_mod.blogroll_to_dict),
-        "profiles": (ingest_mod.load_profiles(inputs["profiles"]), ingest_mod.profile_to_dict),
+    loaded = {
+        "posts": posts,
+        "comments": ingest_mod.load_comments(
+            inputs["comments"], {p.post_id for p in posts.records}, offset),
+        "blogroll": ingest_mod.load_blogroll(inputs["blogroll"]),
+        "profiles": ingest_mod.load_profiles(inputs["profiles"]),
     }
 
     counts = {}
     quarantined = []
-    for name, (result, to_dict) in loaded.items():
-        ingest_mod.write_jsonl(stage.output(f"{name}.jsonl"), [to_dict(r) for r in result.records])
+    for name, result in loaded.items():
+        ingest_mod.write_jsonl(stage.output(f"{name}.jsonl"), [r._asdict() for r in result.records])
         counts[name] = {"accepted": len(result.records), "quarantined": len(result.quarantined)}
         quarantined += result.quarantined
-    ingest_mod.write_jsonl(
-        stage.output("quarantine.jsonl"),
-        [ingest_mod.quarantine_to_dict(q) for q in quarantined],
-    )
+    ingest_mod.write_jsonl(stage.output("quarantine.jsonl"), [q._asdict() for q in quarantined])
     return counts
 
 
@@ -672,11 +669,7 @@ def cmd_stats(stage: Stage) -> dict:
     demo = report.demographics
     payload = {
         **report._asdict(),
-        "window": None if window is None else {
-            **asdict(window),
-            "start": ingest_mod.format_timestamp(window.start),
-            "end": ingest_mod.format_timestamp(window.end),
-        },
+        "window": None if window is None else asdict(window),
         "demographics": {
             **demo._asdict(), "age_histogram": {str(k): v for k, v in demo.age_histogram.items()},
         },
@@ -697,12 +690,11 @@ def cmd_stats(stage: Stage) -> dict:
 
     _write_json(stage.output("report.json"), payload)
     stage.write_csv("posts_by_hour.csv", enumerate(report.posts_by_hour), ["hour", "count"])
-    stage.write_csv("posts_by_month.csv", sorted(report.posts_by_month.items()),
-                    ["month", "count"])
-    stage.write_csv("comments_per_post.csv", sorted(report.comments.histogram.items()),
+    # profilestats returns each histogram in key order
+    stage.write_csv("posts_by_month.csv", report.posts_by_month.items(), ["month", "count"])
+    stage.write_csv("comments_per_post.csv", report.comments.histogram.items(),
                     ["comments", "posts"])
-    stage.write_csv("age_histogram.csv", sorted(demo.age_histogram.items()),
-                    ["age_bin_start", "count"])
+    stage.write_csv("age_histogram.csv", demo.age_histogram.items(), ["age_bin_start", "count"])
 
     return {
         "posts": report.post_count,
@@ -731,7 +723,7 @@ def cmd_report(stage: Stage) -> dict:
     histogram = dict(histogram_rows)
     rankings = {  # every row is read, so every row is checked
         kind: [dict(zip(RANKING_COLUMNS, row)) for row in list(rows)[:REPORT_TOP_K]]
-        for kind, rows in sorted(ranking_rows.items())
+        for kind, rows in ranking_rows.items()
     }
 
     payload = {

@@ -145,7 +145,10 @@ def format_timestamp(dt: datetime) -> str:
 
 
 def canonical_slug(value: str) -> str:
-    """Blog ids are case-insensitive slugs; fold to stripped lowercase."""
+    """Blog ids are case-insensitive slugs; fold to stripped lowercase. A NUL
+    raises ValueError: not every interpreter's csv module writes one."""
+    if "\0" in value:
+        raise ValueError(f"blog id holds a NUL: {value!r}")
     return value.strip().lower()
 
 
@@ -428,17 +431,11 @@ def load_profiles(path: str | Path, *, trusted: bool = False) -> LoadResult:
 
 # --- serialization back to the dump schema (round-trip safe) ---------------
 
-def post_to_dict(p: RawPost) -> dict[str, Any]:
-    return {**p._asdict(), "published_at": format_timestamp(p.published_at)}
-
-
-def comment_to_dict(c: RawComment) -> dict[str, Any]:
-    return {**c._asdict(), "created_at": format_timestamp(c.created_at)}
-
-
+# ``write_jsonl`` writes each datetime field by ``format_timestamp``
+post_to_dict = RawPost._asdict
+comment_to_dict = RawComment._asdict
 blogroll_to_dict = BlogrollRecord._asdict
 profile_to_dict = ProfileRecord._asdict
-quarantine_to_dict = QuarantinedLine._asdict
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> int:
@@ -453,6 +450,7 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> int:
 
 
 def write_jsonl(path: str | Path, rows: Iterator[dict] | list[dict]) -> int:
-    """Write dicts as one JSON object per line; returns the line count."""
-    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+    """Write dicts as one JSON object per line, each datetime as
+    ``format_timestamp`` gives it; returns the line count."""
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, default=format_timestamp).encode
     return write_lines(path, map(encode, rows))

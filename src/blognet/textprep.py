@@ -509,8 +509,8 @@ def similarity_matrix(vectors: Sequence[DocumentVector]) -> SimilarityMatrix:
     np.clip(acc, 0.0, 1.0, out=acc)
     # cosine_similarity's rules before its dot product: a zero vector gives
     # 0.0 (its diagonal included), and equal weight dicts give 1.0. Equal
-    # dicts have bit-equal norms, so candidates are grouped by norm and
-    # confirmed by dict equality.
+    # dicts have bit-equal norms, so candidates are grouped by norm, then
+    # by their items (finite floats: equal item sets are equal dicts).
     zero = norms == 0.0
     acc[zero, :] = 0.0
     acc[:, zero] = 0.0
@@ -519,11 +519,11 @@ def similarity_matrix(vectors: Sequence[DocumentVector]) -> SimilarityMatrix:
         if norm != 0.0:
             by_norm[norm].append(i)
     for members in by_norm.values():
-        while members:
-            first = vectors[members[0]].weights
-            same = [i for i in members if vectors[i].weights == first]
+        equal: dict[frozenset | None, list[int]] = defaultdict(list)
+        for i in members:
+            equal[frozenset(vectors[i].weights.items()) if len(members) > 1 else None].append(i)
+        for same in equal.values():
             acc[np.ix_(same, same)] = 1.0
-            members = [i for i in members if vectors[i].weights != first]
     return SimilarityMatrix(
         blog_ids=tuple(v.blog_id for v in vectors),
         values=tuple(tuple(row) for row in acc.tolist()),

@@ -8,6 +8,9 @@ input paths are relative, so no absolute path reaches a manifest. A change
 that alters artifact bytes on purpose regenerates the table in the same diff
 (``PYTHONPATH=src python3 tests/test_digests.py`` from the checkout root)
 and says why.
+
+A copy of the fixture with a blog id that holds a NUL, which ingest
+quarantines, must also write the same files under every interpreter.
 """
 
 import hashlib
@@ -121,3 +124,59 @@ def test_numpy_free_stages_write_the_table_under_every_other_interpreter(tmp_pat
         written = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in sorted(out.rglob("*")) if path.is_file()}
         assert written == expected, python
+
+
+# one more profile line and blogroll line, for a blog id holding a NUL
+NUL_ID_LINES = {
+    "profiles.jsonl": '{"blog_id": "b\\u0000x"}\n',
+    "blogroll.jsonl": ('{"owner_blog_id": "b\\u0000x", '
+                       '"target_url": "http://b01.blogville.example/"}\n'),
+}
+
+
+def nul_id_dump(tmp_path: Path) -> Path:
+    """A copy of the fixture with the ``NUL_ID_LINES`` added."""
+    dump = tmp_path / "dump"
+    shutil.copytree(SMALLBLOG, dump)
+    for name, line in NUL_ID_LINES.items():
+        with open(dump / name, "a", encoding="utf-8") as fh:
+            fh.write(line)
+    return dump
+
+
+def test_a_blog_id_holding_a_nul_is_quarantined_at_ingest(tmp_path):
+    dump, out = nul_id_dump(tmp_path), tmp_path / "out"
+    cwd = os.getcwd()
+    os.chdir(dump)
+    try:
+        codes = [main([stage, "--config", "config.json", "--out-dir", str(out)])
+                 for stage in STAGES]
+    finally:
+        os.chdir(cwd)
+    assert codes == [EXIT_OK] * len(STAGES)
+    quarantined = [json.loads(line) for line in
+                   (out / "ingest/quarantine.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [(q["file"], q["reason"]) for q in quarantined if "NUL" in q["reason"]] == [
+        ("blogroll.jsonl", "blog id holds a NUL: 'b\\x00x'"),
+        ("profiles.jsonl", "blog id holds a NUL: 'b\\x00x'"),
+    ]
+    assert not [path for path in out.rglob("*") if path.is_file() and b"\0" in path.read_bytes()]
+
+
+def test_a_blog_id_holding_a_nul_gives_the_same_files_under_every_other_interpreter(tmp_path):
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10+ found")
+    dump = nul_id_dump(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(blognet.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    trees = {}
+    for python in [os.path.realpath(sys.executable), *interpreters]:
+        out = tmp_path / Path(python).name
+        run = subprocess.run([python, "-c", RUN_NUMPY_FREE_STAGES, str(out), '{"defaults": []}'],
+                             cwd=dump, env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, f"{python}: {run.stderr}"
+        trees[python] = {path.relative_to(out).as_posix(): path.read_bytes()
+                         for path in sorted(out.rglob("*")) if path.is_file()}
+    first = trees.pop(os.path.realpath(sys.executable))
+    assert all(tree == first for tree in trees.values()), sorted(trees)

@@ -1,0 +1,80 @@
+"""Dumps of shapes nobody chose: hypothesis draws small ``perfbench/gen.py``
+parameters and a seed, and each generated dump runs through all seven stages
+in-process. After ``ingest``, ``build`` and ``clean``, ``run.check_stage``
+compares the artifacts with the counts the generator planted (accepted and
+quarantined lines by reason, the blog universe, collapsed arcs, isolated
+blogs). ``rank`` is only asked to record whether PageRank and HITS converged:
+on some small graphs HITS needs more than the default ``max_iter`` of 200
+iterations, and it is skipped when no arc survives.
+
+The stages run from the dump's parent directory with the generated
+``dump/config.json`` and ``--min-component-size 1``, so that small graphs
+survive cleaning. ``perfbench`` is imported read-only, as in
+``test_workload_digests.py``.
+"""
+
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blognet.cli import EXIT_OK, main
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from gen import _ANCHOR_WORDS, Params, generate  # noqa: E402
+from run import check_stage  # noqa: E402
+from workloads import ALL_STAGES  # noqa: E402
+
+CHECKED = ("ingest", "build", "clean")
+SHARE = st.floats(0.0, 1.0)
+
+
+@st.composite
+def small_params(draw) -> Params:
+    blogs = draw(st.integers(5, 60))
+    heavy_posts = draw(st.integers(0, 2))
+    return Params(
+        blogs=blogs,
+        posts=blogs * draw(st.integers(1, 8)),
+        words_per_post=draw(st.integers(1, 40)),
+        links_per_post=draw(st.floats(0.05, 8.0)),
+        max_links=draw(st.integers(1, 20)),
+        internal_link_share=draw(SHARE),
+        comments=draw(st.integers(0, 150)),
+        anonymous_share=draw(SHARE),
+        blogroll=draw(st.integers(0, 150)),
+        linkless_share=draw(st.floats(0.0, 0.95)),
+        ring_share=draw(st.floats(0.0, 0.6)),
+        target_zipf=draw(st.floats(0.0, 1.5)),
+        heavy_posts=heavy_posts,
+        heavy_links=draw(st.integers(1, 300)) if heavy_posts else 0,
+        # link text is drawn from the first _ANCHOR_WORDS words
+        lexicon=draw(st.integers(_ANCHOR_WORDS, 600)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_params(), st.integers(0, 2**32 - 1))
+def test_every_stage_agrees_with_what_the_generator_planted(params, seed):
+    with tempfile.TemporaryDirectory() as scratch:
+        work = Path(scratch)
+        planted = generate(params, seed, work / "dump")
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            for stage in ALL_STAGES:
+                code = main([stage, "--config", "dump/config.json", "--out-dir", "out",
+                             "--min-component-size", "1"])
+                assert code == EXIT_OK, f"stage {stage} exited {code}"
+                if stage in CHECKED:
+                    check_stage(stage, work / "out", planted)
+        finally:
+            os.chdir(cwd)
+        counts = json.loads((work / "out/rank/manifest.json").read_text(encoding="utf-8"))["counts"]
+    assert type(counts["pagerank"]["converged"]) is bool
+    assert (type(counts["hits"].get("converged")) is bool
+            or counts["hits"] == {"skipped": "graph has no arcs"})

@@ -342,6 +342,13 @@ def test_write_jsonl_matches_per_row_dumps(rows):
         assert ours.read_bytes() == theirs.read_bytes()
 
 
+def test_write_jsonl_writes_an_aware_datetime_as_its_canonical_utc_string(tmp_path):
+    tehran = timezone(timedelta(hours=3, minutes=30))
+    path = tmp_path / "rows.jsonl"
+    ingest.write_jsonl(path, [{"at": datetime(2010, 3, 21, 2, 0, 5, 999, tzinfo=tehran)}])
+    assert path.read_text(encoding="utf-8") == '{"at": "2010-03-20T22:30:05Z"}\n'
+
+
 @st.composite
 def target_urls(draw) -> str:
     """Well-formed, foreign-scheme and malformed URLs (bad IPv6 brackets, a

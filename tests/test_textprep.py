@@ -434,6 +434,20 @@ class TestSimilarityKernel:
             vectors[i + 1] = DocumentVector(vectors[i + 1].blog_id, dict(vectors[i].weights))
         self.assert_matches_oracle(vectors)
 
+    def test_many_unequal_vectors_of_one_norm_and_their_copies(self):
+        # one-term vectors of one weight, and two-term vectors with their two
+        # weights swapped, share a norm bit for bit but differ
+        rng = random.Random(8)
+        vectors = [DocumentVector(f"t{i:03d}", {i: 0.5}) for i in range(200)]
+        vectors += [DocumentVector(f"s{i:03d}", {i: 0.25, i + 1: 0.75}) for i in range(0, 100, 2)]
+        vectors += [DocumentVector(f"r{i:03d}", {i: 0.75, i + 1: 0.25}) for i in range(0, 100, 2)]
+        vectors += [DocumentVector(f"{v.blog_id}-copy", dict(reversed(v.weights.items())))
+                    for v in rng.sample(vectors, 30)]
+        rng.shuffle(vectors)
+        m = self.assert_matches_oracle(vectors)
+        # the diagonal, and each copy with its original both ways
+        assert sum(x == 1.0 for row in m.values for x in row) == len(vectors) + 2 * 30
+
 
 class TestPipelineProperties:
     @settings(max_examples=300, deadline=None)
