@@ -619,6 +619,10 @@ def cmd_rank(stage: Stage) -> dict:
         counts["hits"] = {"iterations": hub.iterations_used, "converged": hub.converged}
     except ranking.GraphHasNoArcsError:
         counts["hits"] = {"skipped": "graph has no arcs"}
+    for method, scores in (("PageRank", pr), ("HITS", hub)):
+        if scores is not None and not scores.converged:
+            print(f"warning: {method} stopped unconverged after {scores.iterations_used} "
+                  f"iterations (ranking.max_iter {cfg.max_iter})", file=sys.stderr)
 
     rankings = {"indegree": ranking.indegree_rank(graph), "pagerank": pr,
                 "hub": hub, "authority": authority}
@@ -767,10 +771,9 @@ def _render_report_text(metrics, histogram, rankings, stats) -> list[str]:
     lines.append("")
     for kind in RANKINGS:
         lines.append(f"top blogs by {kind}")
-        rows = rankings.get(kind, [])
-        if not rows:
+        if not rankings[kind]:
             lines.append("  (none)")
-        for row in rows:
+        for row in rankings[kind]:
             lines.append(f"  {row['rank']:>3d}. {row['blog_id']:<28s} {row['score']:.8f}")
         lines.append("")
     lines.append("statistics")

@@ -56,9 +56,9 @@ class SimpleDigraph:
         arcs collapse to one whose weight is their sum; self-loops are
         rejected (run the self-loop drop first)."""
         ordered = tuple(labels)
-        if len(set(ordered)) != len(ordered):
-            raise ValueError("node labels must be unique")
         index = {label: i for i, label in enumerate(ordered)}
+        if len(index) != len(ordered):
+            raise ValueError("node labels must be unique")
         out_maps: list[dict[int, float]] = [{} for _ in ordered]
         for arc in arcs:
             if len(arc) == 2:

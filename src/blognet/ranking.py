@@ -40,7 +40,7 @@ def _weighted_arcs(g: SimpleDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _to_scores(kind: str, vec: np.ndarray, iterations: int, converged: bool) -> RankScores:
     return RankScores(
         kind=kind,
-        scores={i: float(x) for i, x in enumerate(vec)},
+        scores=dict(enumerate(vec.tolist())),
         iterations_used=iterations,
         converged=converged,
     )
@@ -89,7 +89,6 @@ def hits(
     hub = np.ones(n)
     auth = np.ones(n)
     converged = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         new_auth = np.bincount(dst, weights=hub[src] * w, minlength=n)
         new_auth /= _norm(new_auth, order)

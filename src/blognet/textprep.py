@@ -53,7 +53,8 @@ def _replacement_chain(table: dict) -> tuple[tuple[str, str], ...]:
 _CHAIN_WITH_ALEF = _replacement_chain(_TABLE_WITH_ALEF)
 _CHAIN_NO_ALEF = _replacement_chain(_TABLE_NO_ALEF)
 
-_TOKEN_RE = re.compile(r"[\w‌]+")
+# a token: word characters joined by ZWNJs, with none at either edge
+_TOKEN_RE = re.compile(rf"\w+(?:{ZWNJ}+\w+)*")
 
 
 class NormalizedDocument(NamedTuple):
@@ -291,13 +292,10 @@ def normalize(
 def tokenize(text: str) -> list[str]:
     """Split normalized text on whitespace/punctuation.
 
-    ZWNJ is word-internal (kept inside tokens, stripped at token edges);
+    ZWNJ is word-internal (kept inside tokens, never at their edges);
     pure-digit tokens are dropped.
     """
-    return [
-        token for run in _TOKEN_RE.findall(text)
-        if (token := run.strip(ZWNJ)) and not token.replace(ZWNJ, "").isdigit()
-    ]
+    return [token for token in _TOKEN_RE.findall(text) if not token.replace(ZWNJ, "").isdigit()]
 
 
 def remove_stopwords(tokens: Sequence[str], stoplist: set[str]) -> list[str]:
@@ -349,9 +347,9 @@ def default_stopwords(
 def load_equivalences(path: str | Path, unify_alef: bool = True) -> dict[str, str]:
     """Read variant->canonical token pairs (two tab-separated columns).
 
-    Both columns are normalized, each must then be one token run (what
-    ``normalize`` substitutes), chains (a->b, b->c) are resolved to their
-    endpoint, and cycles are rejected, so applying the dictionary is a
+    Both columns are normalized, each must then be the one token ``tokenize``
+    reads (what ``normalize`` looks up), chains (a->b, b->c) are resolved to
+    their endpoint, and cycles are rejected, so applying the dictionary is a
     one-shot idempotent substitution.
     """
     mapping: dict[str, str] = {}
@@ -365,7 +363,7 @@ def load_equivalences(path: str | Path, unify_alef: bool = True) -> dict[str, st
         variant, canonical = (normalize(col, unify_alef=unify_alef) for col in cols)
         if not variant or not canonical:
             raise InputFileError(f"{path}:{line_no}: empty variant or canonical form")
-        if not (_TOKEN_RE.fullmatch(variant) and _TOKEN_RE.fullmatch(canonical)):
+        if tokenize(variant) != [variant] or tokenize(canonical) != [canonical]:
             raise InputFileError(f"{path}:{line_no}: variant or canonical form is not one token")
         mapping[variant] = canonical
     order = TopologicalSorter({variant: (canonical,) for variant, canonical in mapping.items()})

@@ -13,6 +13,7 @@ faster library code replaced.
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -179,6 +180,19 @@ def tokenize_by_finditer(text: str) -> list[str]:
             continue
         tokens.append(token)
     return tokens
+
+
+_RUN_RE = re.compile(r"[\w\u200c]+")
+
+
+def tokenize_by_strip(text: str) -> list[str]:
+    """Tokens as runs of word characters and ZWNJs with the ZWNJs at their
+    edges stripped, empty and all-digit ones skipped: the pattern here is not
+    ``textprep._TOKEN_RE``, so edge ZWNJs are this function's own rule."""
+    return [
+        token for run in _RUN_RE.findall(text)
+        if (token := run.strip(textprep.ZWNJ)) and not token.replace(textprep.ZWNJ, "").isdigit()
+    ]
 
 
 def candidate_links_by_rebuild(html: str) -> list[tuple[str, bool]]:

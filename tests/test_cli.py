@@ -652,6 +652,17 @@ def test_equivalence_cycle_reached_through_a_chain_is_one_data_error(out_dir, tm
     assert err.rstrip().endswith(("'a'", "'b'"))  # a term on the cycle, not 'x'
 
 
+def test_all_digit_equivalence_variant_is_one_data_error(out_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    path = tmp_path / "eq.tsv"
+    path.write_text("123\tx\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["prep", *fixture_flags(out), "--equivalences", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: {path}:1: variant or canonical form is not one token\n"
+
+
 # Each input flag, with the stage that reads it. A path ``open`` refuses is
 # one line with the OS's reason: a data error, or a config error (exit 1) for
 # the config file.
@@ -759,6 +770,23 @@ def test_lone_surrogate_in_a_string_field_is_quarantined(tmp_path):
             (out / "ingest/quarantine.jsonl").read_text("utf-8").splitlines()]
     assert {"file": "posts.jsonl", "line": 16,
             "reason": "field 'title' holds a lone surrogate"} in rows
+
+
+@pytest.mark.parametrize("flags, warned", [
+    ([], []),
+    (["--max-iter", "1"], ["PageRank", "HITS"]),
+])
+def test_rank_warns_of_each_method_that_stops_unconverged(flags, warned, out_dir, tmp_path,
+                                                          capsys):
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    capsys.readouterr()
+    assert main(["rank", *fixture_flags(out), *flags]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {method} stopped unconverged after 1 iterations (ranking.max_iter 1)"
+        for method in warned]
+    counts = manifest(out, "rank")["counts"]
+    assert [counts[key]["converged"] for key in ("pagerank", "hits")] == [not warned] * 2
 
 
 def test_weighted_rank_reads_cleaned_weights(out_dir, tmp_path):

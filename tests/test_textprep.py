@@ -24,7 +24,12 @@ from blognet.textprep import (
     vectorize_tfidf,
 )
 from conftest import FIXTURES
-from oracles import pairwise_similarity_matrix, tokenize_by_finditer, translate_unify_chars
+from oracles import (
+    pairwise_similarity_matrix,
+    tokenize_by_finditer,
+    tokenize_by_strip,
+    translate_unify_chars,
+)
 
 ZWNJ = "‌"
 
@@ -673,3 +678,35 @@ def test_a_20000_line_equivalence_chain_loads_in_linear_time(tmp_path):
     resolved = textprep.load_equivalences(path)
     assert time.perf_counter() - start < 2
     assert resolved == {f"w{i}": "w20000" for i in range(20000)}
+
+
+# ZWJ, BOM, NBSP, ideographic space, a combining accent, Hangul, "_", a
+# titlecase letter, and superscript, circled, Roman and math-bold digits:
+# characters ``\w`` and ``str.isdigit`` read in ways easy to get wrong
+TOKEN_EDGE_ALPHABET = FUZZ_ALPHABET + "\u200d\ufeff\xa0\u3000\u0301가_ǅ²①Ⅰ\U0001d7ce"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=TOKEN_EDGE_ALPHABET, max_size=120))
+def test_tokenize_matches_the_edge_stripping_oracle(text):
+    assert tokenize(text) == tokenize_by_strip(text)
+
+
+# a column ``tokenize`` reads otherwise would turn numbers it drops into a
+# token, make a token disappear, or match only text with that edge ZWNJ
+@pytest.mark.parametrize("line", ["123\tx", "x\t123", f"{ZWNJ}x\ty", f"x\ty{ZWNJ}"])
+def test_equivalence_column_that_tokenize_reads_otherwise_names_its_line(line, tmp_path):
+    path = tmp_path / "eq.tsv"
+    path.write_text(f"{line}\n", encoding="utf-8")
+    with pytest.raises(textprep.InputFileError) as err:
+        textprep.load_equivalences(path)
+    assert str(err.value) == f"{path}:1: variant or canonical form is not one token"
+
+
+@pytest.mark.parametrize("text, expected", [
+    (f"a {ZWNJ}x b", ["a", "y", "b"]),
+    (f"a x{ZWNJ} b", ["a", "y", "b"]),
+    (f"a b{ZWNJ}x", ["a", f"b{ZWNJ}x"]),  # x is part of the token b‌x
+])
+def test_equivalences_look_up_the_token_tokenize_reads(text, expected):
+    assert tokenize(normalize(text, {"x": "y"})) == expected
