@@ -528,7 +528,7 @@ def cmd_clean(stage: Stage) -> dict:
     nodes_path = stage.require("build", "nodes.txt")
     merged_rows = _read_edges(stage, "edges_merged.csv", LAYERS, "edges")
     layer_rows = {layer: _read_edges(stage, f"edges_{layer}.csv", (layer,)) for layer in LAYERS}
-    nodes = ingest_mod.read_text(nodes_path, "utf-8").splitlines()
+    nodes = [line.rstrip("\n") for line in ingest_mod.read_lines(nodes_path)]
     arcs, merged_arcs = [], {layer: [] for layer in LAYERS}
     for src, dst, layer, weight in merged_rows:  # in file order, and by layer
         arcs.append((src, dst, weight))
@@ -591,7 +591,7 @@ def _read_cleaned_graph(stage: Stage) -> SimpleDigraph:
     nodes_path = stage.require("clean", "nodes_kept.txt", "nodes")
     node = _checked(str, lambda label: label in known, f"a node in {nodes_path.name}")
     rows = stage.read_csv("clean", "graph_cleaned.csv", "arcs", src=node, dst=node)
-    labels = ingest_mod.read_text(nodes_path, "utf-8").splitlines()
+    labels = [line.rstrip("\n") for line in ingest_mod.read_lines(nodes_path)]
     known = set(labels)  # ``node`` runs only as the rows are read, below
     graph = _digraph(labels, [tuple(row) for row in rows],
                      f"{stage.inputs['arcs']} (nodes from {nodes_path.name})")

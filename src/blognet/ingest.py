@@ -91,21 +91,13 @@ class LoadResult(NamedTuple):
     quarantined: list[QuarantinedLine]
 
 
-# RFC 3339 timestamp, seconds precision required, fraction tolerated and
-# truncated. A missing offset is interpreted with ``assume_offset``.
+# RFC 3339 timestamp: ASCII digits, seconds precision required, fraction
+# tolerated and truncated, offsets -23:59 to +23:59. A missing offset is
+# interpreted with ``assume_offset``.
 _TS_RE = re.compile(
-    r"^(\d{4}-\d{2}-\d{2})[Tt ](\d{2}:\d{2}:\d{2})(?:\.\d+)?([Zz]|[+-]\d{2}:\d{2})?$"
+    r"^([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt ]([0-9]{2}:[0-9]{2}:[0-9]{2})(?:\.[0-9]+)?"
+    r"([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?$"
 )
-
-
-# cached per offset: bounded by what ``_TS_RE`` admits, not by the input size
-@functools.cache
-def _timezone(offset: str | None, assume_offset: timedelta) -> timezone:
-    if offset is None:
-        return timezone(assume_offset)
-    sign = 1 if offset[0] == "+" else -1
-    hours, minutes = int(offset[1:3]), int(offset[4:6])
-    return timezone(sign * timedelta(hours=hours, minutes=minutes))
 
 
 def parse_timestamp(value: str, assume_offset: timedelta = timedelta(0)) -> datetime:
@@ -123,10 +115,13 @@ def parse_timestamp(value: str, assume_offset: timedelta = timedelta(0)) -> date
     if not m:
         raise ValueError(f"unparseable timestamp: {value!r}")
     date_part, time_part, offset = m.group(1), m.group(2), m.group(3)
-    naive = datetime.fromisoformat(f"{date_part}T{time_part}")  # validates ranges
-    tz = timezone.utc if offset in ("Z", "z") else _timezone(offset, assume_offset)
+    if offset in ("Z", "z"):
+        offset = "+00:00"  # 3.10 reads no Z
+    parsed = datetime.fromisoformat(f"{date_part}T{time_part}{offset or ''}")  # validates ranges
+    if offset is None:
+        parsed = parsed.replace(tzinfo=timezone(assume_offset))
     try:
-        utc = naive.replace(tzinfo=tz).astimezone(timezone.utc)
+        utc = parsed.astimezone(timezone.utc)
         utc + timedelta(seconds=1)
     except OverflowError:
         raise ValueError(f"timestamp out of range in UTC: {value!r}") from None

@@ -316,7 +316,7 @@ def _parse_stopwords(
     that ``tokenize`` reads as that one token, or it would never match one
     (a ZWNJ at its edge or an all-digit term would be kept and never met)."""
     stops = set()
-    for line_no, line in enumerate(content.splitlines(), 1):
+    for line_no, line in enumerate(content.split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -353,7 +353,7 @@ def load_equivalences(path: str | Path, unify_alef: bool = True) -> dict[str, st
     one-shot idempotent substitution.
     """
     mapping: dict[str, str] = {}
-    for line_no, line in enumerate(read_text(path).splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,5 +1,7 @@
 import json
+import sys
 import tempfile
+import unicodedata
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -47,6 +49,27 @@ class TestTimestamps:
     def test_rejects_unparseable(self, bad):
         with pytest.raises(ValueError):
             ingest.parse_timestamp(bad)
+
+    # non-ASCII digits in the offset, the date or the time, and offsets
+    # outside -23:59..+23:59, which RFC 3339's grammar does not admit
+    @pytest.mark.parametrize("bad", [
+        "2010-03-20T10:00:00+\u0660\u0663:\u0663\u0660",
+        "\u0662\u0660\u0661\u0660-03-20T10:00:00Z",
+        "2010-03-2\u06f0T10:00:00Z",
+        "2010-03-20T10:00:00+03:60",
+        "2010-03-20T10:00:00+24:00",
+        "2010-13-01T00:00:00+24:00",
+    ])
+    def test_outside_the_rfc_3339_grammar_is_unparseable(self, bad):
+        assert outcome(ingest.parse_timestamp, bad) == (
+            "ValueError", f"unparseable timestamp: {bad!r}")
+
+    @pytest.mark.parametrize("stamp, utc", [
+        ("2010-03-20T10:00:00+23:59", datetime(2010, 3, 19, 10, 1, tzinfo=timezone.utc)),
+        ("2010-03-20T10:00:00-00:00", datetime(2010, 3, 20, 10, 0, tzinfo=timezone.utc)),
+    ])
+    def test_offsets_at_the_grammar_bounds_parse(self, stamp, utc):
+        assert ingest.parse_timestamp(stamp, timedelta(minutes=210)) == utc
 
     def test_format_round_trip(self):
         stamp = "2010-04-05T06:30:00Z"
@@ -246,8 +269,9 @@ def outcome(fn, *args):
         return type(err).__name__, str(err)
 
 
-# Every "+HH:MM"/"-HH:MM" the pattern admits (including offsets of 24 h or
-# more, which ``timezone`` rejects), "Z", "z", and no offset.
+# Every "+HH:MM"/"-HH:MM" with two-digit fields (including hours of 24 or
+# more and minutes of 60 or more, which the pattern rejects), "Z", "z", and
+# no offset.
 OFFSETS = st.one_of(
     st.none(),
     st.sampled_from(["Z", "z"]),
@@ -273,13 +297,35 @@ def raw_timestamps(draw) -> str:
             f"{hour:02d}:{minute:02d}:{second:02d}{fraction}{offset}{pad}")
 
 
+NON_ASCII_DIGITS = [c for c in map(chr, range(128, sys.maxunicode + 1))
+                    if unicodedata.category(c) == "Nd"]
+
+
+@st.composite
+def non_ascii_digit_timestamps(draw) -> str:
+    """A ``raw_timestamps`` string with 1-3 of its digits replaced by
+    non-ASCII decimal digits (Unicode category Nd)."""
+    chars = list(draw(raw_timestamps()))
+    digits = [i for i, c in enumerate(chars) if c in "0123456789"]
+    for i in draw(st.lists(st.sampled_from(digits), min_size=1, max_size=3, unique=True)):
+        chars[i] = draw(st.sampled_from(NON_ASCII_DIGITS))
+    return "".join(chars)
+
+
 class TestTimestampOracles:
+    # checked against the grammar itself: the oracle below shares ``_TS_RE``
+    @settings(max_examples=300, deadline=None)
+    @given(non_ascii_digit_timestamps(), st.integers(-16 * 60, 16 * 60))
+    def test_non_ascii_digits_are_unparseable(self, value, offset_minutes):
+        assert outcome(ingest.parse_timestamp, value, timedelta(minutes=offset_minutes)) == (
+            "ValueError", f"unparseable timestamp: {value!r}")
+
     @settings(max_examples=600, deadline=None)
     @given(raw_timestamps(), st.integers(-16 * 60, 16 * 60))
     def test_parse_matches_uncached_oracle(self, value, offset_minutes):
         assume_offset = timedelta(minutes=offset_minutes)
         expected = outcome(oracles.parse_timestamp_uncached, value, assume_offset)
-        for _ in range(2):  # the second call reuses the cached timezone
+        for _ in range(2):  # a second call gives the same outcome
             got = outcome(ingest.parse_timestamp, value, assume_offset)
             if expected[0] == "OverflowError":
                 assert got == ("ValueError", f"timestamp out of range in UTC: {value!r}")
