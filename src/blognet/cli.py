@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -60,13 +61,29 @@ def _checked(convert: Callable[[str], Any], holds: Callable[[Any], bool],
     return read
 
 
+def _read_int(value: str) -> int:
+    """A CSV integer as ``str`` writes one: ASCII digits after at most one
+    "-" (``int`` alone also reads other digits, "_" and padding)."""
+    digits = value.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{value!r} is not a number as written")
+    return int(value)
+
+
+def _read_float(value: str) -> float:
+    """A CSV number as ``repr`` writes a float or ``str`` an int."""
+    if repr(number := float(value)) != value:
+        _read_int(value)
+    return number
+
+
 # the columns of build's edges_*.csv, in ``graphbuild.Edge`` field order (build
 # writes its edges as rows), with the converter each is read through
-EDGE_COLUMNS = {"src": str, "dst": str, "layer": str, "weight": int}
+EDGE_COLUMNS = {"src": str, "dst": str, "layer": str, "weight": _read_int}
 # ``report`` reads each ``rank`` as its row's number (see ``_row_numbers``)
-RANKING_COLUMNS = {"blog_id": str, "score": _checked(float, math.isfinite, "finite"),
-                   "rank": int}
-_AT_LEAST_1 = _checked(int, lambda n: n >= 1, "at least 1")
+RANKING_COLUMNS = {"blog_id": str, "score": _checked(_read_float, math.isfinite, "finite"),
+                   "rank": _read_int}
+_AT_LEAST_1 = _checked(_read_int, lambda n: n >= 1, "at least 1")
 # Each CSV artifact a later stage reads back: (stage, file name) -> (its
 # columns in order, each with the converter it is read through; how many
 # leading columns key a row). Each stage writes a key once, so a repeated
@@ -74,7 +91,7 @@ _AT_LEAST_1 = _checked(int, lambda n: n >= 1, "at least 1")
 # ``Stage.read_csv`` reads the rows from this one declaration.
 CSV_ARTIFACTS: dict[tuple[str, str], tuple[dict[str, Callable[[str], Any]], int]] = {
     **{("build", f"edges_{name}.csv"): (EDGE_COLUMNS, 3) for name in (*LAYERS, "merged")},
-    ("clean", "graph_cleaned.csv"): ({"src": str, "dst": str, "weight": float}, 2),
+    ("clean", "graph_cleaned.csv"): ({"src": str, "dst": str, "weight": _read_float}, 2),
     ("clean", "scc_histogram.csv"): ({"size": _AT_LEAST_1, "count": _AT_LEAST_1}, 1),
     **{("rank", f"{kind}.csv"): (RANKING_COLUMNS, 1) for kind in RANKINGS},
 }
@@ -491,11 +508,11 @@ def _digraph(labels: list[str], arcs: list[tuple], source: str) -> SimpleDigraph
 
 
 def _read_edges(stage: Stage, name: str, layers: tuple[str, ...],
-                key: str | None = None) -> Iterator[list]:
+                key: str | None = None, **overrides: Callable[[str], Any]) -> Iterator[list]:
     """The (src, dst, layer, weight) rows of build's ``name``, which may
     carry only ``layers``; another layer raises ArtifactError naming
     ``file:line``. Required now, read as iterated (see ``Stage.read_csv``)."""
-    return stage.read_csv("build", name, key,
+    return stage.read_csv("build", name, key, **overrides,
                           layer=_checked(str, layers.__contains__, f"one of: {', '.join(layers)}"))
 
 
@@ -526,9 +543,11 @@ def cmd_clean(stage: Stage) -> dict:
 
     cfg = stage.cfg
     nodes_path = stage.require("build", "nodes.txt")
-    merged_rows = _read_edges(stage, "edges_merged.csv", LAYERS, "edges")
+    node = _checked(str, lambda label: label in known, f"a node in {nodes_path.name}")
+    merged_rows = _read_edges(stage, "edges_merged.csv", LAYERS, "edges", src=node, dst=node)
     layer_rows = {layer: _read_edges(stage, f"edges_{layer}.csv", (layer,)) for layer in LAYERS}
     nodes = [line.rstrip("\n") for line in ingest_mod.read_lines(nodes_path)]
+    known = set(nodes)  # ``node`` runs only as the rows are read, below
     arcs, merged_arcs = [], {layer: [] for layer in LAYERS}
     for src, dst, layer, weight in merged_rows:  # in file order, and by layer
         arcs.append((src, dst, weight))
@@ -711,7 +730,7 @@ def cmd_stats(stage: Stage) -> dict:
 def _row_numbers() -> Callable[[str], int]:
     """The converter of a ``rank`` column whose n-th row must hold rank n."""
     rows = count(1)
-    return _checked(int, lambda rank: rank == next(rows), "its row's number")
+    return _checked(_read_int, lambda rank: rank == next(rows), "its row's number")
 
 
 def cmd_report(stage: Stage) -> dict:
@@ -836,6 +855,10 @@ def main(argv=None) -> int:
         # validation exit code and keep 0 for --help/--version
         return EXIT_OK if exit_err.code == 0 else EXIT_VALIDATION
 
+    # A stage leaves no cyclic garbage that grows with its data, so the
+    # collector's passes over its records find nothing to free (see README)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         cfg = load_config(args.config, {name: getattr(args, name) for name in field_names})
         stage = Stage(cfg, args.command)
@@ -851,6 +874,9 @@ def main(argv=None) -> int:
     except (DuplicateIdError, OSError, EmptyCorpusError, InputFileError, ArtifactError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if collecting:
+            gc.enable()
 
     print(f"stage {args.command} complete -> {stage.dir}")
     for key, value in counts.items():

@@ -11,6 +11,8 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import parse_host_pattern
@@ -30,6 +32,7 @@ class Edge(NamedTuple):
 _NOT_BARE_RE = re.compile(r"[/:\\\s]")
 
 
+@functools.cache  # a blog id recurs in many records; a rejected one raises each time
 def canonical_blog_id(raw: str) -> str:
     """Canonical node id: lowercase slug, no scheme, no slashes."""
     slug = canonical_slug(raw)
@@ -229,20 +232,29 @@ class LayeredGraph(NamedTuple):
     arcs: list[tuple[str, str]]
 
 
+# an edge's place in ``LayeredGraph.edges``
+_LAYER_ORDER = itemgetter(2, 0, 1)
+
+
 def merge_layers(
     layers: Iterable[Sequence[Edge]], extra_nodes: Iterable[str] = ()
 ) -> LayeredGraph:
     """Union of the per-layer edge lists; duplicate (src, dst, layer) entries
     fold into one edge with the summed weight."""
-    folded: Counter = Counter()
-    for per_layer in layers:
-        for src, dst, layer, weight in per_layer:
-            folded[layer, src, dst] += weight
-    edges = tuple(Edge(src, dst, layer, n) for (layer, src, dst), n in sorted(folded.items()))
-    arcs = sorted({(src, dst) for src, dst, _layer, _weight in edges})
+    # each extractor's list is one sorted run, which the stable sort merges in
+    # linear time; a repeated key follows its first edge and folds into it
+    edges: list[Edge] = []
+    last = None
+    for edge in sorted(chain.from_iterable(layers), key=_LAYER_ORDER):
+        if (key := _LAYER_ORDER(edge)) != last:
+            edges.append(edge)
+            last = key
+        else:
+            edges[-1] = edges[-1]._replace(weight=edges[-1].weight + edge.weight)
+    arcs = [arc for arc, _ in groupby(sorted(edge[:2] for edge in edges))]
     nodes = {v for arc in arcs for v in arc}
     nodes.update(canonical_blog_id(n) for n in extra_nodes)
-    return LayeredGraph(nodes=tuple(sorted(nodes)), edges=edges, arcs=arcs)
+    return LayeredGraph(nodes=tuple(sorted(nodes)), edges=tuple(edges), arcs=arcs)
 
 
 def to_dot(graph: LayeredGraph) -> str:

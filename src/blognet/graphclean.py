@@ -246,17 +246,25 @@ def clustering_coefficient(g: SimpleDigraph, variant: str = "mean_local") -> flo
     for u, out in enumerate(g.adj):
         for v in out:
             nbrs[v].add(u)
+    # links_twice[v] counts each edge among v's neighbors from both of its
+    # endpoints; an edge v-u shares its common neighbors with v and with u,
+    # so each edge's intersection is taken once
+    links_twice = [0] * g.n
+    for v, around_v in enumerate(nbrs):
+        for u in around_v:
+            if u > v:
+                shared = len(around_v & nbrs[u])
+                links_twice[v] += shared
+                links_twice[u] += shared
     closed = 0.0
     triplets = 0.0
     local_sum = 0.0
-    for v in range(g.n):
+    for v, links in enumerate(links_twice):
         k = len(nbrs[v])
         if k < 2:
             continue
-        # each edge among neighbors is seen from both endpoints
-        links_twice = sum(len(nbrs[v] & nbrs[u]) for u in nbrs[v])
-        local_sum += links_twice / (k * (k - 1))
-        closed += links_twice
+        local_sum += links / (k * (k - 1))
+        closed += links
         triplets += k * (k - 1)
     if variant == "mean_local":
         return local_sum / g.n

@@ -139,11 +139,18 @@ def format_timestamp(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).isoformat(timespec="seconds")[:-6] + "Z"
 
 
+# the control characters (category Cc) that ``str.isspace`` does not accept
+_CONTROL_RE = re.compile(r"[\x00-\x08\x0e-\x1b\x7f-\x84\x86-\x9f]")
+
+
 def canonical_slug(value: str) -> str:
-    """Blog ids are case-insensitive slugs; fold to stripped lowercase. A NUL
-    raises ValueError: not every interpreter's csv module writes one."""
-    if "\0" in value:
-        raise ValueError(f"blog id holds a NUL: {value!r}")
+    """Blog ids are case-insensitive slugs; fold to stripped lowercase. A
+    control character other than whitespace raises ValueError: not every
+    interpreter's csv module writes a NUL, and a graph.dot node name or a
+    nodes.txt line would carry the raw byte."""
+    if _CONTROL_RE.search(value):
+        what = "a NUL" if "\0" in value else "a control character"
+        raise ValueError(f"blog id holds {what}: {value!r}")
     return value.strip().lower()
 
 

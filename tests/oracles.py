@@ -6,8 +6,8 @@ PageRank/HITS via dense matrix power iteration instead of sparse scatter
 sums, clustering via triple enumeration. The similarity matrix, character
 unification, tokenization, href masking, blog-id checks, blogroll URL
 resolution and validation, HTML stripping, URL resolution, timestamp parsing
-and formatting, and JSONL writing keep the slow, direct versions that the
-faster library code replaced.
+and formatting, JSONL writing, layer merging and per-node clustering keep
+the slow, direct versions that the faster library code replaced.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from blognet import graphbuild, ingest, textprep
+from blognet import graphbuild, graphclean, ingest, textprep
 
 
 def random_arcs(rng, n: int, p: float) -> list[tuple[int, int]]:
@@ -328,3 +328,43 @@ def write_jsonl_by_dumps(path: Path, rows) -> int:
             fh.write("\n")
             n += 1
     return n
+
+
+def merge_layers_by_counter(layers, extra_nodes=()) -> graphbuild.LayeredGraph:
+    """Layer merging through a Counter over (layer, src, dst), then sorted,
+    with the arcs sorted from a set."""
+    folded: Counter = Counter()
+    for per_layer in layers:
+        for src, dst, layer, weight in per_layer:
+            folded[layer, src, dst] += weight
+    edges = tuple(graphbuild.Edge(src, dst, layer, n)
+                  for (layer, src, dst), n in sorted(folded.items()))
+    arcs = sorted({(src, dst) for src, dst, _layer, _weight in edges})
+    nodes = {v for arc in arcs for v in arc}
+    nodes.update(graphbuild.canonical_blog_id(n) for n in extra_nodes)
+    return graphbuild.LayeredGraph(nodes=tuple(sorted(nodes)), edges=edges, arcs=arcs)
+
+
+def clustering_by_neighbour_sets(g: graphclean.SimpleDigraph, variant: str = "mean_local") -> float:
+    """``graphclean.clustering_coefficient`` with each node's neighbour
+    intersections taken from that node, so each edge's twice."""
+    if g.n == 0:
+        return 0.0
+    nbrs = [set(out) for out in g.adj]
+    for u, out in enumerate(g.adj):
+        for v in out:
+            nbrs[v].add(u)
+    closed = 0.0
+    triplets = 0.0
+    local_sum = 0.0
+    for v in range(g.n):
+        k = len(nbrs[v])
+        if k < 2:
+            continue
+        links_twice = sum(len(nbrs[v] & nbrs[u]) for u in nbrs[v])
+        local_sum += links_twice / (k * (k - 1))
+        closed += links_twice
+        triplets += k * (k - 1)
+    if variant == "mean_local":
+        return local_sum / g.n
+    return closed / triplets if triplets else 0.0

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import gc
 import hashlib
 import importlib
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import blognet
-from blognet import graphbuild
+from blognet import cli, graphbuild
 from blognet.cli import CSV_ARTIFACTS, EDGE_COLUMNS, EXIT_DATA, EXIT_OK, EXIT_VALIDATION, main
 from conftest import FIXTURES
 
@@ -1572,3 +1573,93 @@ def test_a_nul_in_a_csv_artifact_is_one_data_error_under_every_other_interpreter
         assert run.returncode == EXIT_DATA, f"{python}: {run.stderr}"
         assert run.stderr.startswith(f"data error: {merged}") and run.stderr.count("\n") == 1, \
             f"{python}: {run.stderr}"
+
+
+def test_a_blog_id_holding_a_control_character_is_quarantined_at_ingest(tmp_path, monkeypatch):
+    dump = tmp_path / "dump"
+    shutil.copytree(SMALLBLOG, dump)
+    with open(dump / "posts.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"post_id": "p9901", "blog_id": "b\x0199", "title": "x",
+                             "body": "x", "published_at": "2010-04-05T08:30:00+03:30"}) + "\n")
+    monkeypatch.chdir(dump)
+    for stage in ALL_STAGES:
+        assert main([stage, "--config", "config.json", "--out-dir", "out"]) == EXIT_OK, stage
+    quarantined = [json.loads(line) for line in
+                   Path("out/ingest/quarantine.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert {"file": "posts.jsonl", "line": 16,
+            "reason": "blog id holds a control character: 'b\\x0199'"} in quarantined
+    assert not [path for path in Path("out").rglob("*")
+                if path.is_file() and b"\x01" in path.read_bytes()]
+
+
+# the stage that reads each CSV artifact back
+READ_BACK_BY = {
+    **{("build", f"edges_{name}.csv"): "clean" for name in (*cli.LAYERS, "merged")},
+    ("clean", "graph_cleaned.csv"): "rank",
+    ("clean", "scc_histogram.csv"): "report",
+    **{("rank", f"{kind}.csv"): "report" for kind in cli.RANKINGS},
+}
+# every number column a stage reads back, as (stage, file, column)
+NUMBER_COLUMNS = [(*artifact, column) for artifact, (columns, _key) in CSV_ARTIFACTS.items()
+                  for column, convert in columns.items() if convert is not str]
+
+
+# int and float also read other digits, "_" between digits and padding
+@pytest.mark.parametrize("value", ["١", "1_0", " 1 "])
+@pytest.mark.parametrize("column", NUMBER_COLUMNS, ids="/".join)
+def test_a_number_not_as_written_is_data_error_at_its_line(column, value, out_dir, tmp_path,
+                                                           capsys):
+    stage, name, column = column
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    path = out / stage / name
+    lines = path.read_text("utf-8").splitlines()
+    fields = lines[1].split(",")
+    fields[lines[0].split(",").index(column)] = value
+    path.write_text("\n".join([lines[0], ",".join(fields), *lines[2:]]) + "\n", "utf-8")
+    capsys.readouterr()
+    assert main([READ_BACK_BY[stage, name], *fixture_flags(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}:2: ") and err.count("\n") == 1
+
+
+def test_clean_names_an_unknown_endpoint_at_its_line(out_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    merged = out / "build/edges_merged.csv"
+    lines = merged.read_text("utf-8").splitlines()
+    lines[1] = "zz-unknown," + lines[1].split(",", 1)[1]
+    merged.write_text("\n".join(lines) + "\n", "utf-8")
+    capsys.readouterr()
+    assert main(["clean", *fixture_flags(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == (f"data error: {merged}:2: malformed row: "
+                                       "'zz-unknown' is not a node in nodes.txt\n")
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_runs_the_stage_without_the_collector_and_restores_it(collecting, tmp_path,
+                                                                   monkeypatch):
+    runs = {
+        EXIT_OK: ["ingest", *fixture_flags(tmp_path / "out")],
+        EXIT_VALIDATION: ["rank", "--out-dir", str(tmp_path / "empty")],
+        EXIT_DATA: ["ingest", *fixture_flags(tmp_path / "out"), "--posts", str(tmp_path)],
+    }
+    stage_func, help_text = cli.STAGE_FUNCS["ingest"]
+    during = []
+
+    def ingest(stage):
+        during.append(gc.isenabled())
+        return stage_func(stage)
+
+    monkeypatch.setitem(cli.STAGE_FUNCS, "ingest", (ingest, help_text))
+    was_collecting = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        after = {}
+        for code, argv in runs.items():
+            assert main(argv) == code
+            after[code] = gc.isenabled()
+    finally:
+        (gc.enable if was_collecting else gc.disable)()
+    assert after == dict.fromkeys(runs, collecting)
+    assert during == [False, False]

@@ -9,12 +9,15 @@ iterations, and it is skipped when no arc survives.
 
 The stages run from the dump's parent directory with the generated
 ``dump/config.json`` and ``--min-component-size 1``, so that small graphs
-survive cleaning. ``perfbench`` is imported read-only, as in
+survive cleaning. A larger generated dump also shows that no stage leaves
+cyclic garbage that grows with its data, which is why ``cli.main`` runs a
+stage with the cyclic collector off. ``perfbench`` is imported read-only, as in
 ``test_workload_digests.py``.
 """
 
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -22,7 +25,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blognet
 from blognet.cli import EXIT_OK, main
+from conftest import FIXTURES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from gen import _ANCHOR_WORDS, Params, generate  # noqa: E402
@@ -78,3 +83,41 @@ def test_every_stage_agrees_with_what_the_generator_planted(params, seed):
     assert type(counts["pagerank"]["converged"]) is bool
     assert (type(counts["hits"].get("converged")) is bool
             or counts["hits"] == {"skipped": "graph has no arcs"})
+
+
+# Runs the stages named after CONFIG and OUT in one process with the cyclic
+# collector off, and prints what ``gc.collect()`` frees after each
+COLLECT_AFTER_EACH_STAGE = """
+import gc, json, sys
+from blognet.cli import main
+gc.disable()
+freed = []
+for stage in sys.argv[3:]:
+    assert main([stage, "--config", sys.argv[1], "--out-dir", sys.argv[2]]) == 0, stage
+    freed.append(gc.collect())
+print(json.dumps(freed))
+"""
+
+
+def cyclic_garbage_per_stage(cwd: Path, config: str, out: Path) -> list[int]:
+    """What ``gc.collect()`` frees after each stage, run from ``cwd``."""
+    env = {**os.environ, "PYTHONPATH": str(Path(blognet.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", COLLECT_AFTER_EACH_STAGE, config, str(out),
+                          *ALL_STAGES], cwd=cwd, env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_no_stage_leaves_cyclic_garbage_that_grows_with_its_data(tmp_path):
+    fixture = FIXTURES / "smallblog"
+    records = sum(len(path.read_bytes().splitlines()) for path in fixture.glob("*.jsonl"))
+    params = Params(
+        blogs=200, posts=600, words_per_post=20, links_per_post=1.5, max_links=6,
+        internal_link_share=0.6, comments=400, anonymous_share=0.2, blogroll=600,
+        linkless_share=0.3, ring_share=0.05, target_zipf=0.8, lexicon=800,
+    )
+    planted = generate(params, 5, tmp_path / "dump")
+    assert sum(planted["lines"].values()) >= 10 * records
+    assert (cyclic_garbage_per_stage(tmp_path, "dump/config.json", tmp_path / "generated")
+            == cyclic_garbage_per_stage(fixture, "config.json", tmp_path / "fixture"))

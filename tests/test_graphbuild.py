@@ -21,6 +21,7 @@ from oracles import (
     blogroll_edges_resolving_each_record,
     candidate_links_by_rebuild,
     canonical_blog_id_by_scan,
+    merge_layers_by_counter,
 )
 
 UTC = timezone.utc
@@ -258,6 +259,30 @@ class TestMergeLayers:
             [Edge("a", "b", "blogroll", 1)],
         ])
         assert g.edges[0].weight == 3
+
+
+LAYER_EDGES = st.builds(Edge, st.sampled_from("abcd"), st.sampled_from("abcd"),
+                        st.sampled_from(["blogroll", "comment", "citation"]),
+                        st.integers(1, 5))
+
+
+@st.composite
+def edge_layers(draw) -> list[list[Edge]]:
+    """Layers as the extractors give them (each one layer's edges, unique
+    and sorted by (src, dst)) or any lists of edges, repeats included."""
+    if draw(st.booleans()):
+        return [sorted({(e.src, e.dst): e._replace(layer=layer) for e in edges}.values())
+                for layer, edges in zip(["blogroll", "comment", "citation"],
+                                        draw(st.lists(st.lists(LAYER_EDGES), max_size=3)))]
+    return draw(st.lists(st.lists(LAYER_EDGES, max_size=12), max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_layers(), st.lists(st.sampled_from(["a", "E", " f ", "b"]), max_size=3))
+def test_merge_matches_counter_oracle(layers, extra_nodes):
+    merged = merge_layers(layers, extra_nodes)
+    assert merged == merge_layers_by_counter(layers, extra_nodes)
+    assert all(type(edge) is Edge for edge in merged.edges)
 
 
 class TestUniverse:

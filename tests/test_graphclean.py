@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blognet.graphclean import (
     ComponentLabeling,
@@ -13,12 +15,32 @@ from blognet.graphclean import (
     scc_size_distribution,
     strongly_connected_components,
 )
-from oracles import brute_mean_local_clustering, random_arcs, scc_by_reachability
+from oracles import (
+    brute_mean_local_clustering,
+    clustering_by_neighbour_sets,
+    random_arcs,
+    scc_by_reachability,
+)
 
 
 def graph(n, arcs):
     labels = [f"n{i:03d}" for i in range(n)]
     return SimpleDigraph.from_arcs(labels, [(labels[u], labels[v]) for u, v in arcs])
+
+
+@st.composite
+def digraphs(draw) -> SimpleDigraph:
+    """Graphs of 0-12 nodes: random arcs, some mirrored into reciprocal
+    pairs, or a clique in one or both directions."""
+    n = draw(st.integers(0, 12))
+    if n >= 2 and draw(st.booleans()):
+        both = draw(st.booleans())
+        return graph(n, [(u, v) for u in range(n) for v in range(n) if u < v or both and u != v])
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+    if draw(st.booleans()):
+        arcs += [(v, u) for u, v in arcs[::2]]
+    return graph(n, arcs)
 
 
 class TestSimpleDigraph:
@@ -270,6 +292,11 @@ class TestMetrics:
             g = graph(n, arcs)
             expected = brute_mean_local_clustering(n, arcs)
             assert clustering_coefficient(g) == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs(), st.sampled_from(["mean_local", "transitivity"]))
+    def test_clustering_matches_neighbour_set_oracle(self, g, variant):
+        assert clustering_coefficient(g, variant) == clustering_by_neighbour_sets(g, variant)
 
     def test_degree_lt_two_contributes_zero(self):
         g = graph(3, [(0, 1)])  # path: all projected degrees < 2

@@ -528,3 +528,27 @@ def test_each_malformed_line_is_quarantined_with_its_reason(tmp_path):
         (6, "line is not a JSON object"),
         (7, "field 'title' missing or not a string"),
     ]
+
+
+def test_control_pattern_matches_exactly_the_control_characters_that_are_not_space():
+    mismatches = [
+        hex(cp) for cp in range(0x110000)
+        if bool(ingest._CONTROL_RE.search(chr(cp)))
+        != (unicodedata.category(chr(cp)) == "Cc" and not chr(cp).isspace())
+    ]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("raw,reason", [
+    ("b\x0199", "blog id holds a control character: 'b\\x0199'"),
+    ("b\x7f", "blog id holds a control character: 'b\\x7f'"),
+    ("\x01b\x00", "blog id holds a NUL: '\\x01b\\x00'"),
+])
+def test_a_blog_id_holding_a_control_character_is_rejected(raw, reason):
+    with pytest.raises(ValueError) as err:
+        ingest.canonical_slug(raw)
+    assert str(err.value) == reason
+
+
+def test_whitespace_control_characters_are_stripped_from_a_blog_id():
+    assert ingest.canonical_slug("\t\x1c B01\x85\n") == "b01"
