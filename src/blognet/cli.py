@@ -235,10 +235,10 @@ def cmd_ingest(stage: Stage) -> dict:
     counts = {}
     quarantined = []
     for name, result in loaded.items():
-        ingest_mod.write_jsonl(stage.output(f"{name}.jsonl"), [r._asdict() for r in result.records])
+        ingest_mod.write_jsonl(stage.output(f"{name}.jsonl"), result.records)
         counts[name] = {"accepted": len(result.records), "quarantined": len(result.quarantined)}
         quarantined += result.quarantined
-    ingest_mod.write_jsonl(stage.output("quarantine.jsonl"), [q._asdict() for q in quarantined])
+    ingest_mod.write_jsonl(stage.output("quarantine.jsonl"), quarantined)
     return counts
 
 
@@ -655,10 +655,14 @@ def _stats_window(stage: Stage, posts) -> ActivityWindow | None:
     from . import profilestats
 
     cfg = stage.cfg
-    # ingest checked each post at the offset it ran with; stats may run at another
+    offset = cfg.utc_offset
+    # ingest checked each post at the offset it ran with; stats may run at
+    # another. Within the config's +/-16 h, only years 1 and 9999 can overflow.
     for line, post in enumerate(posts, start=1):
+        if 1 < post.published_at.year < 9999:
+            continue
         try:
-            post.published_at + cfg.utc_offset
+            post.published_at + offset
         except OverflowError:
             raise ArtifactError(
                 f"{stage.inputs['posts']}:{line}: timestamp out of range at "

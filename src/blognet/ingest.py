@@ -17,6 +17,7 @@ import functools
 import json
 import re
 from datetime import datetime, timedelta, timezone
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_type_hints
 from urllib.parse import urlsplit
@@ -98,6 +99,7 @@ _TS_RE = re.compile(
     r"^([0-9]{4}-[0-9]{2}-[0-9]{2})[Tt ]([0-9]{2}:[0-9]{2}:[0-9]{2})(?:\.[0-9]+)?"
     r"([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?$"
 )
+_DAY = timedelta(days=1)
 
 
 def parse_timestamp(value: str, assume_offset: timedelta = timedelta(0)) -> datetime:
@@ -114,12 +116,16 @@ def parse_timestamp(value: str, assume_offset: timedelta = timedelta(0)) -> date
     m = _TS_RE.match(value.strip())
     if not m:
         raise ValueError(f"unparseable timestamp: {value!r}")
-    date_part, time_part, offset = m.group(1), m.group(2), m.group(3)
+    date_part, time_part, offset = m.groups()
     if offset in ("Z", "z"):
         offset = "+00:00"  # 3.10 reads no Z
     parsed = datetime.fromisoformat(f"{date_part}T{time_part}{offset or ''}")  # validates ranges
     if offset is None:
         parsed = parsed.replace(tzinfo=timezone(assume_offset))
+    if 1 < parsed.year < 9999 and -_DAY < assume_offset < _DAY:
+        # UTC is less than a day from the local reading, and the reading at
+        # assume_offset less than a day from UTC: neither leaves years 1-9999
+        return parsed.astimezone(timezone.utc)
     try:
         utc = parsed.astimezone(timezone.utc)
         utc + timedelta(seconds=1)
@@ -136,7 +142,7 @@ def format_timestamp(dt: datetime) -> str:
     """Serialize back to the dump schema: UTC, seconds precision, Z suffix,
     four-digit year."""
     # an aware UTC datetime's isoformat ends in "+00:00"
-    return dt.astimezone(timezone.utc).isoformat(timespec="seconds")[:-6] + "Z"
+    return dt.astimezone(timezone.utc).isoformat("T", "seconds")[:-6] + "Z"
 
 
 # the control characters (category Cc) that ``str.isspace`` does not accept
@@ -205,18 +211,21 @@ def decode_json(text: str, decode: Callable[[str], Any] = json.loads) -> Any:
         raise json.JSONDecodeError("integer literal too long", text, 0) from None
 
 
-def _string_field(obj: dict, key: str, *, allow_empty: bool = False) -> str:
+def _string_field(obj: dict, key: str, escaped: bool, *, allow_empty: bool = False) -> str:
+    """``obj[key]``, a string, non-blank unless ``allow_empty``. With
+    ``escaped`` (the line holds a ``\\u`` escape) it is also checked for a
+    lone surrogate, which no artifact could be written with: a strictly
+    decoded UTF-8 line holds none any other way."""
     value = obj.get(key)
     if not isinstance(value, str):
         raise ValueError(f"field {key!r} missing or not a string")
     if not allow_empty and not value.strip():
         raise ValueError(f"field {key!r} is empty")
-    try:
-        # a JSON escape such as "\ud800" decodes to a lone surrogate, which
-        # no artifact could be written with
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValueError(f"field {key!r} holds a lone surrogate") from None
+    if escaped:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"field {key!r} holds a lone surrogate") from None
     return value
 
 
@@ -229,6 +238,26 @@ def _enum_field(obj: dict, key: str, allowed: tuple[str, ...]) -> str:
     return value
 
 
+# the scanner ``json.loads`` runs: one JSON value and where it ends
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode_line(raw: str) -> Any:
+    """The JSON value of one dump line (without its newline). A line that is
+    one object and nothing else is read by one scan; any other line is an
+    empty line or goes through ``decode_json``, which words every error."""
+    if raw[:1] == "{":
+        try:
+            obj, end = _scan_once(raw, 0)
+            if end == len(raw):
+                return obj
+        except (StopIteration, ValueError, RecursionError):
+            pass  # decode_json words the error
+    if not raw.strip():
+        raise ValueError("empty line")
+    return decode_json(raw)
+
+
 def _load_jsonl(
     path: str | Path,
     parse_record,
@@ -237,8 +266,10 @@ def _load_jsonl(
 ) -> LoadResult:
     """Shared loader loop: JSON-decode each line, validate via parse_record.
 
-    parse_record raises ValueError to quarantine a line. id_of extracts the
-    primary id from an accepted record for duplicate detection (hard error).
+    parse_record(obj, escaped) raises ValueError to quarantine a line;
+    ``escaped`` says whether the line holds a ``\\u`` escape. id_of extracts
+    the primary id from an accepted record for duplicate detection (hard
+    error).
     """
     path = Path(path)
     records: list = []
@@ -247,12 +278,11 @@ def _load_jsonl(
     for line_no, raw in enumerate(read_lines(path, "utf-8-sig"), start=1):
         raw = raw.rstrip("\n")  # else json finds a control character, not an open string
         try:
-            if not raw.strip():
-                raise ValueError("empty line")
-            obj = decode_json(raw)
+            obj = _decode_line(raw)
             if not isinstance(obj, dict):
                 raise ValueError("line is not a JSON object")
-            record = parse_record(obj)
+            # one backslash is searched for faster than two characters
+            record = parse_record(obj, "\\" in raw and "\\u" in raw)
         except ValueError as err:  # a JSONDecodeError's own text adds a position
             reason = f"invalid JSON: {err.msg}" if type(err) is json.JSONDecodeError else str(err)
             quarantined.append(QuarantinedLine(path.name, line_no, reason))
@@ -266,11 +296,26 @@ def _load_jsonl(
     return LoadResult(records, quarantined)
 
 
-# The JSON types an ingest artifact holds for each record field type;
-# a datetime is written by ``format_timestamp``.
+class _FieldRule(NamedTuple):
+    """How an ingest artifact holds a record field of one type."""
+
+    json_types: tuple[type, ...]  # the JSON types it is read back as
+    encode: Callable[[Any], str]  # its JSON text, as ``write_jsonl`` writes it
+
+
+def _or_null(encode: Callable[[Any], str]) -> Callable[[Any], str]:
+    return lambda value: "null" if value is None else encode(value)
+
+
+# Each record field type's rule, read by ``_load_trusted`` and ``write_jsonl``;
+# each JSON text is the one ``json.dumps(..., ensure_ascii=False)`` writes,
+# and a datetime is written as ``format_timestamp`` gives it.
 _ARTIFACT_TYPES = {
-    str: (str,), str | None: (str, type(None)), int | None: (int, type(None)),
-    datetime: (str,),
+    str: _FieldRule((str,), encode_basestring),
+    str | None: _FieldRule((str, type(None)), _or_null(encode_basestring)),
+    int: _FieldRule((int,), int.__repr__),
+    int | None: _FieldRule((int, type(None)), _or_null(int.__repr__)),
+    datetime: _FieldRule((str,), lambda dt: f'"{format_timestamp(dt)}"'),
 }
 _CANONICAL_TS_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
@@ -288,7 +333,7 @@ def _load_trusted(path: str | Path, record_type: type, check=None) -> LoadResult
     hints = get_type_hints(record_type)
     # each field, in the order write_jsonl writes them: (name, its JSON types,
     # whether it is a timestamp)
-    fields = [(name, _ARTIFACT_TYPES[hint], hint is datetime)
+    fields = [(name, _ARTIFACT_TYPES[hint].json_types, hint is datetime)
               for name, hint in sorted(hints.items())]
     raw_decode = json.JSONDecoder().raw_decode
     records: list = []
@@ -309,7 +354,7 @@ def _load_trusted(path: str | Path, record_type: type, check=None) -> LoadResult
                     raise ValueError(f"field {name!r} is of the wrong type "
                                      f"({type(value).__name__})")
                 if escaped and type(value) is str:
-                    _string_field(obj, name, allow_empty=True)
+                    _string_field(obj, name, True, allow_empty=True)
                 if stamp:
                     if not _CANONICAL_TS_RE.fullmatch(value):
                         raise ValueError(f"field {name!r} is not a canonical UTC timestamp")
@@ -336,13 +381,15 @@ def load_posts(
     if trusted:
         return _load_trusted(path, RawPost)
 
-    def parse(obj: dict) -> RawPost:
-        return RawPost(
-            post_id=_string_field(obj, "post_id").strip(),
-            blog_id=canonical_slug(_string_field(obj, "blog_id")),
-            title=_string_field(obj, "title", allow_empty=True),
-            body=_string_field(obj, "body", allow_empty=True),
-            published_at=parse_timestamp(obj.get("published_at"), utc_offset),
+    slug = functools.cache(canonical_slug)  # a blog has many posts
+
+    def parse(obj: dict, escaped: bool) -> RawPost:
+        return RawPost(  # post_id, blog_id, title, body, published_at
+            _string_field(obj, "post_id", escaped).strip(),
+            slug(_string_field(obj, "blog_id", escaped)),
+            _string_field(obj, "title", escaped, allow_empty=True),
+            _string_field(obj, "body", escaped, allow_empty=True),
+            parse_timestamp(obj.get("published_at"), utc_offset),
         )
 
     return _load_jsonl(path, parse, id_of=lambda p: p.post_id)
@@ -360,21 +407,22 @@ def load_comments(
     if trusted:
         return _load_trusted(path, RawComment)
 
-    def parse(obj: dict) -> RawComment:
-        post_id = _string_field(obj, "post_id").strip()
+    slug = functools.cache(canonical_slug)  # a blog comments many times
+
+    def parse(obj: dict, escaped: bool) -> RawComment:
+        post_id = _string_field(obj, "post_id", escaped).strip()
         if post_id not in known_post_ids:
             raise ValueError(f"unknown post_id {post_id!r}")
         commenter = obj.get("commenter_blog_id")
         if commenter is not None:
-            commenter = canonical_slug(
-                _string_field(obj, "commenter_blog_id", allow_empty=True)
-            ) or None
-        return RawComment(
-            comment_id=_string_field(obj, "comment_id").strip(),
-            post_id=post_id,
-            commenter_blog_id=commenter,
-            body=_string_field(obj, "body", allow_empty=True),
-            created_at=parse_timestamp(obj.get("created_at"), utc_offset),
+            commenter = slug(
+                _string_field(obj, "commenter_blog_id", escaped, allow_empty=True)) or None
+        return RawComment(  # comment_id, post_id, commenter_blog_id, body, created_at
+            _string_field(obj, "comment_id", escaped).strip(),
+            post_id,
+            commenter,
+            _string_field(obj, "body", escaped, allow_empty=True),
+            parse_timestamp(obj.get("created_at"), utc_offset),
         )
 
     return _load_jsonl(path, parse, id_of=lambda c: c.comment_id)
@@ -393,14 +441,13 @@ def load_blogroll(path: str | Path, *, trusted: bool = False) -> LoadResult:
             return False
         return scheme in ("http", "https") and bool(host)
 
-    def parse(obj: dict) -> BlogrollRecord:
-        url = _string_field(obj, "target_url").strip()
+    slug = functools.cache(canonical_slug)  # a blog lists many others
+
+    def parse(obj: dict, escaped: bool) -> BlogrollRecord:
+        url = _string_field(obj, "target_url", escaped).strip()
         if not is_http_url(url):
             raise ValueError(f"invalid URL {url!r}")
-        return BlogrollRecord(
-            owner_blog_id=canonical_slug(_string_field(obj, "owner_blog_id")),
-            target_url=url,
-        )
+        return BlogrollRecord(slug(_string_field(obj, "owner_blog_id", escaped)), url)
 
     return _load_jsonl(path, parse)
 
@@ -415,17 +462,17 @@ def load_profiles(path: str | Path, *, trusted: bool = False) -> LoadResult:
     if trusted:  # an age that is out of range may not even convert to a float
         return _load_trusted(path, ProfileRecord, lambda p: check_age(p.age))
 
-    def parse(obj: dict) -> ProfileRecord:
+    def parse(obj: dict, escaped: bool) -> ProfileRecord:
         age = obj.get("age")
         if age is not None and (isinstance(age, bool) or not isinstance(age, int)):
             raise ValueError("field 'age' must be an integer or null")
         check_age(age)
-        return ProfileRecord(
-            blog_id=canonical_slug(_string_field(obj, "blog_id")),
-            age=age,
-            gender=_enum_field(obj, "gender", GENDERS),
-            education=_enum_field(obj, "education", EDUCATION_LEVELS),
-            marital_status=_enum_field(obj, "marital_status", MARITAL_STATUSES),
+        return ProfileRecord(  # blog_id, age, gender, education, marital_status
+            canonical_slug(_string_field(obj, "blog_id", escaped)),
+            age,
+            _enum_field(obj, "gender", GENDERS),
+            _enum_field(obj, "education", EDUCATION_LEVELS),
+            _enum_field(obj, "marital_status", MARITAL_STATUSES),
         )
 
     return _load_jsonl(path, parse, id_of=lambda p: p.blog_id)
@@ -451,8 +498,27 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> int:
     return n
 
 
-def write_jsonl(path: str | Path, rows: Iterator[dict] | list[dict]) -> int:
-    """Write dicts as one JSON object per line, each datetime as
-    ``format_timestamp`` gives it; returns the line count."""
-    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, default=format_timestamp).encode
-    return write_lines(path, map(encode, rows))
+_encode_json = json.JSONEncoder(
+    ensure_ascii=False, sort_keys=True, default=format_timestamp).encode
+
+
+@functools.cache
+def _row_encoder(row_type: type) -> Callable[[Any], str]:
+    """The line ``write_jsonl`` writes for a row of ``row_type``: a record
+    (NamedTuple) is written field by field in name order, each by its
+    type's ``_ARTIFACT_TYPES`` rule; anything else by ``_encode_json``."""
+    if not hasattr(row_type, "_fields"):
+        return _encode_json
+    hints = get_type_hints(row_type)
+    names = sorted(row_type._fields)
+    template = "{" + ", ".join(f"{encode_basestring(name)}: %s" for name in names) + "}"
+    fields = [(row_type._fields.index(name), _ARTIFACT_TYPES[hints[name]].encode)
+              for name in names]
+    return lambda row: template % tuple([encode(row[i]) for i, encode in fields])
+
+
+def write_jsonl(path: str | Path, rows: Iterable) -> int:
+    """Write records or dicts as one JSON object per line with sorted keys,
+    each datetime as ``format_timestamp`` gives it; a record is written as
+    its ``_asdict()`` would be. Returns the line count."""
+    return write_lines(path, (_row_encoder(type(row))(row) for row in rows))

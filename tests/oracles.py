@@ -6,8 +6,9 @@ PageRank/HITS via dense matrix power iteration instead of sparse scatter
 sums, clustering via triple enumeration. The similarity matrix, character
 unification, tokenization, href masking, blog-id checks, blogroll URL
 resolution and validation, HTML stripping, URL resolution, timestamp parsing
-and formatting, JSONL writing, layer merging and per-node clustering keep
-the slow, direct versions that the faster library code replaced.
+and formatting, the validating dump loaders, JSONL writing, layer merging and
+per-node clustering keep the slow, direct versions that the faster library
+code replaced.
 """
 
 from __future__ import annotations
@@ -311,6 +312,124 @@ def parse_timestamp_uncached(value: str, assume_offset: timedelta = timedelta(0)
     except OverflowError:
         raise ValueError(f"timestamp out of range at the dump offset: {value!r}") from None
     return utc
+
+
+def _string_field(obj: dict, key: str, *, allow_empty: bool = False) -> str:
+    value = obj.get(key)
+    if not isinstance(value, str):
+        raise ValueError(f"field {key!r} missing or not a string")
+    if not allow_empty and not value.strip():
+        raise ValueError(f"field {key!r} is empty")
+    try:
+        # a JSON escape such as "\ud800" decodes to a lone surrogate, which
+        # no artifact could be written with
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"field {key!r} holds a lone surrogate") from None
+    return value
+
+
+def _timestamp(value, assume_offset: timedelta) -> datetime:
+    try:
+        return parse_timestamp_uncached(value, assume_offset)
+    except OverflowError:
+        raise ValueError(f"timestamp out of range in UTC: {value!r}") from None
+
+
+def _load_jsonl_by_loads(path, parse_record, *, id_of=None) -> ingest.LoadResult:
+    """The loader loop with a ``json.loads`` per line and every string
+    field checked for a lone surrogate."""
+    path = Path(path)
+    records: list = []
+    quarantined: list[ingest.QuarantinedLine] = []
+    seen_ids: set[str] = set()
+    for line_no, raw in enumerate(ingest.read_lines(path, "utf-8-sig"), start=1):
+        raw = raw.rstrip("\n")
+        try:
+            if not raw.strip():
+                raise ValueError("empty line")
+            obj = ingest.decode_json(raw)
+            if not isinstance(obj, dict):
+                raise ValueError("line is not a JSON object")
+            record = parse_record(obj)
+        except ValueError as err:
+            reason = f"invalid JSON: {err.msg}" if type(err) is json.JSONDecodeError else str(err)
+            quarantined.append(ingest.QuarantinedLine(path.name, line_no, reason))
+            continue
+        if id_of is not None:
+            rid = id_of(record)
+            if rid in seen_ids:
+                raise ingest.DuplicateIdError(f"{path.name}:{line_no}: duplicate id {rid!r}")
+            seen_ids.add(rid)
+        records.append(record)
+    return ingest.LoadResult(records, quarantined)
+
+
+def load_posts_by_loads(path, utc_offset: timedelta = timedelta(0)) -> ingest.LoadResult:
+    def parse(obj: dict) -> ingest.RawPost:
+        return ingest.RawPost(
+            post_id=_string_field(obj, "post_id").strip(),
+            blog_id=ingest.canonical_slug(_string_field(obj, "blog_id")),
+            title=_string_field(obj, "title", allow_empty=True),
+            body=_string_field(obj, "body", allow_empty=True),
+            published_at=_timestamp(obj.get("published_at"), utc_offset),
+        )
+
+    return _load_jsonl_by_loads(path, parse, id_of=lambda p: p.post_id)
+
+
+def load_comments_by_loads(path, known_post_ids: set[str],
+                           utc_offset: timedelta = timedelta(0)) -> ingest.LoadResult:
+    def parse(obj: dict) -> ingest.RawComment:
+        post_id = _string_field(obj, "post_id").strip()
+        if post_id not in known_post_ids:
+            raise ValueError(f"unknown post_id {post_id!r}")
+        commenter = obj.get("commenter_blog_id")
+        if commenter is not None:
+            commenter = ingest.canonical_slug(
+                _string_field(obj, "commenter_blog_id", allow_empty=True)
+            ) or None
+        return ingest.RawComment(
+            comment_id=_string_field(obj, "comment_id").strip(),
+            post_id=post_id,
+            commenter_blog_id=commenter,
+            body=_string_field(obj, "body", allow_empty=True),
+            created_at=_timestamp(obj.get("created_at"), utc_offset),
+        )
+
+    return _load_jsonl_by_loads(path, parse, id_of=lambda c: c.comment_id)
+
+
+def load_blogroll_by_loads(path) -> ingest.LoadResult:
+    def parse(obj: dict) -> ingest.BlogrollRecord:
+        url = _string_field(obj, "target_url").strip()
+        reason = blogroll_url_error(url)
+        if reason is not None:
+            raise ValueError(reason)
+        return ingest.BlogrollRecord(
+            owner_blog_id=ingest.canonical_slug(_string_field(obj, "owner_blog_id")),
+            target_url=url,
+        )
+
+    return _load_jsonl_by_loads(path, parse)
+
+
+def load_profiles_by_loads(path) -> ingest.LoadResult:
+    def parse(obj: dict) -> ingest.ProfileRecord:
+        age = obj.get("age")
+        if age is not None and (isinstance(age, bool) or not isinstance(age, int)):
+            raise ValueError("field 'age' must be an integer or null")
+        if age is not None and not ingest.AGE_MIN <= age <= ingest.AGE_MAX:
+            raise ValueError(f"age {age} outside [{ingest.AGE_MIN}, {ingest.AGE_MAX}]")
+        return ingest.ProfileRecord(
+            blog_id=ingest.canonical_slug(_string_field(obj, "blog_id")),
+            age=age,
+            gender=ingest._enum_field(obj, "gender", ingest.GENDERS),
+            education=ingest._enum_field(obj, "education", ingest.EDUCATION_LEVELS),
+            marital_status=ingest._enum_field(obj, "marital_status", ingest.MARITAL_STATUSES),
+        )
+
+    return _load_jsonl_by_loads(path, parse, id_of=lambda p: p.blog_id)
 
 
 def format_timestamp_strftime(dt: datetime) -> str:
