@@ -292,7 +292,7 @@ def cmd_prep(stage: Stage) -> dict:
         if "stopwords" in files else textprep.default_stopwords(equivalences, cfg.unify_alef)
     )
     docs = textprep.blog_documents(
-        loaded["posts"], stopwords, equivalences, cfg.unify_alef
+        loaded.pop("posts"), stopwords, equivalences, cfg.unify_alef
     )
     vocab = textprep.build_vocabulary(
         docs, cfg.min_df, cfg.max_df_ratio, cfg.vocab_top_k
@@ -301,15 +301,15 @@ def cmd_prep(stage: Stage) -> dict:
     vectors = [
         textprep.vectorize_tfidf(d, vocab, documents, cfg.tfidf_variant) for d in docs
     ]
-    # the token tuples and raw posts are the bulk of memory; free them
-    # before the N x N similarity accumulator is allocated
-    del docs, loaded
+    # the term counts are not needed past here; free them before the N x N
+    # similarity accumulator is allocated
+    del docs
     matrix = textprep.similarity_matrix(vectors)
 
     stage.write_csv("vocabulary.csv", ((t, vocab.df[t]) for t in vocab.terms), ["term", "df"])
     ingest_mod.write_jsonl(
         stage.output("vectors.jsonl"),
-        [{"blog_id": v.blog_id, "terms": sorted(v.weights.items())} for v in vectors],
+        ({"blog_id": v.blog_id, "terms": sorted(v.weights.items())} for v in vectors),
     )
     stage.write_csv(
         "similarity.csv",

@@ -480,13 +480,6 @@ def load_profiles(path: str | Path, *, trusted: bool = False) -> LoadResult:
 
 # --- serialization back to the dump schema (round-trip safe) ---------------
 
-# ``write_jsonl`` writes each datetime field by ``format_timestamp``
-post_to_dict = RawPost._asdict
-comment_to_dict = RawComment._asdict
-blogroll_to_dict = BlogrollRecord._asdict
-profile_to_dict = ProfileRecord._asdict
-
-
 def write_lines(path: str | Path, lines: Iterable[str]) -> int:
     """Write each line and a ``\\n`` to a UTF-8 file; returns the line count.
     Every text artifact but a CSV is written here."""

@@ -58,8 +58,10 @@ _TOKEN_RE = re.compile(rf"\w+(?:{ZWNJ}+\w+)*")
 
 
 class NormalizedDocument(NamedTuple):
+    """One blog's text as the multiset of its interned terms: ``tokens``
+    maps each kept term to its count."""
     blog_id: str
-    tokens: tuple[str, ...]
+    tokens: Counter[str]
 
 
 class Vocabulary(NamedTuple):
@@ -384,7 +386,8 @@ def build_vocabulary(
     max_df_ratio: float = 1.0,
     top_k: int | None = None,
 ) -> Vocabulary:
-    """Select terms with min_df <= df <= max_df_ratio * len(docs).
+    """Select terms with min_df <= df <= max_df_ratio * len(docs), where a
+    term's df counts the documents whose ``tokens`` hold it.
 
     ``top_k`` optionally caps the vocabulary to the K highest-df terms
     (ties broken lexicographically) for parity experiments.
@@ -416,7 +419,8 @@ def vectorize_tfidf(
     corpus_size: int,
     variant: str = "raw_ln",
 ) -> DocumentVector:
-    """TF-IDF weights over the vocabulary, zeros omitted.
+    """TF-IDF weights over the vocabulary, zeros omitted; a term's tf is its
+    count in ``doc.tokens``, a term multiset or a token sequence.
 
     Variants: ``raw_ln`` (default) tf * ln(N/df); ``log_tf``
     (1 + ln tf) * ln(N/df); ``smooth_idf`` tf * ln((1+N)/(1+df)). All of
@@ -539,19 +543,23 @@ def blog_documents(
     """Concatenate title + body of each blog's posts and run the full text
     pipeline (strip -> normalize -> tokenize -> stop-word removal).
 
-    Similarity is computed between weblogs, so one document per blog.
+    Similarity is computed between weblogs, so one document per blog. Its
+    tokens are kept as counts: stop words are dropped once per distinct
+    term, and each term is one ``str`` shared by every blog that uses it,
+    so memory grows with distinct (blog, term) pairs, not with tokens.
     """
     by_blog: dict[str, list] = defaultdict(list)
     for post in posts:
         by_blog[post.blog_id].append(post)
+    terms: dict[str, str] = {}
     docs = []
     for blog_id in sorted(by_blog):
         blog_posts = sorted(by_blog[blog_id], key=lambda p: (p.published_at, p.post_id))
         text = " ".join(
             f"{strip_html(p.title)} {strip_html(p.body)}" for p in blog_posts
         )
-        tokens = remove_stopwords(
-            tokenize(normalize(text, equivalences, unify_alef)), stopwords
-        )
-        docs.append(NormalizedDocument(blog_id, tuple(tokens)))
+        counts = Counter(tokenize(normalize(text, equivalences, unify_alef)))
+        docs.append(NormalizedDocument(blog_id, Counter(
+            {terms.setdefault(t, t): n for t, n in counts.items() if t not in stopwords}
+        )))
     return docs

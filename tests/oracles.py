@@ -4,11 +4,11 @@ These deliberately take different routes from the implementations under
 test: SCCs via Floyd-Warshall transitive closure instead of Tarjan,
 PageRank/HITS via dense matrix power iteration instead of sparse scatter
 sums, clustering via triple enumeration. The similarity matrix, character
-unification, tokenization, href masking, blog-id checks, blogroll URL
-resolution and validation, HTML stripping, URL resolution, timestamp parsing
-and formatting, the validating dump loaders, JSONL writing, layer merging and
-per-node clustering keep the slow, direct versions that the faster library
-code replaced.
+unification, tokenization, per-blog documents, href masking, blog-id checks,
+blogroll URL resolution and validation, HTML stripping, URL resolution,
+timestamp parsing and formatting, the validating dump loaders, JSONL writing,
+layer merging and per-node clustering keep the slow, direct versions that the
+faster library code replaced.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -194,6 +194,25 @@ def tokenize_by_strip(text: str) -> list[str]:
         token for run in _RUN_RE.findall(text)
         if (token := run.strip(textprep.ZWNJ)) and not token.replace(textprep.ZWNJ, "").isdigit()
     ]
+
+
+def blog_documents_by_tokens(posts, stopwords, equivalences=None, unify_alef=True):
+    """``textprep.blog_documents`` keeping every token: each blog's kept
+    tokens in text order, one ``str`` each, in a tuple."""
+    by_blog = defaultdict(list)
+    for post in posts:
+        by_blog[post.blog_id].append(post)
+    docs = []
+    for blog_id in sorted(by_blog):
+        blog_posts = sorted(by_blog[blog_id], key=lambda p: (p.published_at, p.post_id))
+        text = " ".join(
+            f"{textprep.strip_html(p.title)} {textprep.strip_html(p.body)}" for p in blog_posts
+        )
+        tokens = textprep.remove_stopwords(
+            textprep.tokenize(textprep.normalize(text, equivalences, unify_alef)), stopwords
+        )
+        docs.append(textprep.NormalizedDocument(blog_id, tuple(tokens)))
+    return docs
 
 
 def candidate_links_by_rebuild(html: str) -> list[tuple[str, bool]]:

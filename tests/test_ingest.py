@@ -135,7 +135,7 @@ class TestLoadPosts:
         write_lines(path, [post_row("p1"), post_row("p2", title="سلام")])
         first = ingest.load_posts(path).records
         out = tmp_path / "redump.jsonl"
-        ingest.write_jsonl(out, [ingest.post_to_dict(p) for p in first])
+        ingest.write_jsonl(out, [ingest.RawPost._asdict(p) for p in first])
         second = ingest.load_posts(out).records
         assert first == second
 
@@ -238,9 +238,9 @@ def test_round_trip_all_record_types(tmp_path):
     cases = [
         ("comments.jsonl", [comment],
          lambda p: ingest.load_comments(p, known_post_ids={"p1"}),
-         ingest.comment_to_dict),
-        ("blogroll.jsonl", [roll], ingest.load_blogroll, ingest.blogroll_to_dict),
-        ("profiles.jsonl", [profile], ingest.load_profiles, ingest.profile_to_dict),
+         ingest.RawComment._asdict),
+        ("blogroll.jsonl", [roll], ingest.load_blogroll, ingest.BlogrollRecord._asdict),
+        ("profiles.jsonl", [profile], ingest.load_profiles, ingest.ProfileRecord._asdict),
     ]
     for name, rows, loader, to_dict in cases:
         path = tmp_path / name
@@ -471,8 +471,8 @@ def raw_dumps(draw):
 def test_trusted_reload_matches_loaders_on_ingest_artifacts(dumps):
     """Each kind of artifact, written from what the loaders accept as ingest
     writes it, reloads to the same records on the trusted path."""
-    to_dicts = {"posts": ingest.post_to_dict, "comments": ingest.comment_to_dict,
-                "blogroll": ingest.blogroll_to_dict, "profiles": ingest.profile_to_dict}
+    to_dicts = {"posts": ingest.RawPost._asdict, "comments": ingest.RawComment._asdict,
+                "blogroll": ingest.BlogrollRecord._asdict, "profiles": ingest.ProfileRecord._asdict}
     with tempfile.TemporaryDirectory() as tmp:
         known: set[str] = set()
 
