@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
-from itertools import count, zip_longest
+from itertools import compress, count, zip_longest
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
@@ -63,11 +63,12 @@ def _checked(convert: Callable[[str], Any], holds: Callable[[Any], bool],
 
 def _read_int(value: str) -> int:
     """A CSV integer as ``str`` writes one: ASCII digits after at most one
-    "-" (``int`` alone also reads other digits, "_" and padding)."""
+    "-", and no "-0" or leading zero (``int`` alone also reads those, other
+    digits, "_" and padding)."""
     digits = value.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{value!r} is not a number as written")
-    return int(value)
+    if digits.isascii() and digits.isdigit() and str(number := int(value)) == value:
+        return number
+    raise ValueError(f"{value!r} is not a number as written")
 
 
 def _read_float(value: str) -> float:
@@ -77,10 +78,24 @@ def _read_float(value: str) -> float:
     return number
 
 
+class _RowNumbers:
+    """The converter of a ``rank`` column whose n-th row must hold rank n. It
+    counts the rows it reads, so it runs once per row, in order, and is
+    never applied once per distinct value."""
+
+    def __init__(self) -> None:
+        self._rows = count(1)
+
+    def __call__(self, value: str) -> int:
+        if (rank := _read_int(value)) != next(self._rows):
+            raise ValueError(f"{value!r} is not its row's number")
+        return rank
+
+
 # the columns of build's edges_*.csv, in ``graphbuild.Edge`` field order (build
 # writes its edges as rows), with the converter each is read through
 EDGE_COLUMNS = {"src": str, "dst": str, "layer": str, "weight": _read_int}
-# ``report`` reads each ``rank`` as its row's number (see ``_row_numbers``)
+# ``report`` reads each ``rank`` as its row's number (see ``_RowNumbers``)
 RANKING_COLUMNS = {"blog_id": str, "score": _checked(_read_float, math.isfinite, "finite"),
                    "rank": _read_int}
 _AT_LEAST_1 = _checked(_read_int, lambda n: n >= 1, "at least 1")
@@ -189,12 +204,12 @@ class Stage:
                 raise ArtifactError(f"{path}: cannot write a row: {err}") from None
 
     def read_csv(self, stage: str, name: str, key: str | None = None,
-                 **overrides: Callable[[str], Any]) -> Iterator[list]:
+                 **overrides: Callable[[str], Any]) -> Iterator[tuple]:
         """The rows of upstream CSV artifact ``name`` of ``stage`` (see
         ``_read_artifact_csv``), read through its ``CSV_ARTIFACTS`` columns
         with ``overrides`` replacing the converters of the columns they name.
-        The file is required now, as by ``require``, and read as the rows are
-        iterated, so a stage requires every input before it reads any."""
+        The file is required now, as by ``require``, and read when the first
+        row is asked for, so a stage requires every input before it reads any."""
         columns, key_columns = CSV_ARTIFACTS[stage, name]
         path = self.require(stage, name, key)
         return _read_artifact_csv(path, {**columns, **overrides}, key_columns)
@@ -452,7 +467,7 @@ _STATS_SHAPE = {
 
 def _read_artifact_csv(
     path: Path, columns: dict[str, Callable[[str], Any]], key_columns: int
-) -> Iterator[list]:
+) -> Iterator[tuple]:
     """Yield the rows of an artifact CSV whose header is ``columns``, each
     value passed through its column's converter (``str`` columns are left as
     read). A wrong header raises ArtifactError naming the file, and a byte
@@ -461,16 +476,64 @@ def _read_artifact_csv(
     (at least one) values repeat an earlier row's raises ArtifactError naming
     ``file:line``, as does a line the csv module rejects (a NUL before Python
     3.11). The key is checked before the other values are converted, so a
-    repeated row is named as one."""
+    repeated row is named as one.
+
+    The file is read whole and checked a column at a time (see
+    ``_rows_by_column``); only when a check fails is it read again row by
+    row, which names the first faulty line."""
+    # a field of any length a stage wrote is read back, where the csv module's
+    # default limit is 131,072 characters (2**31 - 1 fits every C long)
+    csv.field_size_limit(2**31 - 1)
+    reader = csv.reader(ingest_mod.read_lines(path, newline=""))
+    try:
+        rows = (_rows_by_column(reader, columns, key_columns)
+                if next(reader, None) == list(columns) else None)
+    except (csv.Error, InputFileError):
+        rows = None
+    yield from _rows_by_row(path, columns, key_columns) if rows is None else rows
+
+
+def _rows_by_column(reader: Iterator[list], columns: dict[str, Callable[[str], Any]],
+                    key_columns: int) -> list[tuple] | None:
+    """The rows ``reader`` holds, converted as ``_rows_by_row`` converts them,
+    or None where it would raise. Each check runs once per column: the
+    width, each converter once per distinct value (a ``_RowNumbers``, which
+    counts rows, as the column 1, 2, ... instead) and the key by set size."""
+    rows = list(reader)
+    if not rows:
+        return []
+    if set(map(len, rows)) != {len(columns)}:
+        return None
+    values = list(zip(*rows))
+    del rows  # the lists the csv module read; ``values`` holds their strings
+    for i, convert in enumerate(columns.values()):
+        if isinstance(convert, _RowNumbers):
+            numbers = range(1, len(values[i]) + 1)
+            if values[i] != tuple(map(str, numbers)):
+                return None
+            values[i] = numbers
+        elif convert is not str:
+            try:
+                read = {value: convert(value) for value in set(values[i])}
+            except ValueError:
+                return None
+            # each row gets its distinct value's object, so equal values share one
+            values[i] = list(map(read.__getitem__, values[i]))
+    if len(set(zip(*values[:key_columns]))) != len(values[0]):
+        return None
+    return list(zip(*values))
+
+
+def _rows_by_row(path: Path, columns: dict[str, Callable[[str], Any]],
+                 key_columns: int) -> Iterator[tuple]:
+    """``_read_artifact_csv``'s rows, each row checked in turn: the first
+    fault raises as that function says."""
     width = len(columns)
     converted = [(i, convert) for i, convert in enumerate(columns.values()) if convert is not str]
     key_converted = [(i, convert) for i, convert in converted if i < key_columns]
     value_converted = [(i, convert) for i, convert in converted if i >= key_columns]
     key_of = itemgetter(*range(key_columns))
     keys: set = set()
-    # a field of any length a stage wrote is read back, where the csv module's
-    # default limit is 131,072 characters (2**31 - 1 fits every C long)
-    csv.field_size_limit(2**31 - 1)
     reader = csv.reader(ingest_mod.read_lines(path, newline=""))
     try:
         header = next(reader, None)
@@ -490,7 +553,7 @@ def _read_artifact_csv(
                     row[i] = convert(row[i])
             except ValueError as err:
                 raise ArtifactError(f"{path}:{reader.line_num}: malformed row: {err}") from None
-            yield row
+            yield tuple(row)
     except csv.Error as err:
         raise ArtifactError(f"{path}:{reader.line_num}: malformed row: {err}") from None
 
@@ -508,30 +571,34 @@ def _digraph(labels: list[str], arcs: list[tuple], source: str) -> SimpleDigraph
 
 
 def _read_edges(stage: Stage, name: str, layers: tuple[str, ...],
-                key: str | None = None, **overrides: Callable[[str], Any]) -> Iterator[list]:
+                key: str | None = None, **overrides: Callable[[str], Any]) -> Iterator[tuple]:
     """The (src, dst, layer, weight) rows of build's ``name``, which may
     carry only ``layers``; another layer raises ArtifactError naming
-    ``file:line``. Required now, read as iterated (see ``Stage.read_csv``)."""
+    ``file:line``. Required now, read at the first row (see ``Stage.read_csv``)."""
     return stage.read_csv("build", name, key, **overrides,
                           layer=_checked(str, layers.__contains__, f"one of: {', '.join(layers)}"))
 
 
-def _layer_metrics(rows, merged_arcs: list, source: str, clustering_variant: str) -> dict:
+# an edge row's (src, dst, weight)
+_ARC = itemgetter(0, 1, 3)
+
+
+def _layer_metrics(rows, merged_rows: list, source: str, clustering_variant: str) -> dict:
     """Metrics for one edge layer viewed as its own graph over the blogs it
     touches (nodes = the layer's endpoints). Its file must hold the layer's
-    rows of the merged file, whose arcs are ``merged_arcs``, in their order;
-    the first difference raises ArtifactError naming ``file:line``."""
+    rows of the merged file, ``merged_rows``, in their order; the first
+    difference raises ArtifactError naming ``file:line``."""
     from . import graphclean
 
-    arcs = [(src, dst, weight) for src, dst, _layer, weight in rows]
-    labels = sorted({v for src, dst, _weight in arcs for v in (src, dst)})
+    rows = list(rows)
+    arcs = list(map(_ARC, rows))
+    labels = sorted({*map(itemgetter(0), rows), *map(itemgetter(1), rows)})
     graph = _digraph(labels, arcs, source)
-    # Each row's layer is this file's (checked as read), so equal arcs are
-    # equal rows. A merged row holds no line break (its endpoints are lines
-    # of nodes.txt), so each row before the first difference is one line.
-    first = next((i for i, (arc, merged) in enumerate(zip_longest(arcs, merged_arcs))
-                  if arc != merged), None)
-    if first is not None:
+    # A merged row holds no line break (its endpoints are lines of
+    # nodes.txt), so each row before the first difference is one line.
+    if rows != merged_rows:
+        first = next(i for i, (row, merged) in enumerate(zip_longest(rows, merged_rows))
+                     if row != merged)
         raise ArtifactError(f"{source}:{first + 2}: differs from this layer's rows "
                             "in edges_merged.csv")
     return graphclean.graph_metrics(graph, clustering_variant)._asdict()
@@ -547,20 +614,19 @@ def cmd_clean(stage: Stage) -> dict:
     merged_rows = _read_edges(stage, "edges_merged.csv", LAYERS, "edges", src=node, dst=node)
     layer_rows = {layer: _read_edges(stage, f"edges_{layer}.csv", (layer,)) for layer in LAYERS}
     nodes = [line.rstrip("\n") for line in ingest_mod.read_lines(nodes_path)]
-    known = set(nodes)  # ``node`` runs only as the rows are read, below
-    arcs, merged_arcs = [], {layer: [] for layer in LAYERS}
-    for src, dst, layer, weight in merged_rows:  # in file order, and by layer
-        arcs.append((src, dst, weight))
-        merged_arcs[layer].append(arcs[-1])
-    graph = _digraph(nodes, arcs, f"{stage.inputs['edges']} (nodes from {nodes_path.name})")
+    known = set(nodes)  # ``node`` runs only when the rows are read, below
+    merged = list(merged_rows)
+    graph = _digraph(nodes, list(map(_ARC, merged)),
+                     f"{stage.inputs['edges']} (nodes from {nodes_path.name})")
     # each layer as its own network, so the merged and per-layer readings
     # can both be compared against outside figures
+    row_layers = list(map(itemgetter(2), merged))
     layer_metrics = {
-        layer: _layer_metrics(rows, merged_arcs[layer], str(stage.inputs[f"edges_{layer}"]),
-                              cfg.clustering_variant)
+        layer: _layer_metrics(rows, list(compress(merged, map(layer.__eq__, row_layers))),
+                              str(stage.inputs[f"edges_{layer}"]), cfg.clustering_variant)
         for layer, rows in layer_rows.items()
     }
-    del arcs, merged_arcs  # checked; free them before the merged graph's metrics
+    del merged, row_layers  # checked; free them before the merged graph's metrics
 
     metrics_before = graphclean.graph_metrics(graph, cfg.clustering_variant)
     pruned, removed_labels = graphclean.remove_isolated(graph, cfg.isolated_strict)
@@ -611,8 +677,8 @@ def _read_cleaned_graph(stage: Stage) -> SimpleDigraph:
     node = _checked(str, lambda label: label in known, f"a node in {nodes_path.name}")
     rows = stage.read_csv("clean", "graph_cleaned.csv", "arcs", src=node, dst=node)
     labels = [line.rstrip("\n") for line in ingest_mod.read_lines(nodes_path)]
-    known = set(labels)  # ``node`` runs only as the rows are read, below
-    graph = _digraph(labels, [tuple(row) for row in rows],
+    known = set(labels)  # ``node`` runs only when the rows are read, below
+    graph = _digraph(labels, list(rows),
                      f"{stage.inputs['arcs']} (nodes from {nodes_path.name})")
     if not stage.cfg.weighted_rank:  # the weights were checked all the same
         graph = replace(graph, weights=tuple((1,) * len(out) for out in graph.adj))
@@ -731,18 +797,12 @@ def cmd_stats(stage: Stage) -> dict:
     }
 
 
-def _row_numbers() -> Callable[[str], int]:
-    """The converter of a ``rank`` column whose n-th row must hold rank n."""
-    rows = count(1)
-    return _checked(_read_int, lambda rank: rank == next(rows), "its row's number")
-
-
 def cmd_report(stage: Stage) -> dict:
     """Combine metrics, rankings, and statistics into the final report."""
     metrics_path = stage.require("clean", "metrics.json")
     histogram_rows = stage.read_csv("clean", "scc_histogram.csv")
     stats_path = stage.require("stats", "report.json", "stats")
-    ranking_rows = {kind: stage.read_csv("rank", f"{kind}.csv", rank=_row_numbers())
+    ranking_rows = {kind: stage.read_csv("rank", f"{kind}.csv", rank=_RowNumbers())
                     for kind in RANKINGS}
 
     metrics = _read_artifact_json(metrics_path, _METRICS_SHAPE)

@@ -17,7 +17,9 @@ import functools
 import json
 import re
 from datetime import datetime, timedelta, timezone
+from itertools import product
 from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_type_hints
 from urllib.parse import urlsplit
@@ -327,7 +329,12 @@ def _load_trusted(path: str | Path, record_type: type, check=None) -> LoadResult
     ``_ARTIFACT_TYPES`` gives it, with every timestamp in the canonical UTC
     form and no lone surrogate, and ``check`` may reject a record with
     ValueError: so a changed artifact cannot fail a later step. Any miss
-    raises ArtifactError naming ``file:line``."""
+    raises ArtifactError naming ``file:line``.
+
+    A line is checked as a whole: one scan, then its value's length, its
+    fields' values and their types in one step each. A line that fails that
+    check, or holds a ``\\u`` escape, is checked field by field, which names
+    the fault."""
     path = Path(path)
     # a NamedTuple holds its annotations as ForwardRefs; this evaluates them
     hints = get_type_hints(record_type)
@@ -336,32 +343,61 @@ def _load_trusted(path: str | Path, record_type: type, check=None) -> LoadResult
     fields = [(name, _ARTIFACT_TYPES[hint].json_types, hint is datetime)
               for name, hint in sorted(hints.items())]
     raw_decode = json.JSONDecoder().raw_decode
+
+    def by_field(raw: str):
+        """The record of one line, each field checked in turn; a fault raises
+        ValueError, or KeyError naming a missing field."""
+        obj, end = decode_json(raw, raw_decode)
+        # write_jsonl puts nothing after an object but its newline
+        if raw[end:] not in ("\n", ""):
+            raise ValueError("unexpected text after the object")
+        if type(obj) is not dict:
+            raise ValueError("line is not a JSON object")
+        # only a \u escape can decode to a lone surrogate (one backslash
+        # is searched for faster than two characters)
+        escaped = "\\" in raw and "\\u" in raw
+        for name, types, stamp in fields:
+            value = obj[name]  # a KeyError names a missing field
+            if type(value) not in types:
+                raise ValueError(f"field {name!r} is of the wrong type "
+                                 f"({type(value).__name__})")
+            if escaped and type(value) is str:
+                _string_field(obj, name, True, allow_empty=True)
+            if stamp:
+                if not _CANONICAL_TS_RE.fullmatch(value):
+                    raise ValueError(f"field {name!r} is not a canonical UTC timestamp")
+                obj[name] = datetime.fromisoformat(value[:-1] + "+00:00")  # 3.10 reads no Z
+        if len(obj) != len(fields):
+            raise ValueError(f"unexpected field {min(obj.keys() - hints)!r}")
+        return record_type(**obj)
+
+    # the line check: the record's values in field order, every tuple of
+    # JSON types they may have, and where its timestamps are
+    names = record_type._fields
+    values_of = itemgetter(*names)
+    allowed = set(product(*(_ARTIFACT_TYPES[hints[name]].json_types for name in names)))
+    stamps = [i for i, name in enumerate(names) if hints[name] is datetime]
+    canonical = _CANONICAL_TS_RE.fullmatch
+    from_iso = datetime.fromisoformat
     records: list = []
     for line_no, raw in enumerate(read_lines(path, newline="\n"), start=1):
         try:
-            obj, end = decode_json(raw, raw_decode)
-            # write_jsonl puts nothing after an object but its newline
-            if raw[end:] not in ("\n", ""):
-                raise ValueError("unexpected text after the object")
-            if type(obj) is not dict:
-                raise ValueError("line is not a JSON object")
-            # only a \u escape can decode to a lone surrogate (one backslash
-            # is searched for faster than two characters)
-            escaped = "\\" in raw and "\\u" in raw
-            for name, types, stamp in fields:
-                value = obj[name]  # a KeyError names a missing field
-                if type(value) not in types:
-                    raise ValueError(f"field {name!r} is of the wrong type "
-                                     f"({type(value).__name__})")
-                if escaped and type(value) is str:
-                    _string_field(obj, name, True, allow_empty=True)
-                if stamp:
-                    if not _CANONICAL_TS_RE.fullmatch(value):
-                        raise ValueError(f"field {name!r} is not a canonical UTC timestamp")
-                    obj[name] = datetime.fromisoformat(value[:-1] + "+00:00")  # 3.10 reads no Z
-            if len(obj) != len(fields):
-                raise ValueError(f"unexpected field {min(obj.keys() - hints)!r}")
-            record = record_type(**obj)
+            try:
+                obj, end = _scan_once(raw, 0)
+                values = values_of(obj)
+                whole = (type(obj) is dict and len(obj) == len(names)
+                         and raw[end:] in ("\n", "") and tuple(map(type, values)) in allowed
+                         and not ("\\" in raw and "\\u" in raw))
+                if whole and stamps:
+                    values = list(values)
+                    for i in stamps:
+                        if not canonical(values[i]):
+                            raise ValueError  # by_field names it
+                        values[i] = from_iso(values[i][:-1] + "+00:00")
+            except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
+                whole = False
+            # a record made of exactly its fields' values, as ``_make`` makes one
+            record = tuple.__new__(record_type, values) if whole else by_field(raw)
             if check is not None:
                 check(record)
         except json.JSONDecodeError as err:

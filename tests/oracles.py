@@ -6,24 +6,28 @@ PageRank/HITS via dense matrix power iteration instead of sparse scatter
 sums, clustering via triple enumeration. The similarity matrix, character
 unification, tokenization, per-blog documents, href masking, blog-id checks,
 blogroll URL resolution and validation, HTML stripping, URL resolution,
-timestamp parsing and formatting, the validating dump loaders, JSONL writing,
-layer merging and per-node clustering keep the slow, direct versions that the
-faster library code replaced.
+timestamp parsing and formatting, the validating dump loaders, the trusted
+reload, artifact CSV reading, JSONL writing, layer merging and per-node
+clustering keep the slow, direct versions that the faster library code
+replaced.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import unicodedata
 from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
+from operator import itemgetter
 from pathlib import Path
+from typing import get_type_hints
 from urllib.parse import urlsplit
 
 import numpy as np
 
-from blognet import graphbuild, graphclean, ingest, textprep
+from blognet import cli, graphbuild, graphclean, ingest, textprep
 
 
 def random_arcs(rng, n: int, p: float) -> list[tuple[int, int]]:
@@ -449,6 +453,84 @@ def load_profiles_by_loads(path) -> ingest.LoadResult:
         )
 
     return _load_jsonl_by_loads(path, parse, id_of=lambda p: p.blog_id)
+
+
+def load_trusted_by_field(path, record_type: type, check=None) -> ingest.LoadResult:
+    """``ingest._load_trusted`` with every line checked field by field, in
+    name order."""
+    path = Path(path)
+    hints = get_type_hints(record_type)
+    fields = [(name, ingest._ARTIFACT_TYPES[hint].json_types, hint is datetime)
+              for name, hint in sorted(hints.items())]
+    raw_decode = json.JSONDecoder().raw_decode
+    records: list = []
+    for line_no, raw in enumerate(ingest.read_lines(path, newline="\n"), start=1):
+        try:
+            obj, end = ingest.decode_json(raw, raw_decode)
+            if raw[end:] not in ("\n", ""):
+                raise ValueError("unexpected text after the object")
+            if type(obj) is not dict:
+                raise ValueError("line is not a JSON object")
+            escaped = "\\u" in raw
+            for name, types, stamp in fields:
+                value = obj[name]
+                if type(value) not in types:
+                    raise ValueError(f"field {name!r} is of the wrong type "
+                                     f"({type(value).__name__})")
+                if escaped and type(value) is str:
+                    ingest._string_field(obj, name, True, allow_empty=True)
+                if stamp:
+                    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z",
+                                        value):
+                        raise ValueError(f"field {name!r} is not a canonical UTC timestamp")
+                    obj[name] = datetime.fromisoformat(value[:-1] + "+00:00")
+            if len(obj) != len(fields):
+                raise ValueError(f"unexpected field {min(obj.keys() - hints)!r}")
+            record = record_type(**obj)
+            if check is not None:
+                check(record)
+        except json.JSONDecodeError as err:
+            raise ingest.ArtifactError(f"{path}:{line_no}: invalid JSON: {err.msg}") from None
+        except KeyError as err:
+            raise ingest.ArtifactError(f"{path}:{line_no}: field {err} missing") from None
+        except ValueError as err:
+            raise ingest.ArtifactError(f"{path}:{line_no}: {err}") from None
+        records.append(record)
+    return ingest.LoadResult(records, [])
+
+
+def read_artifact_csv_by_row(path, columns: dict, key_columns: int):
+    """``cli._read_artifact_csv`` with each row read, converted and checked
+    in turn."""
+    width = len(columns)
+    converted = [(i, convert) for i, convert in enumerate(columns.values()) if convert is not str]
+    key_converted = [(i, convert) for i, convert in converted if i < key_columns]
+    value_converted = [(i, convert) for i, convert in converted if i >= key_columns]
+    key_of = itemgetter(*range(key_columns))
+    keys: set = set()
+    csv.field_size_limit(2**31 - 1)
+    reader = csv.reader(ingest.read_lines(path, newline=""))
+    try:
+        header = next(reader, None)
+        if header != list(columns):
+            raise cli.ArtifactError(f"unexpected CSV header in {path}: {header}")
+        for row in reader:
+            try:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} columns, got {len(row)}")
+                for i, convert in key_converted:
+                    row[i] = convert(row[i])
+                key = key_of(row)
+                if key in keys:
+                    raise ValueError(f"repeats an earlier row's {tuple(row[:key_columns])}")
+                keys.add(key)
+                for i, convert in value_converted:
+                    row[i] = convert(row[i])
+            except ValueError as err:
+                raise cli.ArtifactError(f"{path}:{reader.line_num}: malformed row: {err}") from None
+            yield row
+    except csv.Error as err:
+        raise cli.ArtifactError(f"{path}:{reader.line_num}: malformed row: {err}") from None
 
 
 def format_timestamp_strftime(dt: datetime) -> str:

@@ -1604,8 +1604,9 @@ NUMBER_COLUMNS = [(*artifact, column) for artifact, (columns, _key) in CSV_ARTIF
                   for column, convert in columns.items() if convert is not str]
 
 
-# int and float also read other digits, "_" between digits and padding
-@pytest.mark.parametrize("value", ["١", "1_0", " 1 "])
+# int and float also read other digits, "_" between digits, padding, leading
+# zeros and "-0"
+@pytest.mark.parametrize("value", ["١", "1_0", " 1 ", "01", "-0"])
 @pytest.mark.parametrize("column", NUMBER_COLUMNS, ids="/".join)
 def test_a_number_not_as_written_is_data_error_at_its_line(column, value, out_dir, tmp_path,
                                                            capsys):
