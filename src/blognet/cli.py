@@ -348,13 +348,9 @@ def cmd_build(stage: Stage) -> dict:
         raise ConfigError(["graphbuild.host_patterns is required for the build stage"])
     loaded = _load_ingested(stage, ["posts", "comments", "blogroll", "profiles"])
     resolver = graphbuild.UrlResolver(cfg.host_patterns)
-    try:
-        # every blog id the extractors canonicalize is checked here first
-        universe = graphbuild.blog_universe(
-            loaded["posts"], loaded["comments"], loaded["blogroll"], loaded["profiles"]
-        )
-    except ValueError as err:
-        raise ArtifactError(f"ingest artifacts in {stage.inputs['posts'].parent}: {err}") from None
+    universe = graphbuild.blog_universe(
+        loaded["posts"], loaded["comments"], loaded["blogroll"], loaded["profiles"]
+    )
 
     layers = {}
     counts: dict = {"universe_blogs": len(universe)}

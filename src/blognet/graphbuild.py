@@ -3,7 +3,9 @@ layers, resolve platform URLs to blog ids, drop external targets and
 self-loops, and merge the layers into one directed multigraph.
 
 Every layer folds repeated (src, dst) pairs into one edge whose weight
-counts the records behind it; which records those were is not kept.
+counts the records behind it; which records those were is not kept. Blog
+ids are taken as the ingest loaders give them, already canonical
+(``ingest.canonical_slug``).
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ import re
 from collections import Counter
 from itertools import chain, groupby
 from operator import itemgetter
+from sys import intern
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import parse_host_pattern
-from .ingest import BlogrollRecord, RawComment, RawPost, _split_url, canonical_slug
+from .ingest import BlogrollRecord, RawComment, RawPost, _split_url
 
 
 class Edge(NamedTuple):
@@ -26,21 +29,6 @@ class Edge(NamedTuple):
     dst: str
     layer: str                           # "blogroll", "comment" or "citation"
     weight: int = 1                      # multiplicity within the layer
-
-
-# For str patterns ``\s`` matches exactly the characters ``str.isspace`` accepts.
-_NOT_BARE_RE = re.compile(r"[/:\\\s]")
-
-
-@functools.cache  # a blog id recurs in many records; a rejected one raises each time
-def canonical_blog_id(raw: str) -> str:
-    """Canonical node id: lowercase slug, no scheme, no slashes."""
-    slug = canonical_slug(raw)
-    if not slug:
-        raise ValueError("blog id is empty")
-    if _NOT_BARE_RE.search(slug):
-        raise ValueError(f"not a bare blog slug: {raw!r}")
-    return slug
 
 
 class UrlResolver:
@@ -88,7 +76,10 @@ class UrlResolver:
 # --- edge extraction ---------------------------------------------------------
 
 def _folded_edges(acc: Counter, layer: str) -> list[Edge]:
-    return [Edge(src, dst, layer, weight=n) for (src, dst), n in sorted(acc.items())]
+    # one interned string per blog id: the edges outlive the records the ids
+    # come from, and merging and writing them compare equal ids by identity
+    return [Edge(intern(src), intern(dst), layer, weight=n)
+            for (src, dst), n in sorted(acc.items())]
 
 
 def extract_blogroll_edges(
@@ -106,7 +97,7 @@ def extract_blogroll_edges(
         if target is None:
             counters["external_urls"] += 1
             continue
-        acc[canonical_blog_id(rec.owner_blog_id), target] += 1
+        acc[rec.owner_blog_id, target] += 1
     return _folded_edges(acc, "blogroll"), counters
 
 
@@ -118,7 +109,7 @@ def extract_comment_edges(
     """Edge commenter -> post author (direction flips with toward_author=False),
     weight = number of such comments. Anonymous comments are skipped and
     counted."""
-    owner = {p.post_id: canonical_blog_id(p.blog_id) for p in posts}
+    owner = {p.post_id: p.blog_id for p in posts}
     acc: Counter = Counter()
     counters = {"comments": len(comments), "anonymous": 0, "unmatched": 0}
     for c in comments:
@@ -129,7 +120,7 @@ def extract_comment_edges(
         if author is None:
             counters["unmatched"] += 1
             continue
-        commenter = canonical_blog_id(c.commenter_blog_id)
+        commenter = c.commenter_blog_id
         src, dst = (commenter, author) if toward_author else (author, commenter)
         acc[src, dst] += 1
     return _folded_edges(acc, "comment"), counters
@@ -170,7 +161,7 @@ def extract_citation_edges(
     acc: Counter = Counter()
     counters = {"posts": len(posts), "links_found": 0, "external_urls": 0, "self_links": 0}
     for p in posts:
-        author = canonical_blog_id(p.blog_id)
+        author = p.blog_id
         for url, is_relative in _candidate_links(p.body):
             counters["links_found"] += 1
             target = author if is_relative else resolver.resolve(url)
@@ -207,14 +198,10 @@ def blog_universe(
 ) -> set[str]:
     """Every blog seen as a record owner or commenter in the dataset. Edges
     pointing outside this set are external."""
-    universe = {canonical_blog_id(p.blog_id) for p in posts}
-    universe.update(
-        canonical_blog_id(c.commenter_blog_id)
-        for c in comments
-        if c.commenter_blog_id
-    )
-    universe.update(canonical_blog_id(r.owner_blog_id) for r in blogroll)
-    universe.update(canonical_blog_id(p.blog_id) for p in profiles)
+    universe = {p.blog_id for p in posts}
+    universe.update(c.commenter_blog_id for c in comments if c.commenter_blog_id)
+    universe.update(r.owner_blog_id for r in blogroll)
+    universe.update(p.blog_id for p in profiles)
     return universe
 
 
@@ -253,7 +240,7 @@ def merge_layers(
             edges[-1] = edges[-1]._replace(weight=edges[-1].weight + edge.weight)
     arcs = [arc for arc, _ in groupby(sorted(edge[:2] for edge in edges))]
     nodes = {v for arc in arcs for v in arc}
-    nodes.update(canonical_blog_id(n) for n in extra_nodes)
+    nodes.update(extra_nodes)
     return LayeredGraph(nodes=tuple(sorted(nodes)), edges=tuple(edges), arcs=arcs)
 
 

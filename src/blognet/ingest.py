@@ -19,7 +19,7 @@ import re
 from datetime import datetime, timedelta, timezone
 from itertools import product
 from json.encoder import encode_basestring
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_type_hints
 from urllib.parse import urlsplit
@@ -149,17 +149,25 @@ def format_timestamp(dt: datetime) -> str:
 
 # the control characters (category Cc) that ``str.isspace`` does not accept
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0e-\x1b\x7f-\x84\x86-\x9f]")
+# For str patterns ``\s`` matches exactly the characters ``str.isspace`` accepts.
+_NOT_BARE_RE = re.compile(r"[/:\\\s]")
 
 
+@functools.cache  # a blog id recurs in many records; a rejected one raises each time
 def canonical_slug(value: str) -> str:
-    """Blog ids are case-insensitive slugs; fold to stripped lowercase. A
-    control character other than whitespace raises ValueError: not every
-    interpreter's csv module writes a NUL, and a graph.dot node name or a
-    nodes.txt line would carry the raw byte."""
+    """The one blog id grammar: a case-insensitive bare slug, folded to
+    stripped lowercase. A control character other than whitespace raises
+    ValueError (not every interpreter's csv module writes a NUL, and a
+    graph.dot node name or a nodes.txt line would carry the raw byte), as
+    does a ``/``, ``:``, ``\\`` or whitespace left in the slug. Callers
+    judge an empty slug."""
     if _CONTROL_RE.search(value):
         what = "a NUL" if "\0" in value else "a control character"
         raise ValueError(f"blog id holds {what}: {value!r}")
-    return value.strip().lower()
+    slug = value.strip().lower()
+    if _NOT_BARE_RE.search(slug):
+        raise ValueError(f"not a bare blog slug: {value!r}")
+    return slug
 
 
 # A URL that ``urlsplit`` splits as this pattern reads it: scheme://host,
@@ -410,19 +418,58 @@ def _load_trusted(path: str | Path, record_type: type, check=None) -> LoadResult
     return LoadResult(records, [])
 
 
+def _check_columns(path: str | Path, result: LoadResult, key: str | None,
+                   blog_ids: tuple[str, ...], post_ids: set[str] | None = None) -> LoadResult:
+    """``result``, a trusted reload, once each ``post_id`` is one of
+    ``post_ids`` when given, each ``blog_ids`` value null or a non-empty
+    blog id that is its own ``canonical_slug``, and each ``key`` value
+    non-empty and unique, each checked once per column or distinct value.
+    A fault raises ArtifactError, or DuplicateIdError for a repeated key,
+    naming the first record with it as ``file:line``."""
+    records = result.records
+
+    def fail(name: str, fault: Callable[[Any], Any], error: type = ArtifactError):
+        i, why = next((i, why) for i, value in enumerate(map(attrgetter(name), records))
+                      if (why := fault(value)))
+        raise error(f"{path}:{i + 1}: {why}")
+
+    def blog_id_fault(value: str) -> str | None:
+        try:
+            if value and canonical_slug(value) == value:
+                return None
+        except ValueError as err:
+            return str(err)
+        return f"field {name!r} is " + (f"not a canonical blog id: {value!r}" if value else "empty")
+
+    if post_ids is not None and not post_ids.issuperset(map(attrgetter("post_id"), records)):
+        fail("post_id", lambda value: value not in post_ids and f"unknown post_id {value!r}")
+    for name in blog_ids:
+        bad = {value: why for value in set(map(attrgetter(name), records)) - {None}
+               if (why := blog_id_fault(value))}
+        if bad:
+            fail(name, bad.get)
+    if key is not None:
+        keys = set(map(attrgetter(key), records))
+        if "" in keys:
+            fail(key, lambda value: value == "" and f"field {key!r} is empty")
+        if len(keys) != len(records):
+            seen: set[str] = set()
+            fail(key, lambda value: (value in seen or seen.add(value))
+                 and f"duplicate id {value!r}", DuplicateIdError)
+    return result
+
+
 def load_posts(
     path: str | Path, utc_offset: timedelta = timedelta(0), *, trusted: bool = False
 ) -> LoadResult:
     """Load posts.jsonl; see RawPost for the record schema."""
     if trusted:
-        return _load_trusted(path, RawPost)
-
-    slug = functools.cache(canonical_slug)  # a blog has many posts
+        return _check_columns(path, _load_trusted(path, RawPost), "post_id", ("blog_id",))
 
     def parse(obj: dict, escaped: bool) -> RawPost:
         return RawPost(  # post_id, blog_id, title, body, published_at
             _string_field(obj, "post_id", escaped).strip(),
-            slug(_string_field(obj, "blog_id", escaped)),
+            canonical_slug(_string_field(obj, "blog_id", escaped)),
             _string_field(obj, "title", escaped, allow_empty=True),
             _string_field(obj, "body", escaped, allow_empty=True),
             parse_timestamp(obj.get("published_at"), utc_offset),
@@ -438,12 +485,10 @@ def load_comments(
     *,
     trusted: bool = False,
 ) -> LoadResult:
-    """Load comments.jsonl; comments pointing at unknown posts are quarantined
-    (an artifact ingest wrote points at none, so ``trusted`` does not look)."""
+    """Load comments.jsonl; comments pointing at unknown posts are quarantined."""
     if trusted:
-        return _load_trusted(path, RawComment)
-
-    slug = functools.cache(canonical_slug)  # a blog comments many times
+        return _check_columns(path, _load_trusted(path, RawComment), "comment_id",
+                              ("commenter_blog_id",), known_post_ids)
 
     def parse(obj: dict, escaped: bool) -> RawComment:
         post_id = _string_field(obj, "post_id", escaped).strip()
@@ -451,7 +496,7 @@ def load_comments(
             raise ValueError(f"unknown post_id {post_id!r}")
         commenter = obj.get("commenter_blog_id")
         if commenter is not None:
-            commenter = slug(
+            commenter = canonical_slug(
                 _string_field(obj, "commenter_blog_id", escaped, allow_empty=True)) or None
         return RawComment(  # comment_id, post_id, commenter_blog_id, body, created_at
             _string_field(obj, "comment_id", escaped).strip(),
@@ -467,7 +512,7 @@ def load_comments(
 def load_blogroll(path: str | Path, *, trusted: bool = False) -> LoadResult:
     """Load blogroll.jsonl; target URLs must be syntactically valid http(s)."""
     if trusted:
-        return _load_trusted(path, BlogrollRecord)
+        return _check_columns(path, _load_trusted(path, BlogrollRecord), None, ("owner_blog_id",))
 
     @functools.cache  # each distinct URL is split once per file
     def is_http_url(url: str) -> bool:
@@ -477,13 +522,11 @@ def load_blogroll(path: str | Path, *, trusted: bool = False) -> LoadResult:
             return False
         return scheme in ("http", "https") and bool(host)
 
-    slug = functools.cache(canonical_slug)  # a blog lists many others
-
     def parse(obj: dict, escaped: bool) -> BlogrollRecord:
         url = _string_field(obj, "target_url", escaped).strip()
         if not is_http_url(url):
             raise ValueError(f"invalid URL {url!r}")
-        return BlogrollRecord(slug(_string_field(obj, "owner_blog_id", escaped)), url)
+        return BlogrollRecord(canonical_slug(_string_field(obj, "owner_blog_id", escaped)), url)
 
     return _load_jsonl(path, parse)
 
@@ -496,7 +539,8 @@ def load_profiles(path: str | Path, *, trusted: bool = False) -> LoadResult:
             raise ValueError(f"age {age} outside [{AGE_MIN}, {AGE_MAX}]")
 
     if trusted:  # an age that is out of range may not even convert to a float
-        return _load_trusted(path, ProfileRecord, lambda p: check_age(p.age))
+        return _check_columns(path, _load_trusted(path, ProfileRecord, lambda p: check_age(p.age)),
+                              "blog_id", ("blog_id",))
 
     def parse(obj: dict, escaped: bool) -> ProfileRecord:
         age = obj.get("age")

@@ -272,11 +272,13 @@ def resolve_by_urlsplit(resolver: graphbuild.UrlResolver, url: str) -> str | Non
 
 
 def canonical_blog_id_by_scan(raw: str) -> str:
-    """Canonical blog id with the slug checked by two character scans."""
-    slug = ingest.canonical_slug(raw)
-    if not slug:
-        raise ValueError("blog id is empty")
-    if any(ch in slug for ch in "/:\\") or any(ch.isspace() for ch in slug):
+    """``ingest.canonical_slug`` with each rule checked by a character scan;
+    an empty slug is returned, as there."""
+    if any(unicodedata.category(ch) == "Cc" and not ch.isspace() for ch in raw):
+        what = "a NUL" if "\0" in raw else "a control character"
+        raise ValueError(f"blog id holds {what}: {raw!r}")
+    slug = raw.strip().lower()
+    if any(ch in "/:\\" or ch.isspace() for ch in slug):
         raise ValueError(f"not a bare blog slug: {raw!r}")
     return slug
 
@@ -291,7 +293,7 @@ def blogroll_edges_resolving_each_record(records, resolver):
         if target is None:
             counters["external_urls"] += 1
             continue
-        acc[graphbuild.canonical_blog_id(rec.owner_blog_id), target] += 1
+        acc[rec.owner_blog_id, target] += 1
     return graphbuild._folded_edges(acc, "blogroll"), counters
 
 
@@ -561,7 +563,7 @@ def merge_layers_by_counter(layers, extra_nodes=()) -> graphbuild.LayeredGraph:
                   for (layer, src, dst), n in sorted(folded.items()))
     arcs = sorted({(src, dst) for src, dst, _layer, _weight in edges})
     nodes = {v for arc in arcs for v in arc}
-    nodes.update(graphbuild.canonical_blog_id(n) for n in extra_nodes)
+    nodes.update(extra_nodes)
     return graphbuild.LayeredGraph(nodes=tuple(sorted(nodes)), edges=edges, arcs=arcs)
 
 

@@ -840,14 +840,14 @@ def test_weighted_rank_reads_cleaned_weights(out_dir, tmp_path):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def test_blog_id_that_is_not_a_bare_slug_is_data_error(tmp_path, capsys):
+def test_blog_id_that_is_not_a_bare_slug_is_quarantined_at_ingest(tmp_path):
     flags = flags_with_extra_post(tmp_path, blog_id="b01/x")
     assert main(["ingest", *flags]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["build", *flags]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("data error: ") and err.count("\n") == 1
-    assert "not a bare blog slug: 'b01/x'" in err
+    rows = [json.loads(line) for line in
+            (tmp_path / "out/ingest/quarantine.jsonl").read_text("utf-8").splitlines()]
+    assert {"file": "posts.jsonl", "line": 16,
+            "reason": "not a bare blog slug: 'b01/x'"} in rows
+    assert main(["build", *flags]) == EXIT_OK
 
 
 @pytest.mark.parametrize("layer", ["blogroll", "comment", "citation"])
@@ -1112,6 +1112,16 @@ TRUSTED_TAMPERING = {
     "comment-lone-surrogate-in-timestamp": (
         "stats", "comments.jsonl", edit_first_row(created_at="2010-04-06T09:00:0\ud800Z"),
         "field 'created_at' holds a lone surrogate"),
+    # a blog id field holding what ingest never writes: not folded, not bare
+    # or empty
+    **{f"{name}-{field}-{value!r}": ("build", f"{name}.jsonl", edit_first_row(**{field: value}),
+                                     named.format(field=field, value=value))
+       for name, field in [("posts", "blog_id"), ("comments", "commenter_blog_id"),
+                           ("blogroll", "owner_blog_id"), ("profiles", "blog_id")]
+       for value, named in [("B01", "{field!r} is not a canonical blog id: {value!r}"),
+                            (" b01", "{field!r} is not a canonical blog id: {value!r}"),
+                            ("b01/x", "not a bare blog slug: {value!r}"),
+                            ("", "{field!r} is empty")]},
 }
 
 
@@ -1126,6 +1136,35 @@ def test_tampered_artifact_with_its_digest_is_data_error(case, out_dir, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert f"{out / 'ingest' / name}:1: " in err and named in err
+
+
+# Each case repeats a key or breaks a reference in an ingest artifact and
+# records its digest, so the trusted reload reads it: (stage, artifact, edit,
+# the message after ``file:``, which names the faulty line).
+TRUSTED_KEYS_AND_REFERENCES = {
+    "repeated-post": ("stats", "posts.jsonl", lambda lines: [*lines, lines[0]],
+                      "15: duplicate id 'p0101'"),
+    "comment-on-an-unknown-post": (
+        "build", "comments.jsonl",
+        lambda lines: [*lines[:-1], json.dumps({**json.loads(lines[-1]), "post_id": "nope"})],
+        "9: unknown post_id 'nope'"),
+    "empty-comment-id": (
+        "stats", "comments.jsonl",
+        lambda lines: [*lines[:4], json.dumps({**json.loads(lines[4]), "comment_id": ""}),
+                       *lines[5:]],
+        "5: field 'comment_id' is empty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRUSTED_KEYS_AND_REFERENCES))
+def test_trusted_reload_checks_keys_and_references(case, out_dir, tmp_path, capsys):
+    stage, name, edit, message = TRUSTED_KEYS_AND_REFERENCES[case]
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    rewrite_ingest_artifact(out, name, edit)
+    capsys.readouterr()
+    assert main([stage, *fixture_flags(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {out / 'ingest' / name}:{message}\n"
 
 
 # Each case garbles ingest's manifest: the stages then validate the ingest

@@ -126,11 +126,13 @@ def test_numpy_free_stages_write_the_table_under_every_other_interpreter(tmp_pat
         assert written == expected, python
 
 
-# one more profile line and blogroll line, for a blog id holding a NUL
+# more profile lines and blogroll lines, for a blog id holding a NUL and
+# for two that are not bare slugs
 NUL_ID_LINES = {
-    "profiles.jsonl": '{"blog_id": "b\\u0000x"}\n',
-    "blogroll.jsonl": ('{"owner_blog_id": "b\\u0000x", '
-                       '"target_url": "http://b01.blogville.example/"}\n'),
+    "profiles.jsonl": [f'{{"blog_id": "{blog}"}}\n' for blog in ("b\\u0000x", "b01/x", "b 01")],
+    "blogroll.jsonl": [f'{{"owner_blog_id": "{blog}", '
+                       '"target_url": "http://b01.blogville.example/"}\n'
+                       for blog in ("b\\u0000x", "b01/x", "b 01")],
 }
 
 
@@ -138,9 +140,9 @@ def nul_id_dump(tmp_path: Path) -> Path:
     """A copy of the fixture with the ``NUL_ID_LINES`` added."""
     dump = tmp_path / "dump"
     shutil.copytree(SMALLBLOG, dump)
-    for name, line in NUL_ID_LINES.items():
+    for name, lines in NUL_ID_LINES.items():
         with open(dump / name, "a", encoding="utf-8") as fh:
-            fh.write(line)
+            fh.writelines(lines)
     return dump
 
 
@@ -159,6 +161,10 @@ def test_a_blog_id_holding_a_nul_is_quarantined_at_ingest(tmp_path):
     assert [(q["file"], q["reason"]) for q in quarantined if "NUL" in q["reason"]] == [
         ("blogroll.jsonl", "blog id holds a NUL: 'b\\x00x'"),
         ("profiles.jsonl", "blog id holds a NUL: 'b\\x00x'"),
+    ]
+    assert [(q["file"], q["reason"]) for q in quarantined if "bare" in q["reason"]] == [
+        (name, f"not a bare blog slug: {blog!r}")
+        for name in ("blogroll.jsonl", "profiles.jsonl") for blog in ("b01/x", "b 01")
     ]
     assert not [path for path in out.rglob("*") if path.is_file() and b"\0" in path.read_bytes()]
 

@@ -552,3 +552,23 @@ def test_a_blog_id_holding_a_control_character_is_rejected(raw, reason):
 
 def test_whitespace_control_characters_are_stripped_from_a_blog_id():
     assert ingest.canonical_slug("\t\x1c B01\x85\n") == "b01"
+
+
+class TestBlogIdCheck:
+    def test_pattern_rejects_exactly_what_the_scans_reject(self):
+        mismatches = [
+            hex(cp) for cp in range(0x110000)
+            if bool(ingest._NOT_BARE_RE.search(chr(cp)))
+            != (chr(cp) in "/:\\" or chr(cp).isspace())
+        ]
+        assert mismatches == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.one_of(
+        st.sampled_from(" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029"
+                        "\u202f\u3000\u200b\ufeff/:\\AbB\u0130\x00\x01\x7f"),
+        st.characters(blacklist_categories=("Cs",)),
+    ), max_size=12))
+    def test_matches_scan_oracle(self, raw):
+        assert outcome(ingest.canonical_slug, raw) == (
+            outcome(oracles.canonical_blog_id_by_scan, raw))
