@@ -142,7 +142,6 @@ class Stage:
     name: str
     inputs: dict[str, Path] = field(default_factory=dict)  # manifest key -> file read
     outputs: list[str] = field(default_factory=list)  # file names written
-    digests: dict[Path, str] = field(default_factory=dict)  # file read -> its sha256
 
     @property
     def dir(self) -> Path:
@@ -172,12 +171,6 @@ class Stage:
             )
         self.inputs[key or path.stem] = path
         return path
-
-    def sha256(self, path: Path) -> str:
-        """The digest of ``path``, a file the stage reads; hashed once."""
-        if path not in self.digests:
-            self.digests[path] = _sha256(path)
-        return self.digests[path]
 
     def output(self, name: str) -> Path:
         """Where to write artifact ``name``; the stage directory is made on
@@ -223,7 +216,7 @@ class Stage:
             "stage": self.name,
             "tool_version": __version__,
             "config": snapshot,
-            "inputs": {key: self.sha256(path) for key, path in self.inputs.items()},
+            "inputs": {key: _sha256(path) for key, path in self.inputs.items()},
             "counts": counts,
             "outputs": sorted(self.outputs),
             "output_sha256": {name: _sha256(self.dir / name) for name in self.outputs},
@@ -257,35 +250,16 @@ def cmd_ingest(stage: Stage) -> dict:
     return counts
 
 
-def _ingest_digests(stage: Stage) -> dict:
-    """File name -> sha256 of each file ingest wrote, from its manifest; empty
-    when the manifest is missing, malformed or holds no ``output_sha256`` object."""
-    try:
-        return _read_artifact_json(Path(stage.cfg.out_dir) / "ingest/manifest.json",
-                                   {"output_sha256": {}})["output_sha256"]
-    except (OSError, ValueError):
-        return {}
-
-
 def _load_ingested(stage: Stage, names: list[str]) -> dict[str, list]:
-    """Reload ingest artifacts through the ingest loaders. An artifact whose
-    digest is the one ingest recorded is read on the loaders' trusted path.
-    Any other is validated again: ingest writes only lines its loaders
-    accept, so a line they quarantine now was changed after ingest. Either
-    way a bad line raises ArtifactError naming ``file:line``."""
+    """Reload ingest artifacts through the ingest loaders in reload mode: a
+    line that is not as ingest writes it raises ArtifactError naming
+    ``file:line``, whatever ingest's manifest holds."""
     paths = {name: stage.require("ingest", f"{name}.jsonl") for name in names}
-    written = _ingest_digests(stage)
-
     loaded: dict[str, list] = {}
     for name, path in paths.items():
-        trusted = written.get(path.name) == stage.sha256(path)
         # comments also take the post ids; posts, when reloaded too, come first
         known = [{p.post_id for p in loaded.get("posts", [])}] if name == "comments" else []
-        result = getattr(ingest_mod, f"load_{name}")(path, *known, trusted=trusted)
-        if result.quarantined:
-            first = result.quarantined[0]
-            raise ArtifactError(f"{path}:{first.line}: {first.reason}")
-        loaded[name] = result.records
+        loaded[name] = getattr(ingest_mod, f"load_{name}")(path, *known, reload=True).records
     return loaded
 
 

@@ -5,10 +5,10 @@ a quarantine list with the offending line number, structural corruption
 (duplicate primary ids) is a hard error. Accepted + quarantined always adds
 up to the number of input lines.
 
-With ``trusted``, a loader reads an artifact that ingest wrote, and that no
-one changed since, without validating each field again (see
-``_load_trusted``); a line that is not as ingest writes it raises
-ArtifactError.
+Every loader reads through one reader, ``_read_jsonl``. With ``reload``, a
+loader reads an artifact that ingest wrote, through the same field rules:
+each value must already be the one ingest writes, and the first line that is
+not as ingest writes it raises ArtifactError naming ``file:line``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import functools
 import json
 import re
 from datetime import datetime, timedelta, timezone
-from itertools import product
+from itertools import compress, count, filterfalse, islice, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -42,8 +42,8 @@ class InputFileError(ValueError):
 
 
 class ArtifactError(ValueError):
-    """An on-disk artifact is malformed. Declared here so a trusted reload
-    can raise it; the CLI maps it to an exit code."""
+    """An on-disk artifact is malformed. Declared here so a loader's reload
+    mode can raise it; the CLI maps it to an exit code."""
 
 
 class EmptyCorpusError(ValueError):
@@ -207,12 +207,12 @@ def read_text(path: str | Path, encoding: str = "utf-8-sig") -> str:
     return "".join(read_lines(path, encoding))
 
 
-def decode_json(text: str, decode: Callable[[str], Any] = json.loads) -> Any:
-    """``decode(text)``; a text ``json`` rejects with another error, worded by
-    the interpreter (too deep, too long an integer), raises a JSONDecodeError
-    with a fixed message instead."""
+def decode_json(text: str) -> Any:
+    """``json.loads(text)``; a text ``json`` rejects with another error, worded
+    by the interpreter (too deep, too long an integer), raises a
+    JSONDecodeError with a fixed message instead."""
     try:
-        return decode(text)
+        return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", text, 0) from None
     except json.JSONDecodeError:
@@ -221,89 +221,116 @@ def decode_json(text: str, decode: Callable[[str], Any] = json.loads) -> Any:
         raise json.JSONDecodeError("integer literal too long", text, 0) from None
 
 
-def _string_field(obj: dict, key: str, escaped: bool, *, allow_empty: bool = False) -> str:
-    """``obj[key]``, a string, non-blank unless ``allow_empty``. With
-    ``escaped`` (the line holds a ``\\u`` escape) it is also checked for a
-    lone surrogate, which no artifact could be written with: a strictly
-    decoded UTF-8 line holds none any other way."""
+# --- reading a field: its JSON value, then its rule --------------------------
+
+def _string_field(obj: dict, key: str, *, allow_empty: bool = False) -> str:
+    """``obj[key]``, a string, non-blank unless ``allow_empty``, with no lone
+    surrogate: a ``\\u`` escape decodes to one, and no artifact could be
+    written with it."""
     value = obj.get(key)
     if not isinstance(value, str):
         raise ValueError(f"field {key!r} missing or not a string")
     if not allow_empty and not value.strip():
         raise ValueError(f"field {key!r} is empty")
-    if escaped:
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError(f"field {key!r} holds a lone surrogate") from None
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"field {key!r} holds a lone surrogate") from None
     return value
 
 
-def _enum_field(obj: dict, key: str, allowed: tuple[str, ...]) -> str:
-    value = obj.get(key)
+def _text_or_null(obj: dict, key: str) -> str | None:
+    return None if obj.get(key) is None else _string_field(obj, key, allow_empty=True)
+
+
+# Each rule gives the value ingest writes for a field's JSON value, or raises
+# ValueError giving the reason.
+
+def _stripped_id(value: str) -> str:
+    if not (stripped := value.strip()):
+        raise ValueError("empty id")
+    return stripped
+
+
+def _blog_id(value: str) -> str:
+    if not (slug := canonical_slug(value)):
+        raise ValueError("empty blog id")
+    return slug
+
+
+def _blog_id_or_none(value: str | None) -> str | None:
+    """A commenter's blog id; null or an empty one is an anonymous commenter."""
+    return None if value is None else canonical_slug(value) or None
+
+
+def _http_url(value: str) -> str:
+    url = value.strip()
+    try:
+        scheme, host, _path = _split_url(url)
+    except ValueError:
+        scheme = host = None
+    if scheme not in ("http", "https") or not host:
+        raise ValueError(f"invalid URL {url!r}")
+    return url
+
+
+def _age(value: Any) -> int | None:
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError("field 'age' must be an integer or null")
+    if value is not None and not AGE_MIN <= value <= AGE_MAX:
+        raise ValueError(f"age {value} outside [{AGE_MIN}, {AGE_MAX}]")
+    return value
+
+
+def _enum(key: str, allowed: tuple[str, ...], value: Any) -> str:
+    """One of ``allowed``; null is "unspecified"."""
     if value is None:
         return "unspecified"
-    if not isinstance(value, str) or value not in allowed:
+    if value not in allowed:
         raise ValueError(f"field {key!r} must be one of {allowed}")
     return value
 
 
+_CANONICAL_TS_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
+
+
+def _utc_stamps(column: tuple[str, ...]) -> list[datetime] | None:
+    """Each timestamp of ``column`` read at C speed, or None unless each is as
+    ``format_timestamp`` writes it outside year 9999, where ``parse_timestamp``
+    rejects the last second."""
+    try:
+        if max(column) < "9999" and all(map(_CANONICAL_TS_RE.fullmatch, column)):
+            return list(map(datetime.fromisoformat,  # 3.10 reads no Z
+                            map(str.replace, column, repeat("Z"), repeat("+00:00"))))
+    except ValueError:  # a date that is not in the calendar
+        pass
+    return None
+
+
+class _Field(NamedTuple):
+    """How a loader reads a record field: ``take(obj, key)`` gives its JSON
+    value (default ``obj.get(key)``), and ``rule`` what ingest writes for
+    that, a canonical ``kind``; both raise ValueError."""
+
+    take: Callable[[dict, str], Any] | None = None
+    rule: Callable[[Any], Any] | None = None
+    kind: str = "value"
+
+
+_TEXT = _Field(functools.partial(_string_field, allow_empty=True))
+_ID = _Field(_string_field, _stripped_id, "id")
+_BLOG_ID = _Field(_string_field, _blog_id, "blog id")
+
+
+def _timestamp(utc_offset: timedelta) -> _Field:
+    return _Field(None, functools.partial(parse_timestamp, assume_offset=utc_offset),
+                  "UTC timestamp")
+
+
+# --- the one reader ----------------------------------------------------------
+
 # the scanner ``json.loads`` runs: one JSON value and where it ends
 _scan_once = json.JSONDecoder().scan_once
-
-
-def _decode_line(raw: str) -> Any:
-    """The JSON value of one dump line (without its newline). A line that is
-    one object and nothing else is read by one scan; any other line is an
-    empty line or goes through ``decode_json``, which words every error."""
-    if raw[:1] == "{":
-        try:
-            obj, end = _scan_once(raw, 0)
-            if end == len(raw):
-                return obj
-        except (StopIteration, ValueError, RecursionError):
-            pass  # decode_json words the error
-    if not raw.strip():
-        raise ValueError("empty line")
-    return decode_json(raw)
-
-
-def _load_jsonl(
-    path: str | Path,
-    parse_record,
-    *,
-    id_of=None,
-) -> LoadResult:
-    """Shared loader loop: JSON-decode each line, validate via parse_record.
-
-    parse_record(obj, escaped) raises ValueError to quarantine a line;
-    ``escaped`` says whether the line holds a ``\\u`` escape. id_of extracts
-    the primary id from an accepted record for duplicate detection (hard
-    error).
-    """
-    path = Path(path)
-    records: list = []
-    quarantined: list[QuarantinedLine] = []
-    seen_ids: set[str] = set()
-    for line_no, raw in enumerate(read_lines(path, "utf-8-sig"), start=1):
-        raw = raw.rstrip("\n")  # else json finds a control character, not an open string
-        try:
-            obj = _decode_line(raw)
-            if not isinstance(obj, dict):
-                raise ValueError("line is not a JSON object")
-            # one backslash is searched for faster than two characters
-            record = parse_record(obj, "\\" in raw and "\\u" in raw)
-        except ValueError as err:  # a JSONDecodeError's own text adds a position
-            reason = f"invalid JSON: {err.msg}" if type(err) is json.JSONDecodeError else str(err)
-            quarantined.append(QuarantinedLine(path.name, line_no, reason))
-            continue
-        if id_of is not None:
-            rid = id_of(record)
-            if rid in seen_ids:
-                raise DuplicateIdError(f"{path.name}:{line_no}: duplicate id {rid!r}")
-            seen_ids.add(rid)
-        records.append(record)
-    return LoadResult(records, quarantined)
 
 
 class _FieldRule(NamedTuple):
@@ -317,7 +344,7 @@ def _or_null(encode: Callable[[Any], str]) -> Callable[[Any], str]:
     return lambda value: "null" if value is None else encode(value)
 
 
-# Each record field type's rule, read by ``_load_trusted`` and ``write_jsonl``;
+# Each record field type's rule, read by ``_read_jsonl`` and ``write_jsonl``;
 # each JSON text is the one ``json.dumps(..., ensure_ascii=False)`` writes,
 # and a datetime is written as ``format_timestamp`` gives it.
 _ARTIFACT_TYPES = {
@@ -327,235 +354,206 @@ _ARTIFACT_TYPES = {
     int | None: _FieldRule((int, type(None)), _or_null(int.__repr__)),
     datetime: _FieldRule((str,), lambda dt: f'"{format_timestamp(dt)}"'),
 }
-_CANONICAL_TS_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
 
-def _load_trusted(path: str | Path, record_type: type, check=None) -> LoadResult:
-    """Reload an artifact that ``write_jsonl`` wrote from ``record_type``
-    records without validating each field again. Each line must still be
-    exactly one JSON object of the record's fields, each of the JSON type
-    ``_ARTIFACT_TYPES`` gives it, with every timestamp in the canonical UTC
-    form and no lone surrogate, and ``check`` may reject a record with
-    ValueError: so a changed artifact cannot fail a later step. Any miss
-    raises ArtifactError naming ``file:line``.
+def _written(value: Any) -> Any:
+    """The JSON value ingest writes for a record field's value."""
+    return format_timestamp(value) if isinstance(value, datetime) else value
 
-    A line is checked as a whole: one scan, then its value's length, its
-    fields' values and their types in one step each. A line that fails that
-    check, or holds a ``\\u`` escape, is checked field by field, which names
-    the fault."""
+
+def _not_as_written(obj: dict, record: Any, raw: str | None,
+                    fields: dict[str, _Field]) -> str | None:
+    """Why a line read into ``record`` is not as ``write_jsonl`` writes it, or
+    None. ``raw``, the line's text, must be the line ``write_jsonl`` writes;
+    it is None for a row the line check took, and that check compares no
+    spacing, no field order and no escape but ``\\u``."""
+    if extra := obj.keys() - set(record._fields):
+        return f"unexpected field {min(extra)!r}"
+    for name in sorted(record._fields):
+        if name not in obj:
+            return f"field {name!r} missing"
+        if obj[name] != _written(getattr(record, name)):
+            return f"field {name!r} is " + (
+                f"not a canonical {fields[name].kind}: {obj[name]!r}" if obj[name] != ""
+                else "empty")
+    if raw is not None and raw != _row_encoder(type(record))(record):
+        return "line is not as ingest writes it"
+    return None
+
+
+_BLOCK = 1 << 12  # lines whose columns are checked together
+
+
+def _read_jsonl(path: str | Path, record_type: type, fields: dict[str, _Field],
+                key: str | None, reload: bool) -> LoadResult:
+    """Read a dump file of ``record_type`` records, or with ``reload`` an
+    artifact ingest wrote, each field as ``fields`` says, in its order;
+    ``key`` names the field whose values are unique. A line of one object of
+    exactly the record's fields with no ``\\u`` escape is read by one scan;
+    each block of lines is then checked a column at a time, each value for
+    its JSON type and each distinct value by its rule. Only a line the scan
+    misses (it rejoins its block if taken) or a row a column check rejects
+    is read field by field, which gives the reason. Dump mode reads
+    ``utf-8-sig`` with universal newlines, takes what each rule gives and
+    quarantines a faulty line; a repeated key raises DuplicateIdError.
+    Reload mode reads ``utf-8`` split at "\\n" only, and the first line or
+    repeated key not as ingest writes it (``_not_as_written``) raises
+    ArtifactError naming ``path:line``. A byte that does not decode raises
+    InputFileError after the lines before it are checked."""
     path = Path(path)
-    # a NamedTuple holds its annotations as ForwardRefs; this evaluates them
-    hints = get_type_hints(record_type)
-    # each field, in the order write_jsonl writes them: (name, its JSON types,
-    # whether it is a timestamp)
-    fields = [(name, _ARTIFACT_TYPES[hint].json_types, hint is datetime)
-              for name, hint in sorted(hints.items())]
-    raw_decode = json.JSONDecoder().raw_decode
-
-    def by_field(raw: str):
-        """The record of one line, each field checked in turn; a fault raises
-        ValueError, or KeyError naming a missing field."""
-        obj, end = decode_json(raw, raw_decode)
-        # write_jsonl puts nothing after an object but its newline
-        if raw[end:] not in ("\n", ""):
-            raise ValueError("unexpected text after the object")
-        if type(obj) is not dict:
-            raise ValueError("line is not a JSON object")
-        # only a \u escape can decode to a lone surrogate (one backslash
-        # is searched for faster than two characters)
-        escaped = "\\" in raw and "\\u" in raw
-        for name, types, stamp in fields:
-            value = obj[name]  # a KeyError names a missing field
-            if type(value) not in types:
-                raise ValueError(f"field {name!r} is of the wrong type "
-                                 f"({type(value).__name__})")
-            if escaped and type(value) is str:
-                _string_field(obj, name, True, allow_empty=True)
-            if stamp:
-                if not _CANONICAL_TS_RE.fullmatch(value):
-                    raise ValueError(f"field {name!r} is not a canonical UTC timestamp")
-                obj[name] = datetime.fromisoformat(value[:-1] + "+00:00")  # 3.10 reads no Z
-        if len(obj) != len(fields):
-            raise ValueError(f"unexpected field {min(obj.keys() - hints)!r}")
-        return record_type(**obj)
-
-    # the line check: the record's values in field order, every tuple of
-    # JSON types they may have, and where its timestamps are
+    hints = get_type_hints(record_type)  # evaluates a NamedTuple's ForwardRefs
     names = record_type._fields
     values_of = itemgetter(*names)
-    allowed = set(product(*(_ARTIFACT_TYPES[hints[name]].json_types for name in names)))
-    stamps = [i for i, name in enumerate(names) if hints[name] is datetime]
-    canonical = _CANONICAL_TS_RE.fullmatch
-    from_iso = datetime.fromisoformat
-    records: list = []
-    for line_no, raw in enumerate(read_lines(path, newline="\n"), start=1):
+    records: list = []  # the record of each line taken, in line order
+    skipped: set[int] = set()  # the number of each line not taken
+    quarantined: list[QuarantinedLine] = []
+
+    def read_fields(line_no: int, obj: Any, raw: str | None) -> Any:
+        """The record of line ``line_no`` read field by field from its object,
+        or from its text; None, with the line quarantined, if it is faulty."""
         try:
-            try:
-                obj, end = _scan_once(raw, 0)
-                values = values_of(obj)
-                whole = (type(obj) is dict and len(obj) == len(names)
-                         and raw[end:] in ("\n", "") and tuple(map(type, values)) in allowed
-                         and not ("\\" in raw and "\\u" in raw))
-                if whole and stamps:
-                    values = list(values)
-                    for i in stamps:
-                        if not canonical(values[i]):
-                            raise ValueError  # by_field names it
-                        values[i] = from_iso(values[i][:-1] + "+00:00")
-            except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
-                whole = False
-            # a record made of exactly its fields' values, as ``_make`` makes one
-            record = tuple.__new__(record_type, values) if whole else by_field(raw)
-            if check is not None:
-                check(record)
-        except json.JSONDecodeError as err:
-            raise ArtifactError(f"{path}:{line_no}: invalid JSON: {err.msg}") from None
-        except KeyError as err:
-            raise ArtifactError(f"{path}:{line_no}: field {err} missing") from None
-        except ValueError as err:
-            raise ArtifactError(f"{path}:{line_no}: {err}") from None
-        records.append(record)
-    return LoadResult(records, [])
+            if raw is not None:
+                if not raw.strip():
+                    raise ValueError("empty line")
+                if not isinstance(obj := decode_json(raw), dict):
+                    raise ValueError("line is not a JSON object")
+            record = record_type(**{
+                name: field.rule(value) if field.rule else value
+                for name, field in fields.items()
+                for value in [field.take(obj, name) if field.take else obj.get(name)]})
+            if reload and (fault := _not_as_written(obj, record, raw, fields)):
+                raise ValueError(fault)
+        except ValueError as err:  # a JSONDecodeError's own text adds a position
+            reason = f"invalid JSON: {err.msg}" if type(err) is json.JSONDecodeError else str(err)
+            quarantined.append(QuarantinedLine(path.name, line_no, reason))
+            skipped.add(line_no)
+            return None
+        return record
 
+    def read_columns(values: list, first: int, last: int) -> None:
+        """Check the rows of lines ``first`` to ``last``, their ``values`` one
+        row after another, a column at a time; take each row's record."""
+        columns = [values[i::len(names)] for i in range(len(names))]
+        values.clear()
+        read = list(columns)  # each column as its rule reads it
+        bad: set[int] = set()  # the index of each row with a value of a wrong type or rejected
+        for i, name in enumerate(names):
+            column = columns[i]
+            json_types = _ARTIFACT_TYPES[hints[name]].json_types
+            if wrong := set(map(type, column)).difference(json_types):
+                bad.update(compress(count(), map(wrong.__contains__, map(type, column))))
+                # such a row is read field by field; here its value gives way to
+                # one of the right type ("" or 0), which each rule rejects
+                column = [json_types[0]() if type(value) in wrong else value for value in column]
+            stamp = hints[name] is datetime
+            if reload and stamp and (stamps := _utc_stamps(column)):
+                read[i] = stamps
+                continue
+            if (rule := fields[name].rule) is None:
+                continue
+            canonical = {}
+            distinct = set(column)
+            for value in distinct:
+                try:
+                    value_read = rule(value)
+                except ValueError:
+                    continue
+                if not reload or (format_timestamp(value_read) if stamp else value_read) == value:
+                    canonical[value] = value_read
+            if rejected := distinct.difference(canonical):
+                bad.update(compress(count(), map(rejected.__contains__, column)))
+            if not reload or stamp:
+                read[i] = list(map(canonical.get, column))
+        # a record of exactly its fields' values, as ``_make`` makes one
+        made = list(map(functools.partial(tuple.__new__, record_type), zip(*read)))
+        if bad:  # each such row is read field by field: None if it is faulty
+            row_lines = list(filterfalse(skipped.__contains__, range(first, last + 1)))
+            for j in sorted(bad):
+                made[j] = read_fields(
+                    row_lines[j], dict(zip(names, [column[j] for column in columns])), None)
+        records.extend(filter(None, made))
 
-def _check_columns(path: str | Path, result: LoadResult, key: str | None,
-                   blog_ids: tuple[str, ...], post_ids: set[str] | None = None) -> LoadResult:
-    """``result``, a trusted reload, once each ``post_id`` is one of
-    ``post_ids`` when given, each ``blog_ids`` value null or a non-empty
-    blog id that is its own ``canonical_slug``, and each ``key`` value
-    non-empty and unique, each checked once per column or distinct value.
-    A fault raises ArtifactError, or DuplicateIdError for a repeated key,
-    naming the first record with it as ``file:line``."""
-    records = result.records
-
-    def fail(name: str, fault: Callable[[Any], Any], error: type = ArtifactError):
-        i, why = next((i, why) for i, value in enumerate(map(attrgetter(name), records))
-                      if (why := fault(value)))
-        raise error(f"{path}:{i + 1}: {why}")
-
-    def blog_id_fault(value: str) -> str | None:
+    lines = enumerate(read_lines(path, newline="\n") if reload
+                      else read_lines(path, "utf-8-sig"), start=1)
+    line_no, undecodable = 0, None
+    while not undecodable:
+        first, values = line_no + 1, []  # each taken line's values, one line after another
         try:
-            if value and canonical_slug(value) == value:
-                return None
-        except ValueError as err:
-            return str(err)
-        return f"field {name!r} is " + (f"not a canonical blog id: {value!r}" if value else "empty")
+            for line_no, raw in islice(lines, _BLOCK):
+                try:
+                    obj, end = _scan_once(raw, 0)
+                    row = values_of(obj)
+                    # one backslash is searched for faster than two characters
+                    if (len(obj) == len(names) and raw[end:] in ("\n", "")
+                            and not ("\\" in raw and "\\u" in raw)):
+                        values.extend(row)
+                        continue
+                except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
+                    pass
+                # without its newline, else json finds a control character, not an open string
+                if record := read_fields(line_no, None, raw.rstrip("\n")):
+                    values.extend(map(_written, record))
+        except InputFileError as err:  # raised once the lines before it are checked
+            undecodable = err
+        if line_no < first:
+            break
+        if values:
+            read_columns(values, first, line_no)
 
-    if post_ids is not None and not post_ids.issuperset(map(attrgetter("post_id"), records)):
-        fail("post_id", lambda value: value not in post_ids and f"unknown post_id {value!r}")
-    for name in blog_ids:
-        bad = {value: why for value in set(map(attrgetter(name), records)) - {None}
-               if (why := blog_id_fault(value))}
-        if bad:
-            fail(name, bad.get)
-    if key is not None:
-        keys = set(map(attrgetter(key), records))
-        if "" in keys:
-            fail(key, lambda value: value == "" and f"field {key!r} is empty")
-        if len(keys) != len(records):
-            seen: set[str] = set()
-            fail(key, lambda value: (value in seen or seen.add(value))
-                 and f"duplicate id {value!r}", DuplicateIdError)
-    return result
+    quarantined.sort(key=attrgetter("line"))
+    if key is not None and len(keys := list(map(attrgetter(key), records))) > len(set(keys)):
+        seen: set = set()
+        j = next(j for j, k in enumerate(keys) if k in seen or seen.add(k))
+        line = next(islice(filterfalse(skipped.__contains__, count(1)), j, None))  # record j's
+        if not reload:
+            raise DuplicateIdError(f"{path.name}:{line}: duplicate id {keys[j]!r}")
+        quarantined.append(QuarantinedLine(path.name, line, f"duplicate id {keys[j]!r}"))
+    if reload and quarantined:
+        earliest = min(quarantined, key=attrgetter("line"))
+        raise ArtifactError(f"{path}:{earliest.line}: {earliest.reason}")
+    if undecodable:
+        raise undecodable
+    return LoadResult(records, quarantined)
 
 
-def load_posts(
-    path: str | Path, utc_offset: timedelta = timedelta(0), *, trusted: bool = False
-) -> LoadResult:
+def load_posts(path: str | Path, utc_offset: timedelta = timedelta(0), *,
+               reload: bool = False) -> LoadResult:
     """Load posts.jsonl; see RawPost for the record schema."""
-    if trusted:
-        return _check_columns(path, _load_trusted(path, RawPost), "post_id", ("blog_id",))
-
-    def parse(obj: dict, escaped: bool) -> RawPost:
-        return RawPost(  # post_id, blog_id, title, body, published_at
-            _string_field(obj, "post_id", escaped).strip(),
-            canonical_slug(_string_field(obj, "blog_id", escaped)),
-            _string_field(obj, "title", escaped, allow_empty=True),
-            _string_field(obj, "body", escaped, allow_empty=True),
-            parse_timestamp(obj.get("published_at"), utc_offset),
-        )
-
-    return _load_jsonl(path, parse, id_of=lambda p: p.post_id)
+    return _read_jsonl(path, RawPost, {
+        "post_id": _ID, "blog_id": _BLOG_ID, "title": _TEXT, "body": _TEXT,
+        "published_at": _timestamp(utc_offset)}, "post_id", reload)
 
 
-def load_comments(
-    path: str | Path,
-    known_post_ids: set[str],
-    utc_offset: timedelta = timedelta(0),
-    *,
-    trusted: bool = False,
-) -> LoadResult:
+def load_comments(path: str | Path, known_post_ids: set[str],
+                  utc_offset: timedelta = timedelta(0), *, reload: bool = False) -> LoadResult:
     """Load comments.jsonl; comments pointing at unknown posts are quarantined."""
-    if trusted:
-        return _check_columns(path, _load_trusted(path, RawComment), "comment_id",
-                              ("commenter_blog_id",), known_post_ids)
 
-    def parse(obj: dict, escaped: bool) -> RawComment:
-        post_id = _string_field(obj, "post_id", escaped).strip()
-        if post_id not in known_post_ids:
+    def known_post_id(value: str) -> str:
+        if (post_id := _stripped_id(value)) not in known_post_ids:
             raise ValueError(f"unknown post_id {post_id!r}")
-        commenter = obj.get("commenter_blog_id")
-        if commenter is not None:
-            commenter = canonical_slug(
-                _string_field(obj, "commenter_blog_id", escaped, allow_empty=True)) or None
-        return RawComment(  # comment_id, post_id, commenter_blog_id, body, created_at
-            _string_field(obj, "comment_id", escaped).strip(),
-            post_id,
-            commenter,
-            _string_field(obj, "body", escaped, allow_empty=True),
-            parse_timestamp(obj.get("created_at"), utc_offset),
-        )
+        return post_id
 
-    return _load_jsonl(path, parse, id_of=lambda c: c.comment_id)
+    return _read_jsonl(path, RawComment, {
+        "post_id": _Field(_string_field, known_post_id, "id"),
+        "commenter_blog_id": _Field(_text_or_null, _blog_id_or_none, "blog id"),
+        "comment_id": _ID, "body": _TEXT, "created_at": _timestamp(utc_offset)},
+        "comment_id", reload)
 
 
-def load_blogroll(path: str | Path, *, trusted: bool = False) -> LoadResult:
+def load_blogroll(path: str | Path, *, reload: bool = False) -> LoadResult:
     """Load blogroll.jsonl; target URLs must be syntactically valid http(s)."""
-    if trusted:
-        return _check_columns(path, _load_trusted(path, BlogrollRecord), None, ("owner_blog_id",))
-
-    @functools.cache  # each distinct URL is split once per file
-    def is_http_url(url: str) -> bool:
-        try:
-            scheme, host, _path = _split_url(url)
-        except ValueError:
-            return False
-        return scheme in ("http", "https") and bool(host)
-
-    def parse(obj: dict, escaped: bool) -> BlogrollRecord:
-        url = _string_field(obj, "target_url", escaped).strip()
-        if not is_http_url(url):
-            raise ValueError(f"invalid URL {url!r}")
-        return BlogrollRecord(canonical_slug(_string_field(obj, "owner_blog_id", escaped)), url)
-
-    return _load_jsonl(path, parse)
+    return _read_jsonl(path, BlogrollRecord, {
+        "target_url": _Field(_string_field, _http_url, "URL"), "owner_blog_id": _BLOG_ID},
+        None, reload)
 
 
-def load_profiles(path: str | Path, *, trusted: bool = False) -> LoadResult:
+def load_profiles(path: str | Path, *, reload: bool = False) -> LoadResult:
     """Load profiles.jsonl; one profile per blog, age restricted to [5, 120]."""
-
-    def check_age(age: int | None) -> None:
-        if age is not None and not AGE_MIN <= age <= AGE_MAX:
-            raise ValueError(f"age {age} outside [{AGE_MIN}, {AGE_MAX}]")
-
-    if trusted:  # an age that is out of range may not even convert to a float
-        return _check_columns(path, _load_trusted(path, ProfileRecord, lambda p: check_age(p.age)),
-                              "blog_id", ("blog_id",))
-
-    def parse(obj: dict, escaped: bool) -> ProfileRecord:
-        age = obj.get("age")
-        if age is not None and (isinstance(age, bool) or not isinstance(age, int)):
-            raise ValueError("field 'age' must be an integer or null")
-        check_age(age)
-        return ProfileRecord(  # blog_id, age, gender, education, marital_status
-            canonical_slug(_string_field(obj, "blog_id", escaped)),
-            age,
-            _enum_field(obj, "gender", GENDERS),
-            _enum_field(obj, "education", EDUCATION_LEVELS),
-            _enum_field(obj, "marital_status", MARITAL_STATUSES),
-        )
-
-    return _load_jsonl(path, parse, id_of=lambda p: p.blog_id)
+    return _read_jsonl(path, ProfileRecord, {
+        "age": _Field(rule=_age), "blog_id": _BLOG_ID,
+        **{key: _Field(rule=functools.partial(_enum, key, allowed)) for key, allowed in [
+            ("gender", GENDERS), ("education", EDUCATION_LEVELS),
+            ("marital_status", MARITAL_STATUSES)]}}, "blog_id", reload)
 
 
 # --- serialization back to the dump schema (round-trip safe) ---------------

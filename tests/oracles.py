@@ -6,10 +6,9 @@ PageRank/HITS via dense matrix power iteration instead of sparse scatter
 sums, clustering via triple enumeration. The similarity matrix, character
 unification, tokenization, per-blog documents, href masking, blog-id checks,
 blogroll URL resolution and validation, HTML stripping, URL resolution,
-timestamp parsing and formatting, the validating dump loaders, the trusted
-reload, artifact CSV reading, JSONL writing, layer merging and per-node
-clustering keep the slow, direct versions that the faster library code
-replaced.
+timestamp parsing and formatting, the validating dump loaders, artifact CSV
+reading, JSONL writing, layer merging and per-node clustering keep the slow,
+direct versions that the faster library code replaced.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import get_type_hints
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -354,6 +352,15 @@ def _string_field(obj: dict, key: str, *, allow_empty: bool = False) -> str:
     return value
 
 
+def _enum_field(obj: dict, key: str, allowed: tuple[str, ...]) -> str:
+    value = obj.get(key)
+    if value is None:
+        return "unspecified"
+    if not isinstance(value, str) or value not in allowed:
+        raise ValueError(f"field {key!r} must be one of {allowed}")
+    return value
+
+
 def _timestamp(value, assume_offset: timedelta) -> datetime:
     try:
         return parse_timestamp_uncached(value, assume_offset)
@@ -449,56 +456,12 @@ def load_profiles_by_loads(path) -> ingest.LoadResult:
         return ingest.ProfileRecord(
             blog_id=ingest.canonical_slug(_string_field(obj, "blog_id")),
             age=age,
-            gender=ingest._enum_field(obj, "gender", ingest.GENDERS),
-            education=ingest._enum_field(obj, "education", ingest.EDUCATION_LEVELS),
-            marital_status=ingest._enum_field(obj, "marital_status", ingest.MARITAL_STATUSES),
+            gender=_enum_field(obj, "gender", ingest.GENDERS),
+            education=_enum_field(obj, "education", ingest.EDUCATION_LEVELS),
+            marital_status=_enum_field(obj, "marital_status", ingest.MARITAL_STATUSES),
         )
 
     return _load_jsonl_by_loads(path, parse, id_of=lambda p: p.blog_id)
-
-
-def load_trusted_by_field(path, record_type: type, check=None) -> ingest.LoadResult:
-    """``ingest._load_trusted`` with every line checked field by field, in
-    name order."""
-    path = Path(path)
-    hints = get_type_hints(record_type)
-    fields = [(name, ingest._ARTIFACT_TYPES[hint].json_types, hint is datetime)
-              for name, hint in sorted(hints.items())]
-    raw_decode = json.JSONDecoder().raw_decode
-    records: list = []
-    for line_no, raw in enumerate(ingest.read_lines(path, newline="\n"), start=1):
-        try:
-            obj, end = ingest.decode_json(raw, raw_decode)
-            if raw[end:] not in ("\n", ""):
-                raise ValueError("unexpected text after the object")
-            if type(obj) is not dict:
-                raise ValueError("line is not a JSON object")
-            escaped = "\\u" in raw
-            for name, types, stamp in fields:
-                value = obj[name]
-                if type(value) not in types:
-                    raise ValueError(f"field {name!r} is of the wrong type "
-                                     f"({type(value).__name__})")
-                if escaped and type(value) is str:
-                    ingest._string_field(obj, name, True, allow_empty=True)
-                if stamp:
-                    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z",
-                                        value):
-                        raise ValueError(f"field {name!r} is not a canonical UTC timestamp")
-                    obj[name] = datetime.fromisoformat(value[:-1] + "+00:00")
-            if len(obj) != len(fields):
-                raise ValueError(f"unexpected field {min(obj.keys() - hints)!r}")
-            record = record_type(**obj)
-            if check is not None:
-                check(record)
-        except json.JSONDecodeError as err:
-            raise ingest.ArtifactError(f"{path}:{line_no}: invalid JSON: {err.msg}") from None
-        except KeyError as err:
-            raise ingest.ArtifactError(f"{path}:{line_no}: field {err} missing") from None
-        except ValueError as err:
-            raise ingest.ArtifactError(f"{path}:{line_no}: {err}") from None
-        records.append(record)
-    return ingest.LoadResult(records, [])
 
 
 def read_artifact_csv_by_row(path, columns: dict, key_columns: int):

@@ -1,7 +1,7 @@
 """Artifact read-back checked a line or a column at a time, against the
 per-field and per-row loops in ``oracles`` (differential testing): the same
 records, or the same message naming the same first faulty line. Also the
-message ``clean``, ``rank``, ``report`` and a trusted reload give when a file
+message ``clean``, ``rank``, ``report`` and an ingest reload give when a file
 holds two faults and a column check meets the later one first."""
 
 import json
@@ -9,6 +9,7 @@ import shutil
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,19 +19,11 @@ import oracles
 from blognet import cli, ingest
 from test_cli import fixture_flags, out_dir, rewrite_ingest_artifact  # noqa: F401 (a fixture)
 from test_ingest import outcome, raw_dumps
-from test_ingest_codec import json_text
+from test_ingest_codec import dump_files, json_text, load_outcome
 
-RECORD_TYPES = {"posts": ingest.RawPost, "comments": ingest.RawComment,
-                "blogroll": ingest.BlogrollRecord, "profiles": ingest.ProfileRecord}
-
-
-def check_age(profile: ingest.ProfileRecord) -> None:
-    """The check ``load_profiles`` makes on its trusted path."""
-    if profile.age is not None and not ingest.AGE_MIN <= profile.age <= ingest.AGE_MAX:
-        raise ValueError(f"age {profile.age} outside [{ingest.AGE_MIN}, {ingest.AGE_MAX}]")
-
-
-CHECKS = {"profiles": check_age}
+ORACLE_LOADERS = {"posts": oracles.load_posts_by_loads, "comments": oracles.load_comments_by_loads,
+                  "blogroll": oracles.load_blogroll_by_loads,
+                  "profiles": oracles.load_profiles_by_loads}
 STAMP = datetime(2010, 4, 5, 10, tzinfo=timezone.utc)
 # every enum value, each with a null and a non-null age, comments without
 # a commenter, and posts and comments, so every example has timestamps
@@ -42,7 +35,7 @@ FIXED_RECORDS = {
             + [("unspecified", e, "unspecified") for e in ingest.EDUCATION_LEVELS]
             + [("unspecified", "unspecified", m) for m in ingest.MARITAL_STATUSES])
         for age in (None, 30)],
-    "comments": [ingest.RawComment(f"c-fixed{i}", "p1", commenter, "متن", STAMP)
+    "comments": [ingest.RawComment(f"c-fixed{i}", "p-fixed0", commenter, "متن", STAMP)
                  for i, commenter in enumerate([None, "b01", None])],
     "posts": [ingest.RawPost(f"p-fixed{i}", "b01", "عنوان", "<p>متن</p>", STAMP)
               for i in range(3)],
@@ -53,11 +46,16 @@ FIXED_RECORDS = {
 FIELD_VALUES = st.sampled_from([
     7, "7", True, 1.5, None, [], {}, "", "é", "\ud800", "x\\u", 3, 121, 10 ** 400])
 # values a timestamp is set to: not canonical, though ``fromisoformat`` reads
-# most of them, or canonical and rejected by ``fromisoformat``
+# most of them, or canonical and rejected by ``fromisoformat`` or, in the
+# last second of year 9999, by ``parse_timestamp``
 STAMPS = st.sampled_from([
     "2010-04-05T10:00:00+00:00", "2010-04-05T10:00:00z", "2010-04-05 10:00:00Z",
     "2010-04-05T10:00:00.5Z", "2010-04-05T10:00:00", "٢٠١٠-04-05T10:00:00Z",
-    "2010-13-05T10:00:00Z", "0000-01-01T00:00:00Z", "2010-04-05T10:00:00Z"])
+    "2010-13-05T10:00:00Z", "0000-01-01T00:00:00Z", "2010-04-05T10:00:00Z",
+    "9999-12-31T23:59:59Z", "9999-12-31T23:59:58Z"])
+# lines per block of the reader: each line its own block, blocks that end
+# mid-file, and the default
+BLOCKS = st.sampled_from([1, 2, 3, ingest._BLOCK])
 # whole lines that replace a record's
 LINES = st.sampled_from(["[]", "null", '"a line"', "{broken", "", " ", "{}",
                          "[" * 5000 + "]" * 5000, "1" + "0" * 5000])
@@ -96,30 +94,120 @@ def assert_same_outcome(read, reference, *args) -> None:
     assert (got, repr(got)) == (want, repr(want))
 
 
+def lines_of(path: Path) -> list[str]:
+    """The lines of ``path`` without their newlines, split at "\\n" only."""
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
+def load_by_oracles(path: Path, name: str, lines: list[str], *args) -> tuple:
+    """The dump loader's oracle on a file of ``lines``: its result, and the
+    line ``json.dumps`` writes for each record it accepts."""
+    part = path.with_name(f"part_{path.name}")
+    part.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    result = ORACLE_LOADERS[name](part, *args)
+    oracles.write_jsonl_by_dumps(part, [
+        {k: ingest.format_timestamp(v) if isinstance(v, datetime) else v
+         for k, v in record._asdict().items()} for record in result.records])
+    return result, lines_of(part)
+
+
+def reload_by_oracles(path: Path, name: str, *args) -> tuple:
+    """What reload mode must give for artifact ``path`` of kind ``name``:
+    ``("ok", records)`` when the dump loader's oracle accepts every line,
+    repeats no id and ``json.dumps`` writes each record back as its line;
+    else the line where that first fails, with the oracle's reason where it
+    quarantines the line or, on a line written back as it is, repeats an id."""
+    lines = lines_of(path)
+    try:
+        result, written = load_by_oracles(path, name, lines, *args)
+        repeated = None
+    except ingest.DuplicateIdError as err:  # the oracle raises at the first repeated id
+        _name, number, reason = str(err).split(":", 2)
+        repeated = int(number)
+        result, written = load_by_oracles(path, name, lines[:repeated - 1], *args)
+        _, as_written = load_by_oracles(path, name, lines[repeated - 1:repeated], *args)
+        repeated = (repeated, reason.removeprefix(" ") if as_written == [lines[repeated - 1]]
+                    else None)
+    reasons = {q.line: q.reason for q in result.quarantined}
+    written = iter(written)
+    for number, line in enumerate(lines[:repeated[0] - 1] if repeated else lines, start=1):
+        if number in reasons:
+            return number, reasons[number]
+        if next(written) != line:
+            return number, None
+    return repeated or ("ok", result.records)
+
+
 @settings(max_examples=300, deadline=None)
 @given(raw_dumps(), st.data())
-def test_trusted_reload_matches_the_per_field_loop(dump, data):
+def test_reload_accepts_exactly_what_ingest_writes(dump, data):
     """On an ingest tree of a generated dump, with lines rewritten with \\u
-    escapes or edited, a trusted reload gives what checking every field of
-    every line gives."""
-    with tempfile.TemporaryDirectory() as tmp:
+    escapes or edited, reload mode gives the records when the loaders'
+    oracle accepts every line and ``json.dumps`` writes each record back
+    as its line, and otherwise names the first line where that fails, with
+    the oracle's reason where it quarantines that line, in blocks of any size."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            ingest, "_BLOCK", data.draw(BLOCKS)):
         known: set[str] = set()
         for name, rows in dump.items():
             raw, artifact = Path(tmp) / f"raw_{name}.jsonl", Path(tmp) / f"{name}.jsonl"
             raw.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
             args = [known] if name == "comments" else []
-            accepted = getattr(ingest, f"load_{name}")(raw, *args).records
-            ingest.write_jsonl(artifact, [*accepted, *FIXED_RECORDS.get(name, [])])
+            accepted = [*getattr(ingest, f"load_{name}")(raw, *args).records,
+                        *FIXED_RECORDS.get(name, [])]
+            ingest.write_jsonl(artifact, accepted)
             if name == "posts":
                 known = {p.post_id for p in accepted}
             # a line may hold U+2028, which ``splitlines`` would split at
-            lines = [data.draw(edited_line(line))
-                     for line in artifact.read_bytes().decode("utf-8").split("\n")[:-1]]
+            lines = [data.draw(edited_line(line)) for line in lines_of(artifact)]
             ending = data.draw(st.sampled_from(["\n", ""]))
             artifact.write_text("\n".join(lines) + ending, encoding="utf-8")
-            assert_same_outcome(ingest._load_trusted, oracles.load_trusted_by_field,
-                                artifact, RECORD_TYPES[name], CHECKS.get(name))
+            got = outcome(lambda: getattr(ingest, f"load_{name}")(artifact, *args, reload=True))
+            want = reload_by_oracles(artifact, name, *args)
+            if want[0] == "ok":
+                assert got[0] == "ok" and got[1].quarantined == []
+                assert (got[1].records, repr(got[1].records)) == (want[1], repr(want[1]))
+            else:
+                assert got[0] == "ArtifactError" and got[1].startswith(f"{artifact}:{want[0]}: ")
+                if want[1] is not None:
+                    assert got[1] == f"{artifact}:{want[0]}: {want[1]}"
 
+
+@settings(max_examples=200, deadline=None)
+@given(dump_files(), BLOCKS)
+def test_dump_mode_reads_blocks_of_any_size_as_the_oracles(files, block):
+    """Each loader in dump mode gives the oracle's records and quarantine, or
+    its DuplicateIdError, whatever the reader's block size."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_BLOCK", block):
+        known = {"p1", "p3"}
+        for name, text in files.items():
+            path = Path(tmp) / f"{name}.jsonl"
+            path.write_text(text, encoding="utf-8", newline="")
+            args = [known] if name == "comments" else []
+            assert load_outcome(getattr(ingest, f"load_{name}"), path, *args) == (
+                load_outcome(ORACLE_LOADERS[name], path, *args))
+
+
+@pytest.mark.parametrize("block", [3, ingest._BLOCK])
+@pytest.mark.parametrize("reload", [False, True])
+def test_a_fault_before_an_undecodable_byte_is_named(tmp_path, reload, block):
+    """The lines before a byte that does not decode are checked first: a
+    repeated id on line 2 is named, and only a file without it raises
+    InputFileError. The byte is far enough on that the lines before it are
+    read first."""
+    path = tmp_path / "posts.jsonl"
+    posts = [ingest.RawPost(f"p{i}", "b01", "", "", STAMP) for i in range(2000)]
+    for lines, error, message in [
+            ([posts[0], *posts], ingest.ArtifactError if reload else ingest.DuplicateIdError,
+             f"{path if reload else path.name}:2: duplicate id 'p0'"),
+            (posts, ingest.InputFileError, f"{path}: not UTF-8 text (invalid start byte)")]:
+        ingest.write_jsonl(path, lines)
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\n")
+        with mock.patch.object(ingest, "_BLOCK", block), pytest.raises(error) as raised:
+            ingest.load_posts(path, reload=reload)
+        assert str(raised.value) == message
 
 def read_back_columns(out: Path, stage: str, name: str) -> tuple[dict, int]:
     """The columns and key width the stage that reads ``stage/name`` back
@@ -215,7 +303,7 @@ def set_first_and_third_post(lines):
 TWO_FAULTS = {
     "trusted-posts": (
         "build", "ingest/posts.jsonl", set_first_and_third_post,
-        "1: field 'title' is of the wrong type (int)"),
+        "1: field 'title' missing or not a string"),
     "merged-weight-then-unknown-endpoint": (
         "clean", "build/edges_merged.csv", edit_lines({2: (3, "x"), 5: (0, "zz-unknown")}),
         "2: malformed row: 'x' is not a number as written"),
@@ -238,7 +326,7 @@ def test_the_earlier_of_two_faults_is_named(case, out_dir, tmp_path, capsys):  #
     shutil.copytree(out_dir, out)
     path = out / artifact
     if artifact.startswith("ingest/"):
-        rewrite_ingest_artifact(out, path.name, edit)  # read on the trusted path
+        rewrite_ingest_artifact(out, path.name, edit)
     else:
         path.write_text("".join(f"{line}\n" for line in edit(
             path.read_text("utf-8").splitlines())), encoding="utf-8")
@@ -251,17 +339,15 @@ def test_artifacts_as_written_pass_the_line_and_column_checks(out_dir, tmp_path,
                                                               monkeypatch):
     """Every line of the fixture run's artifacts is read by the line or
     column check alone: neither the per-field nor the per-row loop runs."""
-    decode_json = ingest.decode_json
 
-    def whole_documents_only(text, decode=json.loads):
-        # only the per-field loop hands decode_json a decoder of its own
-        assert decode is json.loads, "a trusted line went to the per-field loop"
-        return decode_json(text, decode)
+    def per_field(*args):
+        # a reload's per-field read of a line it does not reject asks this
+        raise AssertionError("an ingest line went to the per-field read")
 
     def row_loop(*args):
         raise AssertionError("a CSV artifact went to the row loop")
 
-    monkeypatch.setattr(ingest, "decode_json", whole_documents_only)
+    monkeypatch.setattr(ingest, "_not_as_written", per_field)
     monkeypatch.setattr(cli, "_rows_by_row", row_loop)
     out = tmp_path / "out"
     shutil.copytree(out_dir, out)

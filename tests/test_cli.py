@@ -1049,26 +1049,6 @@ def test_missing_stopword_or_equivalence_file_is_data_error(flag, out_dir, tmp_p
     assert str(missing) in err
 
 
-def test_build_on_an_untouched_tree_takes_the_trusted_path(out_dir, tmp_path, monkeypatch):
-    from blognet import ingest as ingest_mod
-
-    out = tmp_path / "out"
-    shutil.copytree(out_dir, out)
-    trusted = []
-    load_trusted = ingest_mod._load_trusted
-
-    def spy(path, *args):
-        trusted.append(Path(path).name)
-        return load_trusted(path, *args)
-
-    monkeypatch.setattr(ingest_mod, "_load_trusted", spy)
-    assert main(["build", *fixture_flags(out)]) == EXIT_OK
-    assert sorted(trusted) == ["blogroll.jsonl", "comments.jsonl", "posts.jsonl",
-                               "profiles.jsonl"]
-    for path in (out_dir / "build").iterdir():
-        assert (out / "build" / path.name).read_bytes() == path.read_bytes(), path.name
-
-
 def rewrite_ingest_artifact(out, name, edit):
     """Apply ``edit`` to the lines of ingest artifact ``name`` and record the
     new bytes' digest in ingest's manifest, as if ingest had written them."""
@@ -1090,10 +1070,21 @@ def edit_first_row(**fields):
     return edit
 
 
-# Each case rewrites one ingest artifact and its digest in ingest's manifest,
-# so the stage reloads it on the trusted path: (stage, artifact, edit, what
-# the one-line message must name besides ``file:line``).
-TRUSTED_TAMPERING = {
+def tamper_ingest_artifact(out, name, edit, manifest):
+    """Apply ``edit`` to ingest artifact ``name``, then record the new bytes'
+    digest in ingest's manifest ("re-recorded") or remove the manifest."""
+    rewrite_ingest_artifact(out, name, edit)
+    if manifest == "removed":
+        (out / "ingest/manifest.json").unlink()
+
+
+# what becomes of ingest's manifest once an artifact is tampered with; each
+# tampering case runs with both and must say the same
+MANIFESTS = ["re-recorded", "removed"]
+
+# Each case rewrites one ingest artifact: (stage, artifact, edit, what the
+# one-line message must name besides ``file:line``).
+TAMPERED_INGEST_LINES = {
     "post-missing-field": ("build", "posts.jsonl", edit_first_row(title=...), "'title'"),
     "profile-string-age": ("stats", "profiles.jsonl", edit_first_row(age="21"), "'age'"),
     "comment-offsetless-timestamp": (
@@ -1108,10 +1099,19 @@ TRUSTED_TAMPERING = {
     "profile-huge-age": ("stats", "profiles.jsonl", edit_first_row(age=10 ** 400), "age"),
     "comment-extra-field": ("stats", "comments.jsonl", edit_first_row(extra=1),
                             "unexpected field 'extra'"),
-    # a lone surrogate is named before the timestamp it spoils
     "comment-lone-surrogate-in-timestamp": (
         "stats", "comments.jsonl", edit_first_row(created_at="2010-04-06T09:00:0\ud800Z"),
-        "field 'created_at' holds a lone surrogate"),
+        "unparseable timestamp: '2010-04-06T09:00:0\\ud800Z'"),
+    # values that ingest would have rejected or written otherwise
+    "profile-gender-outside-its-enum": ("stats", "profiles.jsonl", edit_first_row(gender="robot"),
+                                        "field 'gender' must be one of"),
+    "blogroll-ftp-url": ("build", "blogroll.jsonl",
+                         edit_first_row(target_url="ftp://b02.blogville.example/"),
+                         "invalid URL 'ftp://b02.blogville.example/'"),
+    "comment-id-with-spaces": ("stats", "comments.jsonl", edit_first_row(comment_id=" c01 "),
+                               "field 'comment_id' is not a canonical id: ' c01 '"),
+    "post-id-with-spaces": ("stats", "posts.jsonl", edit_first_row(post_id=" p0101 "),
+                            "field 'post_id' is not a canonical id: ' p0101 '"),
     # a blog id field holding what ingest never writes: not folded, not bare
     # or empty
     **{f"{name}-{field}-{value!r}": ("build", f"{name}.jsonl", edit_first_row(**{field: value}),
@@ -1125,23 +1125,27 @@ TRUSTED_TAMPERING = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(TRUSTED_TAMPERING))
-def test_tampered_artifact_with_its_digest_is_data_error(case, out_dir, tmp_path, capsys):
-    stage, name, edit, named = TRUSTED_TAMPERING[case]
-    out = tmp_path / "out"
-    shutil.copytree(out_dir, out)
-    rewrite_ingest_artifact(out, name, edit)
-    capsys.readouterr()
-    assert main([stage, *fixture_flags(out)]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("data error: ") and err.count("\n") == 1
-    assert f"{out / 'ingest' / name}:1: " in err and named in err
+@pytest.mark.parametrize("case", sorted(TAMPERED_INGEST_LINES))
+def test_tampered_ingest_artifact_is_one_line_data_error(case, out_dir, tmp_path, capsys):
+    stage, name, edit, named = TAMPERED_INGEST_LINES[case]
+    said = set()
+    for manifest in MANIFESTS:
+        out = tmp_path / manifest
+        shutil.copytree(out_dir, out)
+        tamper_ingest_artifact(out, name, edit, manifest)
+        capsys.readouterr()
+        assert main([stage, *fixture_flags(out)]) == EXIT_DATA, manifest
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert f"{out / 'ingest' / name}:1: " in err and named in err
+        said.add(err.replace(str(out), "<out>"))
+    assert len(said) == 1, said
 
 
-# Each case repeats a key or breaks a reference in an ingest artifact and
-# records its digest, so the trusted reload reads it: (stage, artifact, edit,
-# the message after ``file:``, which names the faulty line).
-TRUSTED_KEYS_AND_REFERENCES = {
+# Each case repeats a key or breaks a reference in an ingest artifact:
+# (stage, artifact, edit, the message after ``file:``, which names the
+# faulty line).
+TAMPERED_KEYS_AND_REFERENCES = {
     "repeated-post": ("stats", "posts.jsonl", lambda lines: [*lines, lines[0]],
                       "15: duplicate id 'p0101'"),
     "comment-on-an-unknown-post": (
@@ -1156,19 +1160,19 @@ TRUSTED_KEYS_AND_REFERENCES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(TRUSTED_KEYS_AND_REFERENCES))
-def test_trusted_reload_checks_keys_and_references(case, out_dir, tmp_path, capsys):
-    stage, name, edit, message = TRUSTED_KEYS_AND_REFERENCES[case]
-    out = tmp_path / "out"
-    shutil.copytree(out_dir, out)
-    rewrite_ingest_artifact(out, name, edit)
-    capsys.readouterr()
-    assert main([stage, *fixture_flags(out)]) == EXIT_DATA
-    assert capsys.readouterr().err == f"data error: {out / 'ingest' / name}:{message}\n"
+@pytest.mark.parametrize("case", sorted(TAMPERED_KEYS_AND_REFERENCES))
+def test_reload_checks_keys_and_references(case, out_dir, tmp_path, capsys):
+    stage, name, edit, message = TAMPERED_KEYS_AND_REFERENCES[case]
+    for manifest in MANIFESTS:
+        out = tmp_path / manifest
+        shutil.copytree(out_dir, out)
+        tamper_ingest_artifact(out, name, edit, manifest)
+        capsys.readouterr()
+        assert main([stage, *fixture_flags(out)]) == EXIT_DATA, manifest
+        assert capsys.readouterr().err == f"data error: {out / 'ingest' / name}:{message}\n"
 
 
-# Each case garbles ingest's manifest: the stages then validate the ingest
-# artifacts as the loaders do.
+# Each case garbles ingest's manifest, which no later stage reads.
 GARBLED_INGEST_MANIFESTS = {
     "truncated": lambda text: text[:-20],
     "no-output-digests": lambda text: json.dumps(
@@ -1180,9 +1184,7 @@ GARBLED_INGEST_MANIFESTS = {
 
 
 @pytest.mark.parametrize("case", sorted(GARBLED_INGEST_MANIFESTS))
-def test_garbled_ingest_manifest_falls_back_to_the_loaders(case, out_dir, tmp_path, monkeypatch):
-    from blognet import ingest as ingest_mod
-
+def test_garbled_ingest_manifest_falls_back_to_the_loaders(case, out_dir, tmp_path):
     out = tmp_path / "out"
     shutil.copytree(out_dir, out)
     manifest_path = out / "ingest/manifest.json"
@@ -1191,7 +1193,6 @@ def test_garbled_ingest_manifest_falls_back_to_the_loaders(case, out_dir, tmp_pa
         manifest_path.unlink()
     else:
         manifest_path.write_text(garble(manifest_path.read_text("utf-8")), encoding="utf-8")
-    monkeypatch.setattr(ingest_mod, "_load_trusted", None)  # a call would raise TypeError
     for stage in ("prep", "build", "stats"):
         assert main([stage, *fixture_flags(out)]) == EXIT_OK, stage
         for path in (out_dir / stage).iterdir():
@@ -1342,8 +1343,8 @@ def tampered_bytes(artifact: str, data: bytes) -> dict[str, bytes]:
 def test_tampered_artifact_is_exit_0_or_one_line_data_error(out_dir, tmp_path, capsys):
     # every (artifact, stage) read of the fixture run, each with every one
     # of its mutations; an ingest artifact's digest is either left as ingest
-    # recorded it (so the stage validates the file again) or set to the
-    # mutated bytes' (so the stage reads it on the trusted path)
+    # recorded it or set to the mutated bytes', which must not change what
+    # the stage says
     reads = tampered_reads(out_dir)
     assert {f"{stage}/{name}" for stage, name in CSV_ARTIFACTS} <= {a for a, _ in reads}
     assert {f"ingest/{name}" for name in ("posts.jsonl", "comments.jsonl", "blogroll.jsonl",
@@ -1351,8 +1352,9 @@ def test_tampered_artifact_is_exit_0_or_one_line_data_error(out_dir, tmp_path, c
     failures = []
     for artifact, stage in reads:
         mutations = tampered_bytes(artifact, (out_dir / artifact).read_bytes())
-        trusted = (False, True) if artifact.startswith("ingest/") else (False,)
-        for name, record_digest in sorted((name, t) for name in mutations for t in trusted):
+        digests = (False, True) if artifact.startswith("ingest/") else (False,)
+        said = {}
+        for name, record_digest in sorted((name, d) for name in mutations for d in digests):
             out = tmp_path / "out"
             shutil.rmtree(out, ignore_errors=True)
             shutil.copytree(out_dir, out)
@@ -1374,6 +1376,9 @@ def test_tampered_artifact_is_exit_0_or_one_line_data_error(out_dir, tmp_path, c
             if not (code == EXIT_OK or (code == EXIT_DATA and err.startswith("data error: ")
                                         and err.count("\n") == 1)):
                 failures.append(f"{case}: exit {code}: {err!r}")
+            if said.setdefault(name, (code, err)) != (code, err):
+                failures.append(f"{case}: exit {code}: {err!r}, but {said[name]} "
+                                "with the digest ingest recorded")
     assert not failures
 
 
@@ -1435,7 +1440,7 @@ LONG_AGE = '{"blog_id": "b98", "age": ' + "9" * 5_000 + "}"
 # (nesting past the recursion limit, an integer literal past the digit limit)
 # where a stage reads it: (stage, the file: a dump file, the config file or a
 # file of the output tree; how the text goes in: "append" a line, "digest"
-# (append it and record the new digest, so the reload is trusted) or "write"
+# (append it and record the new digest) or "write"
 # the file; the text; the exit code; what the quarantine or stderr says).
 UNDECODABLE_JSON = {
     "dump-line-deep": ("ingest", "posts.jsonl", "append", DEEP_ARRAY, EXIT_OK,
@@ -1452,11 +1457,12 @@ UNDECODABLE_JSON = {
                                EXIT_DATA, "invalid JSON: nested too deeply"),
     "validating-reload-long-int": ("stats", "out/ingest/profiles.jsonl", "append", LONG_AGE,
                                    EXIT_DATA, "invalid JSON: integer literal too long"),
-    "trusted-reload-deep": ("build", "out/ingest/posts.jsonl", "digest", DEEP_ARRAY,
-                            EXIT_DATA, "invalid JSON: nested too deeply"),
+    "validating-reload-deep-digest-recorded": (
+        "build", "out/ingest/posts.jsonl", "digest", DEEP_ARRAY, EXIT_DATA,
+        "invalid JSON: nested too deeply"),
     "report-metrics-deep": ("report", "out/clean/metrics.json", "write", DEEP_OBJECT,
                             EXIT_DATA, "invalid JSON: nested too deeply"),
-    # a garbled ingest manifest sends the stage to the loaders
+    # no later stage reads ingest's manifest
     "ingest-manifest-deep": ("stats", "out/ingest/manifest.json", "write", DEEP_ARRAY,
                              EXIT_OK, ""),
 }

@@ -468,9 +468,9 @@ def raw_dumps(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(raw_dumps())
-def test_trusted_reload_matches_loaders_on_ingest_artifacts(dumps):
+def test_reload_mode_matches_dump_mode_on_ingest_artifacts(dumps):
     """Each kind of artifact, written from what the loaders accept as ingest
-    writes it, reloads to the same records on the trusted path."""
+    writes it, reloads to the same records in reload mode."""
     to_dicts = {"posts": ingest.RawPost._asdict, "comments": ingest.RawComment._asdict,
                 "blogroll": ingest.BlogrollRecord._asdict, "profiles": ingest.ProfileRecord._asdict}
     with tempfile.TemporaryDirectory() as tmp:
@@ -488,12 +488,12 @@ def test_trusted_reload_matches_loaders_on_ingest_artifacts(dumps):
             accepted = load(name, raw)
             ingest.write_jsonl(artifact, [to_dicts[name](r) for r in accepted.records])
             validated = load(name, artifact)
-            trusted = load(name, artifact, trusted=True)
-            assert not validated.quarantined and not trusted.quarantined
-            assert trusted.records == validated.records == accepted.records, name
-            assert repr(trusted.records) == repr(validated.records), name
+            reloaded = load(name, artifact, reload=True)
+            assert not validated.quarantined and not reloaded.quarantined
+            assert reloaded.records == validated.records == accepted.records, name
+            assert repr(reloaded.records) == repr(validated.records), name
             if name == "posts":
-                known = {p.post_id for p in trusted.records}
+                known = {p.post_id for p in reloaded.records}
 
 
 def test_read_lines_names_a_file_that_is_not_utf8(tmp_path):
