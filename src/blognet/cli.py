@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
-from itertools import compress, count, zip_longest
+from itertools import compress, islice, zip_longest
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
@@ -78,26 +78,19 @@ def _read_float(value: str) -> float:
     return number
 
 
-class _RowNumbers:
-    """The converter of a ``rank`` column whose n-th row must hold rank n. It
-    counts the rows it reads, so it runs once per row, in order, and is
-    never applied once per distinct value."""
-
-    def __init__(self) -> None:
-        self._rows = count(1)
-
-    def __call__(self, value: str) -> int:
-        if (rank := _read_int(value)) != next(self._rows):
-            raise ValueError(f"{value!r} is not its row's number")
-        return rank
+def _row_number(value: str) -> int:
+    """The converter of a column whose n-th row holds n: ``_read_artifact_csv``
+    reads it as 1, 2, ... and calls this only for the first row that does not."""
+    _read_int(value)
+    raise ValueError(f"{value!r} is not its row's number")
 
 
 # the columns of build's edges_*.csv, in ``graphbuild.Edge`` field order (build
 # writes its edges as rows), with the converter each is read through
 EDGE_COLUMNS = {"src": str, "dst": str, "layer": str, "weight": _read_int}
-# ``report`` reads each ``rank`` as its row's number (see ``_RowNumbers``)
+# a ranking's n-th row holds rank n
 RANKING_COLUMNS = {"blog_id": str, "score": _checked(_read_float, math.isfinite, "finite"),
-                   "rank": _read_int}
+                   "rank": _row_number}
 _AT_LEAST_1 = _checked(_read_int, lambda n: n >= 1, "at least 1")
 # Each CSV artifact a later stage reads back: (stage, file name) -> (its
 # columns in order, each with the converter it is read through; how many
@@ -202,7 +195,8 @@ class Stage:
         ``_read_artifact_csv``), read through its ``CSV_ARTIFACTS`` columns
         with ``overrides`` replacing the converters of the columns they name.
         The file is required now, as by ``require``, and read when the first
-        row is asked for, so a stage requires every input before it reads any."""
+        row is asked for: a stage requires every input before it reads any,
+        and a converter may look up what the stage read since."""
         columns, key_columns = CSV_ARTIFACTS[stage, name]
         path = self.require(stage, name, key)
         return _read_artifact_csv(path, {**columns, **overrides}, key_columns)
@@ -440,92 +434,79 @@ def _read_artifact_csv(
 ) -> Iterator[tuple]:
     """Yield the rows of an artifact CSV whose header is ``columns``, each
     value passed through its column's converter (``str`` columns are left as
-    read). A wrong header raises ArtifactError naming the file, and a byte
-    that is not UTF-8 InputFileError; a wrong column count, a value its
-    converter rejects with ValueError, or a row whose first ``key_columns``
-    (at least one) values repeat an earlier row's raises ArtifactError naming
-    ``file:line``, as does a line the csv module rejects (a NUL before Python
-    3.11). The key is checked before the other values are converted, so a
-    repeated row is named as one.
+    read; a ``_row_number`` column must hold 1, 2, ...). A wrong header
+    raises ArtifactError naming the file, as does, naming ``file:line``, the
+    first row with a wrong width, a value its converter rejects with
+    ValueError or first ``key_columns`` values that repeat an earlier row's
+    (checked in that order, the key after its own columns). Only if every
+    row before it is sound does a line the csv module rejects raise
+    ArtifactError naming ``file:line`` (a NUL before Python 3.11), or a byte
+    that is not UTF-8 InputFileError.
 
-    The file is read whole and checked a column at a time (see
-    ``_rows_by_column``); only when a check fails is it read again row by
-    row, which names the first faulty line."""
+    The file is read when the first row is asked for and checked a column at
+    a time: the width, each converter once per distinct value and the key by
+    set size. Each check looks only at the rows before the first that an
+    earlier one rejects, so the last to reject a row names the first faulty
+    one, whose line a second read finds."""
     # a field of any length a stage wrote is read back, where the csv module's
     # default limit is 131,072 characters (2**31 - 1 fits every C long)
     csv.field_size_limit(2**31 - 1)
     reader = csv.reader(ingest_mod.read_lines(path, newline=""))
+    rows, error = [], None  # ``error``: what ended the read before the end
     try:
-        rows = (_rows_by_column(reader, columns, key_columns)
-                if next(reader, None) == list(columns) else None)
-    except (csv.Error, InputFileError):
-        rows = None
-    yield from _rows_by_row(path, columns, key_columns) if rows is None else rows
-
-
-def _rows_by_column(reader: Iterator[list], columns: dict[str, Callable[[str], Any]],
-                    key_columns: int) -> list[tuple] | None:
-    """The rows ``reader`` holds, converted as ``_rows_by_row`` converts them,
-    or None where it would raise. Each check runs once per column: the
-    width, each converter once per distinct value (a ``_RowNumbers``, which
-    counts rows, as the column 1, 2, ... instead) and the key by set size."""
-    rows = list(reader)
-    if not rows:
-        return []
-    if set(map(len, rows)) != {len(columns)}:
-        return None
-    values = list(zip(*rows))
-    del rows  # the lists the csv module read; ``values`` holds their strings
-    for i, convert in enumerate(columns.values()):
-        if isinstance(convert, _RowNumbers):
-            numbers = range(1, len(values[i]) + 1)
-            if values[i] != tuple(map(str, numbers)):
-                return None
-            values[i] = numbers
-        elif convert is not str:
-            try:
-                read = {value: convert(value) for value in set(values[i])}
-            except ValueError:
-                return None
-            # each row gets its distinct value's object, so equal values share one
-            values[i] = list(map(read.__getitem__, values[i]))
-    if len(set(zip(*values[:key_columns]))) != len(values[0]):
-        return None
-    return list(zip(*values))
-
-
-def _rows_by_row(path: Path, columns: dict[str, Callable[[str], Any]],
-                 key_columns: int) -> Iterator[tuple]:
-    """``_read_artifact_csv``'s rows, each row checked in turn: the first
-    fault raises as that function says."""
-    width = len(columns)
-    converted = [(i, convert) for i, convert in enumerate(columns.values()) if convert is not str]
-    key_converted = [(i, convert) for i, convert in converted if i < key_columns]
-    value_converted = [(i, convert) for i, convert in converted if i >= key_columns]
-    key_of = itemgetter(*range(key_columns))
-    keys: set = set()
-    reader = csv.reader(ingest_mod.read_lines(path, newline=""))
-    try:
-        header = next(reader, None)
-        if header != list(columns):
+        if (header := next(reader, None)) != list(columns):
             raise ArtifactError(f"unexpected CSV header in {path}: {header}")
-        for row in reader:
-            try:
-                if len(row) != width:
-                    raise ValueError(f"expected {width} columns, got {len(row)}")
-                for i, convert in key_converted:
-                    row[i] = convert(row[i])
-                key = key_of(row)
-                if key in keys:
-                    raise ValueError(f"repeats an earlier row's {tuple(row[:key_columns])}")
-                keys.add(key)
-                for i, convert in value_converted:
-                    row[i] = convert(row[i])
-            except ValueError as err:
-                raise ArtifactError(f"{path}:{reader.line_num}: malformed row: {err}") from None
-            yield tuple(row)
+        rows.extend(reader)  # an error keeps the rows read before it
     except csv.Error as err:
-        raise ArtifactError(f"{path}:{reader.line_num}: malformed row: {err}") from None
+        error = ArtifactError(f"{path}:{reader.line_num}: malformed row: {err}")
+    except InputFileError as err:
+        error = err
+    fault = None  # (row, reason): the first row the checks so far reject
+    if set(map(len, rows)) - {len(columns)}:
+        fault = next((row, f"expected {len(columns)} columns, got {len(fields)}")
+                     for row, fields in enumerate(rows) if len(fields) != len(columns))
+        del rows[fault[0]:]
+    values = list(zip(*rows)) or [()] * len(columns)
+    del rows  # the lists the csv module read; ``values`` holds their strings
+    checks = list(enumerate(columns.values()))
+    for i, convert in [*checks[:key_columns], (None, None), *checks[key_columns:]]:
+        if convert is None:  # the key, by set size
+            if len(set(zip(*values[:key_columns]))) < len(values[0]):
+                first: dict = {}  # each key -> the first row that holds it
+                fault = next((row, f"repeats an earlier row's {key}")
+                             for row, key in enumerate(zip(*values[:key_columns]))
+                             if first.setdefault(key, row) != row)
+        elif convert is _row_number:
+            numbers = tuple(map(str, range(1, len(values[i]) + 1)))
+            if values[i] != numbers:
+                row = next(row for row, value in enumerate(values[i]) if value != numbers[row])
+                try:
+                    convert(values[i][row])
+                except ValueError as err:
+                    fault = row, str(err)
+            values[i] = range(1, len(numbers) + 1)
+        elif convert is not str:
+            read, rejected = {}, {}
+            for value in set(values[i]):
+                try:
+                    read[value] = convert(value)
+                except ValueError as err:
+                    rejected[value] = str(err)
+            if rejected:
+                fault = next((row, rejected[value]) for row, value in enumerate(values[i])
+                             if value in rejected)
+            # each row gets its distinct value's object, so equal values share one
+            values[i] = list(map(read.get, values[i]))
+        if fault is not None:
+            values = [column[:fault[0]] for column in values]
+    if fault is not None:
+        # the line the csv module ends that row on: a quoted line break moves it
+        reader = csv.reader(ingest_mod.read_lines(path, newline=""))
+        next(islice(reader, fault[0] + 1, None))
+        raise ArtifactError(f"{path}:{reader.line_num}: malformed row: {fault[1]}")
+    if error is not None:
+        raise error
+    yield from zip(*values)
 
 
 def _digraph(labels: list[str], arcs: list[tuple], source: str) -> SimpleDigraph:
@@ -772,8 +753,7 @@ def cmd_report(stage: Stage) -> dict:
     metrics_path = stage.require("clean", "metrics.json")
     histogram_rows = stage.read_csv("clean", "scc_histogram.csv")
     stats_path = stage.require("stats", "report.json", "stats")
-    ranking_rows = {kind: stage.read_csv("rank", f"{kind}.csv", rank=_RowNumbers())
-                    for kind in RANKINGS}
+    ranking_rows = {kind: stage.read_csv("rank", f"{kind}.csv") for kind in RANKINGS}
 
     metrics = _read_artifact_json(metrics_path, _METRICS_SHAPE)
     stats = _read_artifact_json(stats_path, _STATS_SHAPE)

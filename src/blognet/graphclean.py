@@ -40,9 +40,6 @@ class SimpleDigraph:
             for v in out:
                 yield u, v
 
-    def out_degrees(self) -> list[int]:
-        return [len(out) for out in self.adj]
-
     def in_degrees(self) -> list[int]:
         deg = Counter(v for out in self.adj for v in out)
         return [deg[v] for v in range(self.n)]

@@ -19,6 +19,7 @@ import re
 import unicodedata
 from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
+from itertools import count
 from operator import itemgetter
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -464,9 +465,25 @@ def load_profiles_by_loads(path) -> ingest.LoadResult:
     return _load_jsonl_by_loads(path, parse, id_of=lambda p: p.blog_id)
 
 
+class RowNumbers:
+    """The converter of a ``rank`` column whose n-th row must hold rank n. It
+    counts the rows it reads, so it runs once per row, in order."""
+
+    def __init__(self) -> None:
+        self._rows = count(1)
+
+    def __call__(self, value: str) -> int:
+        if (rank := cli._read_int(value)) != next(self._rows):
+            raise ValueError(f"{value!r} is not its row's number")
+        return rank
+
+
 def read_artifact_csv_by_row(path, columns: dict, key_columns: int):
     """``cli._read_artifact_csv`` with each row read, converted and checked
-    in turn."""
+    in turn, and a ``cli._row_number`` column read through a fresh
+    ``RowNumbers``."""
+    columns = {name: RowNumbers() if convert is cli._row_number else convert
+               for name, convert in columns.items()}
     width = len(columns)
     converted = [(i, convert) for i, convert in enumerate(columns.values()) if convert is not str]
     key_converted = [(i, convert) for i, convert in converted if i < key_columns]

@@ -88,10 +88,10 @@ def edited_line(draw, text: str) -> str:
 
 
 def assert_same_outcome(read, reference, *args) -> None:
-    """``read`` and ``reference`` give equal results with equal reprs, or
-    raise the same error with the same message."""
-    got, want = outcome(read, *args), outcome(reference, *args)
-    assert (got, repr(got)) == (want, repr(want))
+    """``read`` and ``reference`` give results with equal reprs, which tell
+    apart every value these readers return (a NaN too, which equals no
+    value), or raise the same error with the same message."""
+    assert repr(outcome(read, *args)) == repr(outcome(reference, *args))
 
 
 def lines_of(path: Path) -> list[str]:
@@ -211,7 +211,7 @@ def test_a_fault_before_an_undecodable_byte_is_named(tmp_path, reload, block):
 
 def read_back_columns(out: Path, stage: str, name: str) -> tuple[dict, int]:
     """The columns and key width the stage that reads ``stage/name`` back
-    reads it with (a fresh ``_RowNumbers`` for a ranking)."""
+    reads it with."""
     columns, key_columns = cli.CSV_ARTIFACTS[stage, name]
     overrides = {}
     if name.startswith("edges_"):
@@ -221,8 +221,6 @@ def read_back_columns(out: Path, stage: str, name: str) -> tuple[dict, int]:
     if name in nodes:
         known = set((out / nodes[name]).read_text("utf-8").splitlines())
         overrides["src"] = overrides["dst"] = cli._checked(str, known.__contains__, "a node")
-    if stage == "rank":
-        overrides["rank"] = cli._RowNumbers()
     return {**columns, **overrides}, key_columns
 
 
@@ -276,6 +274,56 @@ def test_csv_read_back_matches_the_row_loop(out_dir, artifact, data):  # noqa: F
             lambda: list(cli._read_artifact_csv(path, *read_back_columns(out_dir, stage, name))),
             lambda: list(map(tuple, oracles.read_artifact_csv_by_row(
                 path, *read_back_columns(out_dir, stage, name)))))
+
+
+EDGE_ROWS = [f"b{i},b{i + 1},blogroll,1" for i in range(2000)]
+# Files read with their CSV_ARTIFACTS columns, each with what reading it
+# gives: its rows, or its error and the message after the file's path. The
+# undecodable byte comes after enough rows that the rows before it are read
+# first.
+CSV_CASES = {
+    "fault-before-an-undecodable-byte": (
+        "build", "edges_blogroll.csv", [EDGE_ROWS[0], *EDGE_ROWS], b"\xff\n",
+        ("ArtifactError", ":3: malformed row: repeats an earlier row's ('b0', 'b1', 'blogroll')")),
+    "undecodable-byte-after-clean-rows": (
+        "build", "edges_blogroll.csv", EDGE_ROWS, b"\xff\n",
+        ("InputFileError", ": not UTF-8 text (invalid start byte)")),
+    "quoted-line-break-before-a-fault": (
+        "build", "edges_blogroll.csv", ['"b\nx",b1,blogroll,1', EDGE_ROWS[1], "b2,b3,blogroll,x"],
+        b"", ("ArtifactError", ":5: malformed row: 'x' is not a number as written")),
+    # ``_digraph`` rejects a NaN weight later
+    "nan-weight": ("clean", "graph_cleaned.csv", ["b01,b02,nan"], b"",
+                   ("ok", [("b01", "b02", float("nan"))])),
+}
+
+
+def opened_paths(monkeypatch) -> list:
+    """The paths ``ingest.read_lines`` opens from now on, in order."""
+    opened = []
+    read_lines = ingest.read_lines
+    monkeypatch.setattr(ingest, "read_lines", lambda path, *args, **kwargs: (
+        opened.append(path) or read_lines(path, *args, **kwargs)))
+    return opened
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_csv_faults_are_named_in_row_order(case, tmp_path, monkeypatch):
+    """A fault is named at its row's line, before a byte that does not decode
+    later in the file, as reading and checking each row in turn names it. A
+    valid file is opened once, a faulty one at most twice."""
+    stage, name, rows, tail, (error, want) = CSV_CASES[case]
+    columns, key_columns = cli.CSV_ARTIFACTS[stage, name]
+    path = tmp_path / name
+    path.write_bytes("".join(f"{line}\n" for line in [",".join(columns), *rows]).encode() + tail)
+
+    def read():
+        return list(cli._read_artifact_csv(path, columns, key_columns))
+
+    assert_same_outcome(read, lambda: list(map(tuple, oracles.read_artifact_csv_by_row(
+        path, columns, key_columns))))
+    opened = opened_paths(monkeypatch)
+    assert repr(outcome(read)) == repr((error, want if error == "ok" else f"{path}{want}"))
+    assert len(opened) == (2 if error == "ArtifactError" else 1)
 
 
 def edit_lines(edits: dict[int, tuple[int, str]]):
@@ -337,19 +385,19 @@ def test_the_earlier_of_two_faults_is_named(case, out_dir, tmp_path, capsys):  #
 
 def test_artifacts_as_written_pass_the_line_and_column_checks(out_dir, tmp_path,  # noqa: F811
                                                               monkeypatch):
-    """Every line of the fixture run's artifacts is read by the line or
-    column check alone: neither the per-field nor the per-row loop runs."""
+    """Every line of the fixture run's ingest artifacts is read by the line
+    check alone: the per-field read does not run. Each CSV artifact is
+    opened once."""
 
     def per_field(*args):
         # a reload's per-field read of a line it does not reject asks this
         raise AssertionError("an ingest line went to the per-field read")
 
-    def row_loop(*args):
-        raise AssertionError("a CSV artifact went to the row loop")
-
     monkeypatch.setattr(ingest, "_not_as_written", per_field)
-    monkeypatch.setattr(cli, "_rows_by_row", row_loop)
+    opened = opened_paths(monkeypatch)
     out = tmp_path / "out"
     shutil.copytree(out_dir, out)
     for stage in ("build", "clean", "rank", "stats", "report"):
         assert cli.main([stage, *fixture_flags(out)]) == cli.EXIT_OK, stage
+    csv_files = [path for path in opened if str(path).endswith(".csv")]
+    assert len(set(csv_files)) == len(csv_files) == len(cli.CSV_ARTIFACTS)

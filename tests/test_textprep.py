@@ -557,21 +557,22 @@ def test_tfidf_of_an_empty_corpus_is_value_error():
 # so these grew ~4x per doubling before ``strip_html`` escaped that text
 @pytest.mark.parametrize("unit", ["<a ", "x <a", "<a x=1 "])
 def test_unclosed_start_tags_strip_in_linear_time(unit):
-    def seconds(copies: int) -> float:
-        raw = unit * copies
-        best = math.inf
-        for _ in range(5):
-            start = time.perf_counter()
-            strip_html(raw)
-            best = min(best, time.perf_counter() - start)
-        return best
+    def seconds(raw: str) -> float:
+        start = time.process_time()
+        strip_html(raw)
+        return time.process_time() - start
 
+    small, large = math.inf, math.inf
     # the collector's full passes cost what the rest of the suite left on the
     # heap, not what this input costs
     gc.collect()
     gc.disable()
     try:
-        small, large = seconds(2000), seconds(8000)
+        # the best of 5 CPU times each, the two sizes taken in turn, so that
+        # a busy host slows both alike
+        for _ in range(5):
+            small = min(small, seconds(unit * 2000))
+            large = min(large, seconds(unit * 8000))
     finally:
         gc.enable()
     # ~2.3x per doubling at most, over two doublings from 6 KB of "<a "
