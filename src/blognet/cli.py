@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
+from datetime import timedelta
 from itertools import compress, islice, zip_longest
 from operator import itemgetter
 from pathlib import Path
@@ -39,7 +40,6 @@ from .ingest import ArtifactError, DuplicateIdError, EmptyCorpusError, InputFile
 
 if TYPE_CHECKING:
     from .graphclean import SimpleDigraph
-    from .profilestats import ActivityWindow
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -244,16 +244,18 @@ def cmd_ingest(stage: Stage) -> dict:
     return counts
 
 
-def _load_ingested(stage: Stage, names: list[str]) -> dict[str, list]:
-    """Reload ingest artifacts through the ingest loaders in reload mode: a
-    line that is not as ingest writes it raises ArtifactError naming
-    ``file:line``, whatever ingest's manifest holds."""
+def _load_ingested(stage: Stage, names: list[str],
+                   post_offset: timedelta = timedelta(0)) -> dict[str, list]:
+    """Reload ingest artifacts through the ingest loaders in reload mode, the
+    posts at ``post_offset``: a line that is not as ingest writes it raises
+    ArtifactError naming ``file:line``, whatever ingest's manifest holds."""
     paths = {name: stage.require("ingest", f"{name}.jsonl") for name in names}
     loaded: dict[str, list] = {}
     for name, path in paths.items():
         # comments also take the post ids; posts, when reloaded too, come first
-        known = [{p.post_id for p in loaded.get("posts", [])}] if name == "comments" else []
-        loaded[name] = getattr(ingest_mod, f"load_{name}")(path, *known, reload=True).records
+        args = ([post_offset] if name == "posts" else
+                [{p.post_id for p in loaded.get("posts", [])}] if name == "comments" else [])
+        loaded[name] = getattr(ingest_mod, f"load_{name}")(path, *args, reload=True).records
     return loaded
 
 
@@ -668,43 +670,24 @@ def cmd_rank(stage: Stage) -> dict:
     return counts
 
 
-def _stats_window(stage: Stage, posts) -> ActivityWindow | None:
-    from . import profilestats
-
-    cfg = stage.cfg
-    offset = cfg.utc_offset
-    # ingest checked each post at the offset it ran with; stats may run at
-    # another. Within the config's +/-16 h, only years 1 and 9999 can overflow.
-    for line, post in enumerate(posts, start=1):
-        if 1 < post.published_at.year < 9999:
-            continue
-        try:
-            post.published_at + offset
-        except OverflowError:
-            raise ArtifactError(
-                f"{stage.inputs['posts']}:{line}: timestamp out of range at "
-                f"ingest.utc_offset_minutes {cfg.utc_offset_minutes}: "
-                f"{ingest_mod.format_timestamp(post.published_at)!r}") from None
-    if cfg.window_start is not None:  # the config admits both bounds or neither
-        # windows without an explicit offset use the dump's local convention
-        return profilestats.ActivityWindow(
-            start=ingest_mod.parse_timestamp(cfg.window_start, cfg.utc_offset),
-            end=ingest_mod.parse_timestamp(cfg.window_end, cfg.utc_offset),
-            min_posts=cfg.min_posts,
-            require_monthly=cfg.require_monthly,
-        )
-    if not posts:
-        return None
-    return profilestats.dataset_window(posts, cfg.min_posts, cfg.require_monthly)
-
-
 def cmd_stats(stage: Stage) -> dict:
     """Profile track: activity, temporal, demographic, and comment statistics."""
     from . import profilestats
 
     cfg = stage.cfg
-    loaded = _load_ingested(stage, ["posts", "comments", "profiles"])
-    window = _stats_window(stage, loaded["posts"])
+    # stats bins each post at its own offset, which need not be ingest's
+    loaded = _load_ingested(stage, ["posts", "comments", "profiles"], cfg.utc_offset)
+    window = None
+    if cfg.window_start is not None:  # the config admits both bounds or neither
+        # windows without an explicit offset use the dump's local convention
+        window = profilestats.ActivityWindow(
+            start=ingest_mod.parse_timestamp(cfg.window_start, cfg.utc_offset),
+            end=ingest_mod.parse_timestamp(cfg.window_end, cfg.utc_offset),
+            min_posts=cfg.min_posts,
+            require_monthly=cfg.require_monthly,
+        )
+    elif loaded["posts"]:
+        window = profilestats.dataset_window(loaded["posts"], cfg.min_posts, cfg.require_monthly)
     report = profilestats.build_stats_report(
         loaded["posts"], loaded["comments"], loaded["profiles"],
         window, cfg.utc_offset, cfg.comment_threshold,

@@ -294,15 +294,15 @@ def _enum(key: str, allowed: tuple[str, ...], value: Any) -> str:
 _CANONICAL_TS_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
 
-def _utc_stamps(column: tuple[str, ...]) -> list[datetime] | None:
+def _utc_stamps(column: tuple[str, ...], rule: Callable[[str], datetime]) -> list[datetime] | None:
     """Each timestamp of ``column`` read at C speed, or None unless each is as
-    ``format_timestamp`` writes it outside year 9999, where ``parse_timestamp``
-    rejects the last second."""
+    ``format_timestamp`` writes it and ``rule`` takes the earliest and the
+    latest: what ``parse_timestamp`` takes at any offset is one span of time."""
     try:
-        if max(column) < "9999" and all(map(_CANONICAL_TS_RE.fullmatch, column)):
+        if all(map(_CANONICAL_TS_RE.fullmatch, column)) and rule(min(column)) <= rule(max(column)):
             return list(map(datetime.fromisoformat,  # 3.10 reads no Z
                             map(str.replace, column, repeat("Z"), repeat("+00:00"))))
-    except ValueError:  # a date that is not in the calendar
+    except ValueError:  # a date that is not in the calendar, or a reading ``rule`` rejects
         pass
     return None
 
@@ -446,7 +446,7 @@ def _read_jsonl(path: str | Path, record_type: type, fields: dict[str, _Field],
                 # one of the right type ("" or 0), which each rule rejects
                 column = [json_types[0]() if type(value) in wrong else value for value in column]
             stamp = hints[name] is datetime
-            if reload and stamp and (stamps := _utc_stamps(column)):
+            if reload and stamp and (stamps := _utc_stamps(column, fields[name].rule)):
                 read[i] = stamps
                 continue
             if (rule := fields[name].rule) is None:

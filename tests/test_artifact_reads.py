@@ -4,15 +4,17 @@ records, or the same message naming the same first faulty line. Also the
 message ``clean``, ``rank``, ``report`` and an ingest reload give when a file
 holds two faults and a column check meets the later one first."""
 
+import csv
+import functools
 import json
 import shutil
 import tempfile
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -174,6 +176,42 @@ def test_reload_accepts_exactly_what_ingest_writes(dump, data):
                     assert got[1] == f"{artifact}:{want[0]}: {want[1]}"
 
 
+# offsets a loader reads at: the config's range with both ends, a day and
+# 400 days either way
+LOADER_OFFSETS = st.one_of(st.integers(-960, 960), st.sampled_from(
+    [-960, 960, -1440, 1440, -400 * 1440, 400 * 1440])).map(lambda m: timedelta(minutes=m))
+# seconds within two days of the first second of years 1-9999, of year 9999
+# and of its last second
+EDGE_STAMPS = st.one_of(
+    st.datetimes(datetime(1, 1, 1), datetime(1, 1, 3)),
+    st.datetimes(datetime(9998, 12, 30), datetime(9999, 1, 2)),
+    st.datetimes(datetime(9999, 12, 30), datetime.max),
+).map(lambda dt: dt.replace(microsecond=0, tzinfo=timezone.utc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["posts", "comments"]), LOADER_OFFSETS,
+       st.lists(EDGE_STAMPS, min_size=1, max_size=4), BLOCKS)
+@example("posts", timedelta(hours=-16), [datetime(1, 1, 1, 10, tzinfo=timezone.utc)], 1)
+@example("comments", timedelta(days=400), [datetime(9998, 12, 31, tzinfo=timezone.utc)], 1)
+def test_reload_reads_timestamps_at_its_offset_as_the_oracles(name, offset, stamps, block):
+    """A loader in reload mode at ``offset`` takes an artifact of timestamps
+    near either end of years 1-9999 exactly when the dump loader's oracle at
+    that offset takes each line, and else names the first line it rejects,
+    with the oracle's reason."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_BLOCK", block):
+        path = Path(tmp) / f"{name}.jsonl"
+        args = [{"p0"}, offset] if name == "comments" else [offset]
+        ingest.write_jsonl(path, [
+            ingest.RawPost(f"p{i}", "b01", "", "", stamp) if name == "posts"
+            else ingest.RawComment(f"c{i}", "p0", None, "", stamp)
+            for i, stamp in enumerate(stamps)])
+        got = outcome(lambda: getattr(ingest, f"load_{name}")(path, *args, reload=True))
+        line, want = reload_by_oracles(path, name, *args)
+        assert repr(got) == repr(("ok", ingest.LoadResult(want, [])) if line == "ok"
+                                 else ("ArtifactError", f"{path}:{line}: {want}"))
+
+
 @settings(max_examples=200, deadline=None)
 @given(dump_files(), BLOCKS)
 def test_dump_mode_reads_blocks_of_any_size_as_the_oracles(files, block):
@@ -324,6 +362,41 @@ def test_csv_faults_are_named_in_row_order(case, tmp_path, monkeypatch):
     opened = opened_paths(monkeypatch)
     assert repr(outcome(read)) == repr((error, want if error == "ok" else f"{path}{want}"))
     assert len(opened) == (2 if error == "ArtifactError" else 1)
+
+
+# rows whose last holds a field of 17 characters, each with the message after
+# the file's path when the readers' field size limit is 16
+LONG_FIELD_CASES = {
+    "long-field": ([EDGE_ROWS[0], "b" * 17 + ",b1,blogroll,1"],
+                   ":3: malformed row: field larger than field limit (16)"),
+    "repeated-key-then-long-field": (
+        [EDGE_ROWS[0], EDGE_ROWS[0], "b" * 17 + ",b1,blogroll,1"],
+        ":3: malformed row: repeats an earlier row's ('b0', 'b1', 'blogroll')"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_FIELD_CASES))
+def test_a_line_the_csv_module_rejects_is_named_after_earlier_faults(case, tmp_path, monkeypatch,
+                                                                     request):
+    """With the field size limit each reader sets patched to 16 characters, a
+    longer field is a line the csv module rejects under every interpreter: it
+    is named at its line, after a fault on an earlier row, as reading and
+    checking each row in turn names it."""
+    rows, want = LONG_FIELD_CASES[case]
+    columns, key_columns = cli.CSV_ARTIFACTS["build", "edges_blogroll.csv"]
+    path = tmp_path / "edges_blogroll.csv"
+    path.write_text("".join(f"{line}\n" for line in [",".join(columns), *rows]), "utf-8")
+    set_limit = csv.field_size_limit
+    # the limit is the csv module's, for the whole process
+    request.addfinalizer(functools.partial(set_limit, set_limit()))
+    monkeypatch.setattr(csv, "field_size_limit", lambda limit: set_limit(16))
+
+    def read():
+        return list(cli._read_artifact_csv(path, columns, key_columns))
+
+    assert_same_outcome(read, lambda: list(map(tuple, oracles.read_artifact_csv_by_row(
+        path, columns, key_columns))))
+    assert repr(outcome(read)) == repr(("ArtifactError", f"{path}{want}"))
 
 
 def edit_lines(edits: dict[int, tuple[int, str]]):

@@ -1549,9 +1549,11 @@ def test_post_stats_cannot_read_at_its_offset_is_one_data_error(stamp, minutes, 
     posts = tmp_path / "out/ingest/posts.jsonl"
     line = len(posts.read_text("utf-8").splitlines())
     assert capsys.readouterr().err == (
-        f"data error: {posts}:{line}: timestamp out of range at "
-        f"ingest.utc_offset_minutes {minutes}: {stamp!r}\n")
+        f"data error: {posts}:{line}: timestamp out of range at the dump offset: {stamp!r}\n")
     assert not (tmp_path / "out/stats").exists()
+    # only stats reads the posts in local time
+    for stage in ("prep", "build"):
+        assert main([stage, *flags, "--utc-offset-minutes", minutes]) == EXIT_OK, stage
 
 
 @pytest.mark.parametrize("document, problem", [
@@ -1618,6 +1620,36 @@ def test_a_nul_in_a_csv_artifact_is_one_data_error_under_every_other_interpreter
         assert run.returncode == EXIT_DATA, f"{python}: {run.stderr}"
         assert run.stderr.startswith(f"data error: {merged}") and run.stderr.count("\n") == 1, \
             f"{python}: {run.stderr}"
+
+
+# Python 3.10's csv writer cannot write a NUL without an escape character;
+# 3.11 and later write it
+WRITE_NUL = """import sys
+from blognet.cli import ArtifactError, Stage
+from blognet.config import PipelineConfig
+try:
+    Stage(PipelineConfig(out_dir=sys.argv[1]), "build").write_csv("x.csv", [["b\\0x"]], ["id"])
+except ArtifactError as err:
+    sys.exit(str(err))
+"""
+
+
+def test_a_nul_the_csv_module_cannot_write_is_one_artifact_error_under_python_3_10(tmp_path):
+    from test_digests import other_interpreters
+
+    interpreters = [python for python in other_interpreters() if subprocess.run(
+        [python, "-c", "import sys; print(sys.version_info[:2] == (3, 10))"],
+        capture_output=True, text=True, timeout=30).stdout == "True\n"]
+    if not interpreters:
+        pytest.skip("no other CPython 3.10 found")
+    env = {**os.environ, "PYTHONPATH": str(Path(blognet.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    for python in interpreters:
+        out = tmp_path / Path(python).name
+        run = subprocess.run([python, "-c", WRITE_NUL, str(out)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stderr) == (1, f"{out / 'build/x.csv'}: cannot write a row: "
+                                                   "need to escape, but no escapechar set\n")
 
 
 def test_a_blog_id_holding_a_control_character_is_quarantined_at_ingest(tmp_path, monkeypatch):
