@@ -252,9 +252,9 @@ def _load_ingested(stage: Stage, names: list[str],
     paths = {name: stage.require("ingest", f"{name}.jsonl") for name in names}
     loaded: dict[str, list] = {}
     for name, path in paths.items():
-        # comments also take the post ids; posts, when reloaded too, come first
+        # comments also take the post ids, so posts come first
         args = ([post_offset] if name == "posts" else
-                [{p.post_id for p in loaded.get("posts", [])}] if name == "comments" else [])
+                [{p.post_id for p in loaded["posts"]}] if name == "comments" else [])
         loaded[name] = getattr(ingest_mod, f"load_{name}")(path, *args, reload=True).records
     return loaded
 
@@ -316,25 +316,31 @@ def cmd_build(stage: Stage) -> dict:
     cfg = stage.cfg
     if not cfg.host_patterns:
         raise ConfigError(["graphbuild.host_patterns is required for the build stage"])
-    loaded = _load_ingested(stage, ["posts", "comments", "blogroll", "profiles"])
+    paths = {name: stage.require("ingest", f"{name}.jsonl")
+             for name in ("posts", "comments", "blogroll", "profiles")}
     resolver = graphbuild.UrlResolver(cfg.host_patterns)
-    universe = graphbuild.blog_universe(
-        loaded["posts"], loaded["comments"], loaded["blogroll"], loaded["profiles"]
-    )
+    # The records are the bulk of memory, so each file's are dropped once its
+    # edges and blog ids are taken; the files are read in ingest's order.
+    posts = ingest_mod.load_posts(paths["posts"], reload=True).records
+    citation = graphbuild.extract_citation_edges(posts, resolver)
+    owner = {p.post_id: p.blog_id for p in posts}
+    universe = graphbuild.blog_universe(posts)
+    del posts
+    comments = ingest_mod.load_comments(paths["comments"], owner.keys(), reload=True).records
+    comment = graphbuild.extract_comment_edges(
+        comments, owner, toward_author=cfg.comment_direction == "commenter_to_author")
+    universe |= graphbuild.blog_universe(comments=comments)
+    del comments, owner
+    blogroll = ingest_mod.load_blogroll(paths["blogroll"], reload=True).records
+    extracted = {"blogroll": graphbuild.extract_blogroll_edges(blogroll, resolver),
+                 "comment": comment, "citation": citation}
+    universe |= graphbuild.blog_universe(blogroll=blogroll)
+    del blogroll
+    universe |= graphbuild.blog_universe(
+        profiles=ingest_mod.load_profiles(paths["profiles"], reload=True).records)
 
     layers = {}
     counts: dict = {"universe_blogs": len(universe)}
-    extracted = {
-        "blogroll": graphbuild.extract_blogroll_edges(loaded["blogroll"], resolver),
-        "comment": graphbuild.extract_comment_edges(
-            loaded["comments"], loaded["posts"],
-            toward_author=cfg.comment_direction == "commenter_to_author",
-        ),
-        "citation": graphbuild.extract_citation_edges(loaded["posts"], resolver),
-    }
-    # the records are the bulk of memory; free them before the merged graph
-    # and its output rows are built
-    del loaded
     for name, (edges, extract_counts) in extracted.items():
         extracted_weight = sum(e.weight for e in edges)
         edges, external_dropped = graphbuild.drop_external_links(edges, universe)

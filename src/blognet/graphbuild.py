@@ -16,7 +16,7 @@ from collections import Counter
 from itertools import chain, groupby
 from operator import itemgetter
 from sys import intern
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import parse_host_pattern
 from .ingest import BlogrollRecord, RawComment, RawPost, _split_url
@@ -103,13 +103,13 @@ def extract_blogroll_edges(
 
 def extract_comment_edges(
     comments: Sequence[RawComment],
-    posts: Sequence[RawPost],
+    owner: Mapping[str, str],
     toward_author: bool = True,
 ) -> tuple[list[Edge], dict[str, int]]:
     """Edge commenter -> post author (direction flips with toward_author=False),
-    weight = number of such comments. Anonymous comments are skipped and
-    counted."""
-    owner = {p.post_id: p.blog_id for p in posts}
+    weight = number of such comments; ``owner`` maps each post id to its
+    blog id. Anonymous comments and comments on a post ``owner`` lacks are
+    skipped and counted."""
     acc: Counter = Counter()
     counters = {"comments": len(comments), "anonymous": 0, "unmatched": 0}
     for c in comments:

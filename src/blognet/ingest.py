@@ -21,7 +21,7 @@ from itertools import compress, count, filterfalse, islice, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_type_hints
+from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple, get_type_hints
 from urllib.parse import urlsplit
 
 GENDERS = ("male", "female", "unspecified")
@@ -391,11 +391,12 @@ def _read_jsonl(path: str | Path, record_type: type, fields: dict[str, _Field],
     ``key`` names the field whose values are unique. A line of one object of
     exactly the record's fields with no ``\\u`` escape is read by one scan;
     each block of lines is then checked a column at a time, each value for
-    its JSON type and each distinct value by its rule. Only a line the scan
-    misses (it rejoins its block if taken) or a row a column check rejects
-    is read field by field, which gives the reason. Dump mode reads
-    ``utf-8-sig`` with universal newlines, takes what each rule gives and
-    quarantines a faulty line; a repeated key raises DuplicateIdError.
+    its JSON type and each distinct value by its rule, and the rows of a
+    block that hold one value share what the rule gives for it. Only a line
+    the scan misses (it rejoins its block if taken) or a row a column check
+    rejects is read field by field, which gives the reason. Dump mode reads
+    ``utf-8-sig`` with universal newlines and quarantines a faulty line; a
+    repeated key raises DuplicateIdError.
     Reload mode reads ``utf-8`` split at "\\n" only, and the first line or
     repeated key not as ingest writes it (``_not_as_written``) raises
     ArtifactError naming ``path:line``. A byte that does not decode raises
@@ -462,8 +463,7 @@ def _read_jsonl(path: str | Path, record_type: type, fields: dict[str, _Field],
                     canonical[value] = value_read
             if rejected := distinct.difference(canonical):
                 bad.update(compress(count(), map(rejected.__contains__, column)))
-            if not reload or stamp:
-                read[i] = list(map(canonical.get, column))
+            read[i] = list(map(canonical.get, column))
         # a record of exactly its fields' values, as ``_make`` makes one
         made = list(map(functools.partial(tuple.__new__, record_type), zip(*read)))
         if bad:  # each such row is read field by field: None if it is faulty
@@ -524,7 +524,7 @@ def load_posts(path: str | Path, utc_offset: timedelta = timedelta(0), *,
         "published_at": _timestamp(utc_offset)}, "post_id", reload)
 
 
-def load_comments(path: str | Path, known_post_ids: set[str],
+def load_comments(path: str | Path, known_post_ids: Container[str],
                   utc_offset: timedelta = timedelta(0), *, reload: bool = False) -> LoadResult:
     """Load comments.jsonl; comments pointing at unknown posts are quarantined."""
 

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 import oracles
 from blognet import cli, ingest
-from test_cli import fixture_flags, out_dir, rewrite_ingest_artifact  # noqa: F401 (a fixture)
+from test_cli import (  # noqa: F401 (a fixture)
+    edit_first_row, fixture_flags, out_dir, rewrite_ingest_artifact)
 from test_ingest import outcome, raw_dumps
 from test_ingest_codec import dump_files, json_text, load_outcome
 
@@ -210,6 +211,16 @@ def test_reload_reads_timestamps_at_its_offset_as_the_oracles(name, offset, stam
         line, want = reload_by_oracles(path, name, *args)
         assert repr(got) == repr(("ok", ingest.LoadResult(want, [])) if line == "ok"
                                  else ("ArtifactError", f"{path}:{line}: {want}"))
+
+
+@pytest.mark.parametrize("reload", [False, True])
+def test_records_that_hold_one_blog_id_share_one_string(tmp_path, reload):
+    path = tmp_path / "posts.jsonl"
+    posts = [ingest.RawPost(f"p{i}", "b01", "", "", STAMP) for i in range(2)]
+    ingest.write_jsonl(path, posts)
+    first, second = ingest.load_posts(path, reload=reload).records
+    assert [first, second] == posts
+    assert first.blog_id is second.blog_id
 
 
 @settings(max_examples=200, deadline=None)
@@ -454,6 +465,34 @@ def test_the_earlier_of_two_faults_is_named(case, out_dir, tmp_path, capsys):  #
     capsys.readouterr()
     assert cli.main([stage, *fixture_flags(out)]) == cli.EXIT_DATA
     assert capsys.readouterr().err == f"data error: {path}:{message}\n"
+
+
+def test_build_names_a_comment_fault_before_a_blogroll_fault(out_dir, tmp_path,  # noqa: F811
+                                                             capsys):
+    """``build`` reads the ingest files in ingest's order, so of faults in two
+    files the earlier file's is named."""
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    rewrite_ingest_artifact(out, "comments.jsonl", edit_first_row(extra=1))
+    rewrite_ingest_artifact(out, "blogroll.jsonl", lambda lines: ["{broken", *lines[1:]])
+    capsys.readouterr()
+    assert cli.main(["build", *fixture_flags(out)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {out / 'ingest/comments.jsonl'}:1: unexpected field 'extra'\n")
+
+
+def test_build_requires_every_ingest_file_before_it_opens_any(out_dir, tmp_path,  # noqa: F811
+                                                              monkeypatch, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    missing = out / "ingest/profiles.jsonl"
+    missing.unlink()
+    opened = opened_paths(monkeypatch)
+    capsys.readouterr()
+    assert cli.main(["build", *fixture_flags(out)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"stage error: missing upstream artifact {missing} (run 'blognet ingest' first)\n")
+    assert opened == []
 
 
 def test_artifacts_as_written_pass_the_line_and_column_checks(out_dir, tmp_path,  # noqa: F811

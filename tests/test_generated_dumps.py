@@ -20,13 +20,16 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blognet
+from blognet import cli, ingest
 from blognet.cli import EXIT_OK, main
+from blognet.config import load_config
 from conftest import FIXTURES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -121,3 +124,40 @@ def test_no_stage_leaves_cyclic_garbage_that_grows_with_its_data(tmp_path):
     assert sum(planted["lines"].values()) >= 10 * records
     assert (cyclic_garbage_per_stage(tmp_path, "dump/config.json", tmp_path / "generated")
             == cyclic_garbage_per_stage(fixture, "config.json", tmp_path / "fixture"))
+
+
+def traced(run) -> tuple[int, int]:
+    """The memory ``tracemalloc`` traces once ``run()`` returns, its result
+    still held, and the most it traced at once while ``run()`` ran."""
+    tracemalloc.start()
+    try:
+        result = run()  # noqa: F841 (held while measured)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_holds_the_records_of_one_ingest_file_at_a_time(tmp_path, monkeypatch):
+    """``build`` drops each ingest file's records once it has taken their
+    edges and blog ids, so its peak stays below the posts and comments held
+    together. Blocks of 64 lines split each file into many, as blocks of
+    4,096 split a paper-scale dump's."""
+    monkeypatch.setattr(ingest, "_BLOCK", 64)
+    params = Params(
+        blogs=200, posts=600, words_per_post=60, links_per_post=1.5, max_links=6,
+        internal_link_share=0.6, comments=1800, anonymous_share=0.2, blogroll=600,
+        linkless_share=0.3, ring_share=0.05, target_zipf=0.8, lexicon=800,
+    )
+    generate(params, 5, tmp_path / "dump")
+    monkeypatch.chdir(tmp_path)
+    assert main(["ingest", "--config", "dump/config.json", "--out-dir", "out"]) == EXIT_OK
+
+    def posts_and_comments():
+        posts = ingest.load_posts("out/ingest/posts.jsonl", reload=True).records
+        return posts, ingest.load_comments(
+            "out/ingest/comments.jsonl", {p.post_id for p in posts}, reload=True).records
+
+    held, _ = traced(posts_and_comments)
+    stage = cli.Stage(load_config("dump/config.json", {"out_dir": "out"}), "build")
+    _, peak = traced(lambda: cli.cmd_build(stage))
+    assert peak < held

@@ -105,21 +105,26 @@ class TestBlogrollExtraction:
 class TestCommentExtraction:
     def test_commenter_to_author_direction(self):
         posts = [post("p1", "y")]
-        edges, _ = extract_comment_edges([comment("c1", "p1", "x")], posts)
+        edges, counters = extract_comment_edges(
+            [comment("c1", "p1", "x")], {p.post_id: p.blog_id for p in posts})
         assert edges == [Edge("x", "y", "comment", 1)]
+        assert counters == {"comments": 1, "anonymous": 0, "unmatched": 0}
 
     def test_direction_flag_flips(self):
         posts = [post("p1", "y")]
-        edges, _ = extract_comment_edges(
-            [comment("c1", "p1", "x")], posts, toward_author=False
+        edges, counters = extract_comment_edges(
+            [comment("c1", "p1", "x")], {p.post_id: p.blog_id for p in posts},
+            toward_author=False
         )
-        assert edges[0].src == "y" and edges[0].dst == "x"
+        assert edges == [Edge("y", "x", "comment", 1)]
+        assert counters == {"comments": 1, "anonymous": 0, "unmatched": 0}
 
     def test_anonymous_skipped_and_counted(self):
         posts = [post("p1", "y")]
-        edges, counters = extract_comment_edges([comment("c1", "p1", None)], posts)
+        edges, counters = extract_comment_edges(
+            [comment("c1", "p1", None)], {p.post_id: p.blog_id for p in posts})
         assert edges == []
-        assert counters["anonymous"] == 1
+        assert counters == {"comments": 1, "anonymous": 1, "unmatched": 0}
 
     def test_multiplicity_folds(self):
         posts = [post("p1", "y"), post("p2", "y")]
@@ -128,8 +133,9 @@ class TestCommentExtraction:
             comment("c2", "p1", "x"),
             comment("c3", "p2", "x"),
         ]
-        edges, _ = extract_comment_edges(comments, posts)
-        assert len(edges) == 1 and edges[0].weight == 3
+        edges, counters = extract_comment_edges(comments, {p.post_id: p.blog_id for p in posts})
+        assert edges == [Edge("x", "y", "comment", 3)]
+        assert counters == {"comments": 3, "anonymous": 0, "unmatched": 0}
 
 
 class TestCitationExtraction:
@@ -390,7 +396,9 @@ class TestBlogrollResolvedOncePerUrl:
 
 
 def test_comment_on_a_post_outside_posts_is_unmatched():
+    posts = [post("p1", "y")]
     edges, counters = extract_comment_edges(
-        [comment("c1", "p1", "x"), comment("c2", "p9", "x")], [post("p1", "y")])
+        [comment("c1", "p1", "x"), comment("c2", "p9", "x")],
+        {p.post_id: p.blog_id for p in posts})
     assert edges == [Edge("x", "y", "comment", 1)]
     assert counters == {"comments": 2, "anonymous": 0, "unmatched": 1}
