@@ -17,7 +17,6 @@ import re
 import unicodedata
 from collections import Counter, defaultdict
 from graphlib import CycleError, TopologicalSorter
-from html.parser import HTMLParser
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -97,120 +96,114 @@ _BLOCK_ELEMENTS = frozenset(
     "address".split()
 )
 
-
-class _TextExtractor(HTMLParser):
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.parts: list[str] = []
-        self._skip_depth = 0
-
-    def handle_starttag(self, tag, attrs):
-        if tag in _SKIPPED_ELEMENTS:
-            self._skip_depth += 1
-        elif tag in _BLOCK_ELEMENTS:
-            self.parts.append(" ")
-
-    def handle_endtag(self, tag):
-        if tag in _SKIPPED_ELEMENTS:
-            if self._skip_depth:
-                self._skip_depth -= 1
-        elif tag in _BLOCK_ELEMENTS:
-            self.parts.append(" ")
-
-    def handle_data(self, data):
-        if not self._skip_depth:
-            self.parts.append(data)
-
-    def parse_marked_section(self, i, report=1):
-        # a "<![" with no keyword HTMLParser knows raises AssertionError
-        # there; its "<" is text, as it is before any other unknown markup
-        try:
-            return super().parse_marked_section(i, report)
-        except AssertionError:
-            self.handle_data("<")
-            return i + 1
-
-
-# The tags the fast path reads: a start tag with attributes that are names,
-# or names with a quoted value holding no "<", ">" or "&", and an end tag with
-# no attributes. A name is ASCII letters and digits and ends at one of
-# " \t\n\r\f" or ">", as HTMLParser ends a tag name (other whitespace would
-# be part of its name).
-_SIMPLE_TAG_RE = re.compile(
+# A plain start tag (group 1: its name) or end tag (group 2), or any other "<".
+# A plain name is ASCII letters and digits ended by one of " \t\n\r\f" or ">";
+# attributes are names, or names with a quoted value free of "<", ">" and "&".
+_MARKUP_RE = re.compile(
     r"<(?:([A-Za-z][A-Za-z0-9]*)"
     r"""(?:[ \t\n\r\f]+[A-Za-z_:][-A-Za-z0-9_:.]*(?:="[^"<>&]*"|='[^'<>&]*')?)*"""
-    r"|/([A-Za-z][A-Za-z0-9]*))[ \t\n\r\f]*>"
+    r"|/([A-Za-z][A-Za-z0-9]*))[ \t\n\r\f]*>|<"
 )
-
-
-def _strip_simple_markup(raw: str) -> str | None:
-    """What ``_TextExtractor`` collects from ``raw`` when every "<" in it opens
-    a ``_SIMPLE_TAG_RE`` tag other than script or style; None otherwise.
-
-    HTMLParser unescapes the text between two tags on its own, so each piece
-    is unescaped apart: "&am<b>p;" is two pieces, not an "&amp;".
-    """
-    pieces = _SIMPLE_TAG_RE.split(raw)  # text, start name, end name, text, ...
-    if 3 * raw.count("<") != len(pieces) - 1:
-        return None
-    out = [html.unescape(pieces[0])]
-    for i in range(1, len(pieces), 3):
-        tag = (pieces[i] or pieces[i + 1]).lower()
-        if tag in _SKIPPED_ELEMENTS:
-            return None
-        if tag in _BLOCK_ELEMENTS:
-            out.append(" ")
-        out.append(html.unescape(pieces[i + 2]))
-    return "".join(out)
-
-
-# HTMLParser ends a tag name at one of these
-_TAG_NAME_END_RE = re.compile(r"([\t\n\r\f />\x00])")
-_TAG_OPEN_RE = re.compile(r"<[A-Za-z]")
-
-
-def _escape_tail(tail: str) -> str:
-    """``tail``, the text after the last ">", with "&lt;" for each "<" that
-    HTMLParser reads as text, so that it reads none as a tag.
-
-    Every tag, comment and declaration HTMLParser completes ends with ">",
-    but one: a start tag whose name runs into a NUL that follows neither a
-    quote nor whitespace is passed on verbatim, entities and all, up to the
-    NUL. HTMLParser emits any other "<" in ``tail`` as text, alone or with
-    the text up to the next "<", entity-decoded. "&lt;" decodes to that "<"
-    and ends any entity before it, so the text is the same.
-    """
-    pieces = _TAG_NAME_END_RE.split(tail)  # name run, end, name run, ...
-    for i in range(0, len(pieces), 2):
-        run = pieces[i]
-        verbatim = len(run)
-        last = run[-1:]
-        if pieces[i + 1:i + 2] == ["\x00"] and last and last not in "'\"" and not last.isspace():
-            opened = _TAG_OPEN_RE.search(run)
-            if opened:
-                verbatim = opened.start()
-        pieces[i] = run[:verbatim].replace("<", "&lt;") + run[verbatim:]
-    return "".join(pieces)
+# Any other "<" is read with the patterns of CPython's html.parser (3.10 to
+# 3.13.0): a start tag's name (group 1) with the spaces and "/"s after it, an
+# attribute with those after it, an end tag, a marked section's keyword, and
+# the ends of a comment, a marked section, a script or style body and the rest.
+_TAG_NAME_RE = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_ATTRIBUTE_RE = re.compile(
+    r"""(?<=['"\s/])[^\s/>][^\s/=>]*(?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*))?"""
+    r"(?:\s|/(?!>))*"
+)
+_END_TAG_RE = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
+_SECTION_RE = re.compile(r"(?:([a-zA-Z][-_.a-zA-Z0-9]*)\s*)?")
+_COMMENT_END_RE = re.compile(r"--\s*>")
+_SECTION_ENDS = {
+    **dict.fromkeys(["temp", "cdata", "ignore", "include", "rcdata"], re.compile(r"]\s*]\s*>")),
+    **dict.fromkeys(["if", "else", "endif"], re.compile(r"]\s*>")),  # MS Office's
+}
+_BODY_ENDS = {name: re.compile(rf"</\s*{name}\s*>", re.I) for name in _SKIPPED_ELEMENTS}
+_GT_RE = re.compile(">")
 
 
 def strip_html(raw: str) -> str:
     """Drop tags and script/style bodies, decode entities, collapse whitespace.
 
-    Markup that ``_SIMPLE_TAG_RE`` covers is read without HTMLParser; any
-    other input goes to it. Ill-formed markup is handled best-effort; an
-    unclosed <script> swallows the rest of the input, matching how browsers
-    terminate it at EOF. HTMLParser scans to the end of the input from each
-    "<" it finds no ">" after, so that text is escaped first: the time
-    stays linear in the input.
+    ``raw`` is read in one pass as CPython's ``html.parser`` (3.10 to 3.13.0)
+    reads a text fed to it whole and closed, whatever the interpreter. The
+    text between two pieces of markup is entity-decoded on its own, and each
+    block-element tag adds a space. Markup left open is text up to the first
+    ">" after it; an unclosed <script> swallows the rest of the input, as
+    browsers end it at EOF; a start tag whose name runs into a NUL is text,
+    not decoded. html.parser reads markup left open again from each "<" in
+    it; here a search for an end is reused while its match lies ahead, and
+    a start tag's attributes are read once for the "<"s inside them.
     """
-    text = _strip_simple_markup(raw)
-    if text is None:
-        cut = raw.rfind(">") + 1
-        parser = _TextExtractor()
-        parser.feed(raw[:cut] + _escape_tail(raw[cut:]))
-        parser.close()
-        text = "".join(parser.parts)
-    return " ".join(text.split())
+    pieces, pos = [], 0
+    run_ends: dict[int, int] = {}  # attribute start -> where its run of attributes ends
+    name_end = head_end = 0        # where the last start tag name read ends, and its spaces
+    found: dict[re.Pattern, re.Match | None] = {}  # end pattern -> its last match
+
+    def end_of(pattern: re.Pattern, at: int) -> int:
+        """Where the first match of ``pattern`` from ``at`` ends, or -1; ``at``
+        never decreases, so a match still ahead of it is reused."""
+        if pattern not in found or found[pattern] and found[pattern].start() < at:
+            found[pattern] = pattern.search(raw, at)
+        return found[pattern].end() if found[pattern] else -1
+
+    for m in _MARKUP_RE.finditer(raw):
+        i = m.start()
+        if i < pos:  # read as part of the markup before it
+            continue
+        if pos < i:
+            pieces.append(html.unescape(raw[pos:i]))
+        name, opens, pos = m[1] or m[2], m[1] is not None, m.end()
+        if name:
+            name = name.lower()
+        elif (after := raw[i + 1:i + 2]).isascii() and after.isalpha():  # a start tag
+            if i + 1 >= name_end:  # not inside the name of the last one
+                head = _TAG_NAME_RE.match(raw, i + 1)
+                name_end, head_end = head.end(1), head.end()
+            starts, j = [], head_end
+            if end_of(_GT_RE, i) < 0 and _ATTRIBUTE_RE.match(raw, j, j + 1):
+                j = len(raw)  # the attributes cannot end at a ">": left open
+            while j not in run_ends and (attribute := _ATTRIBUTE_RE.match(raw, j)):
+                starts.append(j)
+                j = attribute.end()
+            j = run_ends.get(j, j)
+            run_ends.update(dict.fromkeys(starts, j))
+            opens, follow = raw.startswith(">", j), raw[j:j + 1]
+            if opens or raw.startswith("/>", j):
+                name, pos = raw[i + 1:name_end].lower(), j + 1 if opens else j + 2
+            elif not follow or follow in "=/" or follow.isascii() and follow.isalpha():
+                pos = -1
+            else:  # the name runs into a NUL
+                pieces.append(raw[i:j])
+                pos = j
+        elif after == "/":  # an end tag, "</>" or a bogus comment
+            pos = end_of(_GT_RE, i)
+            if pos > 0 and (tag := _END_TAG_RE.match(raw, i) or _TAG_NAME_RE.match(raw, i + 2)):
+                name = tag[1].lower()
+        elif raw.startswith("!--", i + 1):
+            pos = end_of(_COMMENT_END_RE, i + 4)
+        elif raw.startswith("![", i + 1):  # a marked section; with no known keyword, text
+            section = _SECTION_RE.match(raw, i + 3)
+            end = _SECTION_ENDS.get((section[1] or "").lower())
+            pos = -1 if section.end() == len(raw) else end_of(end, i + 3) if end else i
+        elif after in ("!", "?"):  # a declaration or processing instruction
+            pos = end_of(_GT_RE, i)
+        else:  # a "<" of the text
+            pos = i
+        if pos < 0:  # left open: text up to the first ">", if any, on its own
+            pos = max(end_of(_GT_RE, i), i)
+            pieces.append(html.unescape(raw[i:pos]))
+        if opens and name in _SKIPPED_ELEMENTS:  # the body is dropped up to its end tag
+            end = _BODY_ENDS[name].search(raw, pos)
+            while end and not _END_TAG_RE.match(raw, end.start()):
+                end = _BODY_ENDS[name].search(raw, end.end())
+            pos = end.end() if end else len(raw)
+        elif name in _BLOCK_ELEMENTS:
+            pieces.append(" ")
+    pieces.append(html.unescape(raw[pos:]))
+    return " ".join("".join(pieces).split())
 
 
 # --- character normalization ------------------------------------------------

@@ -19,6 +19,7 @@ import re
 import unicodedata
 from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
+from html.parser import HTMLParser
 from itertools import count
 from operator import itemgetter
 from pathlib import Path
@@ -238,10 +239,43 @@ def candidate_links_by_rebuild(html: str) -> list[tuple[str, bool]]:
     return out
 
 
+class _TextExtractor(HTMLParser):
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.parts: list[str] = []
+        self._skip_depth = 0
+
+    def handle_starttag(self, tag, attrs):
+        if tag in textprep._SKIPPED_ELEMENTS:
+            self._skip_depth += 1
+        elif tag in textprep._BLOCK_ELEMENTS:
+            self.parts.append(" ")
+
+    def handle_endtag(self, tag):
+        if tag in textprep._SKIPPED_ELEMENTS:
+            if self._skip_depth:
+                self._skip_depth -= 1
+        elif tag in textprep._BLOCK_ELEMENTS:
+            self.parts.append(" ")
+
+    def handle_data(self, data):
+        if not self._skip_depth:
+            self.parts.append(data)
+
+    def parse_marked_section(self, i, report=1):
+        # a "<![" with no keyword HTMLParser knows raises AssertionError
+        # there; its "<" is text, as it is before any other unknown markup
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            self.handle_data("<")
+            return i + 1
+
+
 def strip_html_by_parser(raw: str) -> str:
     """HTML stripping with all of ``raw`` fed to ``HTMLParser`` as it is
-    (quadratic in the text after the last ">")."""
-    parser = textprep._TextExtractor()
+    (quadratic in the markup left open)."""
+    parser = _TextExtractor()
     parser.feed(raw)
     parser.close()
     return " ".join("".join(parser.parts).split())

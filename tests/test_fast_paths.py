@@ -1,12 +1,13 @@
-"""The exact fast paths for markup (``textprep.strip_html``) and URLs
-(``ingest._split_url``) against the parsers they stand in for: generated
+"""The package's markup reader (``textprep.strip_html``) and exact URL fast
+path (``ingest._split_url``) against the parsers they stand in for: generated
 input compared with ``HTMLParser`` fed whole and with ``urlsplit``
-(differential testing, McKeeman 1998), and the fast paths' output compared
+(differential testing, McKeeman 1998), and the package's output compared
 across every CPython 3.10+ on the host.
 
-Input the fast paths do not take goes to ``html.parser`` and ``urlsplit``,
-whose rules differ between interpreter releases, so only input the fast paths
-take is compared across interpreters.
+URLs the fast path does not take go to ``urlsplit``, whose rules differ
+between interpreter releases, so only URLs the fast path takes are compared
+across interpreters. All markup is read by the package, so markup of every
+kind is.
 """
 
 import json
@@ -29,8 +30,8 @@ from test_digests import other_interpreters
 CORPUS = FIXTURES / "fast_paths.json"
 SMALLBLOG_POSTS = FIXTURES / "smallblog" / "posts.jsonl"
 
-# each list's first part holds what the fast path reads, the rest what it
-# leaves to HTMLParser
+# each list's first part holds what a plain tag holds, the rest what only
+# other markup does
 TAG_NAMES = (["p", "P", "dIv", "td", "TR", "li", "br", "h1", "a", "B", "span", "x1"],
              ["sCrIpT", "style", "p\xa0", "div\x0b", "a\x00"])
 ATTRIBUTES = (["", ' href="http://b01.blogville.example/post/1"', " title='t'", " hidden",
@@ -60,24 +61,25 @@ def markup(*pieces) -> st.SearchStrategy[str]:
     return st.lists(st.one_of(*pieces), max_size=14).map("".join)
 
 
-# half the examples are built from what the fast path reads
+# half the examples are built from plain tags and text
 MARKUP = st.one_of(
     markup(tags(simple=True), st.sampled_from(TEXT)),
     markup(tags(simple=False), st.sampled_from(TEXT), st.sampled_from(OTHER_MARKUP)),
 )
 
 
-def test_markup_fast_path_matches_html_parser():
-    taken = []
+def test_strip_html_matches_html_parser():
+    other = []
 
     @settings(max_examples=1000, deadline=None)
     @given(MARKUP)
     def check(raw):
-        taken.append(textprep._strip_simple_markup(raw) is not None)
+        # a "<" the plain-tag alternative does not read matches alone
+        other.append(any(m.lastindex is None for m in textprep._MARKUP_RE.finditer(raw)))
         assert textprep.strip_html(raw) == strip_html_by_parser(raw)
 
     check()
-    assert len(taken) / 4 <= sum(taken) <= len(taken) * 3 / 4
+    assert len(other) / 4 <= sum(other) <= len(other) * 3 / 4
 
 
 @pytest.mark.parametrize("raw, expected", [
@@ -151,9 +153,24 @@ def test_url_fast_path_matches_urlsplit():
     assert len(taken) / 5 <= sum(taken) <= len(taken) * 4 / 5
 
 
+# markup beyond plain tags: comments, declarations, marked sections, script
+# and style bodies, names run into a NUL, and markup left open
+BEYOND_PLAIN_TAGS = [
+    "a<!-- c -->b<!---->c<!-- -- d>e<!--", "<!doctype html><?xml x?>a<!x>b</>c</ 1>d",
+    "a<![CDATA[x]]>b<![if x]>c<![endif]>d<![ e<![x>f<![", "<p>a<script>b</script>c<STYLE x>d",
+    "a<script>b</ſcript>c</SCRIPT >d<script/>e<style>f", "x<a&amp;\x00y<a&amp;\"\x00z<a \x00w",
+    "<a x='>'b<a x=\">\"c<a x=1 y d<a/e<a =f&amp", "&am<b\xa0>p;<div\x0b>q</p\x00>r<1>s< t<",
+]
+
+
+def test_markup_beyond_plain_tags_matches_html_parser():
+    assert ([textprep.strip_html(raw) for raw in BEYOND_PLAIN_TAGS]
+            == [strip_html_by_parser(raw) for raw in BEYOND_PLAIN_TAGS])
+
+
 # run by each interpreter: the stripped text of every title and body of the
-# fixture and of the corpus, and the resolution of every citation URL in the
-# fixture and of the corpus's URLs
+# fixture, of the corpus and of ``BEYOND_PLAIN_TAGS``, and the resolution of
+# every citation URL in the fixture and of the corpus's URLs
 RUN_FAST_PATHS = """
 import json, sys
 from blognet import graphbuild, ingest, textprep
@@ -161,6 +178,7 @@ corpus = json.loads(open(sys.argv[1], encoding="utf-8").read())
 posts = ingest.load_posts(sys.argv[2]).records
 resolver = graphbuild.UrlResolver(corpus["patterns"])
 markup = [text for post in posts for text in (post.title, post.body)] + corpus["markup"]
+markup += json.loads(sys.argv[3])
 links = [url for post in posts for url, relative in graphbuild._candidate_links(post.body)
          if not relative]
 print(json.dumps({"markup": [textprep.strip_html(text) for text in markup],
@@ -172,7 +190,8 @@ print(json.dumps({"markup": [textprep.strip_html(text) for text in markup],
 def fast_path_results(python: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(Path(blognet.__file__).parents[1]),
            "PYTHONDONTWRITEBYTECODE": "1"}
-    run = subprocess.run([python, "-c", RUN_FAST_PATHS, str(CORPUS), str(SMALLBLOG_POSTS)],
+    run = subprocess.run([python, "-c", RUN_FAST_PATHS, str(CORPUS), str(SMALLBLOG_POSTS),
+                          json.dumps(BEYOND_PLAIN_TAGS)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, f"{python}: {run.stderr}"
     return json.loads(run.stdout)
@@ -180,10 +199,6 @@ def fast_path_results(python: str) -> dict:
 
 def test_corpus_takes_the_fast_paths():
     corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
-    posts = ingest.load_posts(SMALLBLOG_POSTS).records
-    fixture_markup = [text for post in posts for text in (post.title, post.body)]
-    assert [raw for raw in corpus["markup"] + fixture_markup
-            if textprep._strip_simple_markup(raw) is None] == []
     assert [url for url in corpus["urls"] if not ingest._SIMPLE_URL_RE.fullmatch(url)] == []
 
 

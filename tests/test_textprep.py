@@ -553,9 +553,11 @@ def test_tfidf_of_an_empty_corpus_is_value_error():
         textprep.vectorize_tfidf(textprep.NormalizedDocument("a", ("x",)), vocab, 0)
 
 
-# HTMLParser scans to the end of the input from each "<" that no ">" follows,
-# so these grew ~4x per doubling before ``strip_html`` escaped that text
-@pytest.mark.parametrize("unit", ["<a ", "x <a", "<a x=1 "])
+# HTMLParser reads markup left open again from each "<" in it, and searches
+# to the end of the input for each comment or marked section end, so read
+# that way these grow ~4x per doubling
+@pytest.mark.parametrize("unit", ["<a ", "x <a", "<a x=1 ", "<!--a>", "<!-- -- a>",
+                                  "<![CDATA[a>", "<![if x>", "<a x='>'b"])
 def test_unclosed_start_tags_strip_in_linear_time(unit):
     def seconds(raw: str) -> float:
         start = time.process_time()
@@ -599,10 +601,11 @@ def test_each_packaged_stop_word_is_the_one_token_tokenize_reads(unify_alef):
 def test_prep_strips_a_post_of_48_kb_of_unclosed_tags_in_seconds(tmp_path, monkeypatch):
     shutil.copytree(FIXTURES / "smallblog", tmp_path / "dump")
     monkeypatch.chdir(tmp_path / "dump")
-    post = {"post_id": "huge", "blog_id": "b01", "title": "t", "body": "<a " * 16000,
-            "published_at": "2010-04-05T10:00:00Z"}
     with open("posts.jsonl", "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(post) + "\n")
+        for post_id, body in [("huge", "<a " * 16000), ("huge2", "<!-- -- a>" * 16000)]:
+            post = {"post_id": post_id, "blog_id": "b01", "title": "t", "body": body,
+                    "published_at": "2010-04-05T10:00:00Z"}
+            fh.write(json.dumps(post) + "\n")
     assert main(["ingest", "--config", "config.json", "--out-dir", "out"]) == EXIT_OK
     start = time.perf_counter()
     assert main(["prep", "--config", "config.json", "--out-dir", "out"]) == EXIT_OK
