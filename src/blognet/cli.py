@@ -5,7 +5,8 @@ writes its own artifacts plus a manifest.json (input hashes, effective
 config, drop/quarantine counters, output names and hashes), and nothing
 else. A stage names each dump file or upstream artifact it reads, and each
 file it writes, through its ``Stage`` record, so the manifest lists exactly
-those.
+those. A stage writes into a staging directory that takes the place of
+its own only once the manifest is written (see ``Stage.output``).
 Two runs over the same inputs and config produce byte-identical output
 trees; manifests deliberately carry no timestamps.
 
@@ -23,9 +24,9 @@ import gc
 import hashlib
 import json
 import math
+import shutil
 import sys
 from dataclasses import asdict, dataclass, field, replace
-from datetime import timedelta
 from itertools import compress, islice, zip_longest
 from operator import itemgetter
 from pathlib import Path
@@ -119,6 +120,14 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _remove(path: Path) -> None:
+    """Remove the file, link or directory tree at ``path``, if there is one."""
+    if path.is_dir() and not path.is_symlink():
+        shutil.rmtree(path)
+    elif path.exists() or path.is_symlink():
+        path.unlink()
+
+
 def _write_json(path: Path, payload) -> None:
     text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2,
                       default=ingest_mod.format_timestamp)
@@ -139,6 +148,10 @@ class Stage:
     @property
     def dir(self) -> Path:
         return Path(self.cfg.out_dir) / self.name
+
+    @property
+    def staging(self) -> Path:
+        return Path(self.cfg.out_dir) / f".{self.name}.partial"
 
     def require_inputs(self, names: list[str]) -> dict[str, Path]:
         """The input files the settings ``names`` name; every unset one is a
@@ -166,14 +179,19 @@ class Stage:
         return path
 
     def output(self, name: str) -> Path:
-        """Where to write artifact ``name``; the stage directory is made on
-        first use, so a stage that fails before writing leaves none."""
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-        except OSError as err:  # such as a file where a directory must be
-            raise ConfigError([f"output.out_dir {self.cfg.out_dir}: {err.strerror}"]) from None
+        """Where to write artifact ``name``: in ``staging``, which the first
+        call makes afresh (a killed run may have left one). ``commit`` puts
+        it in place of ``dir`` once the manifest is written, and ``discard``
+        removes it, so ``dir`` appears or is replaced whole only when the
+        stage succeeds, and a stage that fails leaves the tree as it was."""
+        if not self.outputs:
+            try:
+                _remove(self.staging)
+                self.staging.mkdir(parents=True)
+            except OSError as err:  # such as a file where a directory must be
+                raise ConfigError([f"output.out_dir {self.cfg.out_dir}: {err.strerror}"]) from None
         self.outputs.append(name)
-        return self.dir / name
+        return self.staging / name
 
     def write_csv(self, name: str, rows, header: list[str] | None = None) -> None:
         """Write CSV artifact ``name``: its header, which is the
@@ -187,7 +205,7 @@ class Stage:
                 writer.writerow(header or CSV_ARTIFACTS[self.name, name][0])
                 writer.writerows(rows)
             except csv.Error as err:
-                raise ArtifactError(f"{path}: cannot write a row: {err}") from None
+                raise ArtifactError(f"{self.dir / name}: cannot write a row: {err}") from None
 
     def read_csv(self, stage: str, name: str, key: str | None = None,
                  **overrides: Callable[[str], Any]) -> Iterator[tuple]:
@@ -213,50 +231,50 @@ class Stage:
             "inputs": {key: _sha256(path) for key, path in self.inputs.items()},
             "counts": counts,
             "outputs": sorted(self.outputs),
-            "output_sha256": {name: _sha256(self.dir / name) for name in self.outputs},
+            "output_sha256": {name: _sha256(self.staging / name) for name in self.outputs},
         }
-        _write_json(self.dir / "manifest.json", manifest)
+        _write_json(self.staging / "manifest.json", manifest)
+
+    def commit(self) -> None:
+        """Put ``staging`` in place of ``dir``, whose earlier files all go."""
+        old = self.staging.with_name(f".{self.name}.old")
+        _remove(old)
+        if self.dir.exists() or self.dir.is_symlink():
+            self.dir.replace(old)
+        self.staging.replace(self.dir)
+        _remove(old)
+
+    def discard(self) -> None:
+        """Remove ``staging``, if the stage has not committed it."""
+        _remove(self.staging)
 
 
 # --- stages -------------------------------------------------------------------
 
 def cmd_ingest(stage: Stage) -> dict:
-    """Validate the four dump files into canonical, re-loadable artifacts."""
+    """Validate the four dump files into canonical, re-loadable artifacts.
+    Each file's records are written and dropped before the next file is
+    read; only the post ids are kept, for the comments."""
     inputs = stage.require_inputs(["posts", "comments", "blogroll", "profiles"])
     offset = stage.cfg.utc_offset
-
-    posts = ingest_mod.load_posts(inputs["posts"], offset)
-    loaded = {
-        "posts": posts,
-        "comments": ingest_mod.load_comments(
-            inputs["comments"], {p.post_id for p in posts.records}, offset),
-        "blogroll": ingest_mod.load_blogroll(inputs["blogroll"]),
-        "profiles": ingest_mod.load_profiles(inputs["profiles"]),
-    }
-
     counts = {}
     quarantined = []
-    for name, result in loaded.items():
+
+    def write(name: str, result: ingest_mod.LoadResult) -> None:
         ingest_mod.write_jsonl(stage.output(f"{name}.jsonl"), result.records)
         counts[name] = {"accepted": len(result.records), "quarantined": len(result.quarantined)}
-        quarantined += result.quarantined
+        quarantined.extend(result.quarantined)
+
+    posts = ingest_mod.load_posts(inputs["posts"], offset)
+    write("posts", posts)
+    post_ids = {p.post_id for p in posts.records}
+    del posts
+    write("comments", ingest_mod.load_comments(inputs["comments"], post_ids, offset))
+    del post_ids
+    write("blogroll", ingest_mod.load_blogroll(inputs["blogroll"]))
+    write("profiles", ingest_mod.load_profiles(inputs["profiles"]))
     ingest_mod.write_jsonl(stage.output("quarantine.jsonl"), quarantined)
     return counts
-
-
-def _load_ingested(stage: Stage, names: list[str],
-                   post_offset: timedelta = timedelta(0)) -> dict[str, list]:
-    """Reload ingest artifacts through the ingest loaders in reload mode, the
-    posts at ``post_offset``: a line that is not as ingest writes it raises
-    ArtifactError naming ``file:line``, whatever ingest's manifest holds."""
-    paths = {name: stage.require("ingest", f"{name}.jsonl") for name in names}
-    loaded: dict[str, list] = {}
-    for name, path in paths.items():
-        # comments also take the post ids, so posts come first
-        args = ([post_offset] if name == "posts" else
-                [{p.post_id for p in loaded["posts"]}] if name == "comments" else [])
-        loaded[name] = getattr(ingest_mod, f"load_{name}")(path, *args, reload=True).records
-    return loaded
 
 
 def cmd_prep(stage: Stage) -> dict:
@@ -264,7 +282,7 @@ def cmd_prep(stage: Stage) -> dict:
     from . import textprep
 
     cfg = stage.cfg
-    loaded = _load_ingested(stage, ["posts"])
+    posts = ingest_mod.load_posts(stage.require("ingest", "posts.jsonl"), reload=True).records
     files = stage.require_inputs(
         [n for n in ("stopwords", "equivalences") if getattr(cfg, n) is not None]
     )
@@ -276,9 +294,8 @@ def cmd_prep(stage: Stage) -> dict:
         textprep.load_stopwords(files["stopwords"], equivalences, cfg.unify_alef)
         if "stopwords" in files else textprep.default_stopwords(equivalences, cfg.unify_alef)
     )
-    docs = textprep.blog_documents(
-        loaded.pop("posts"), stopwords, equivalences, cfg.unify_alef
-    )
+    docs = textprep.blog_documents(posts, stopwords, equivalences, cfg.unify_alef)
+    del posts  # the documents hold what prep needs of them
     vocab = textprep.build_vocabulary(
         docs, cfg.min_df, cfg.max_df_ratio, cfg.vocab_top_k
     )
@@ -370,8 +387,7 @@ def cmd_build(stage: Stage) -> dict:
     for name, edges in (*layers.items(), ("merged", merged.edges)):
         stage.write_csv(f"edges_{name}.csv", edges)
     ingest_mod.write_lines(stage.output("nodes.txt"), merged.nodes)
-    ingest_mod.write_lines(stage.output("graph.dot"),
-                           [graphbuild.to_dot(merged).removesuffix("\n")])
+    ingest_mod.write_lines(stage.output("graph.dot"), graphbuild.to_dot(merged))
     return counts
 
 
@@ -681,8 +697,17 @@ def cmd_stats(stage: Stage) -> dict:
     from . import profilestats
 
     cfg = stage.cfg
-    # stats bins each post at its own offset, which need not be ingest's
-    loaded = _load_ingested(stage, ["posts", "comments", "profiles"], cfg.utc_offset)
+    paths = {name: stage.require("ingest", f"{name}.jsonl")
+             for name in ("posts", "comments", "profiles")}
+    # stats bins each post at its own offset, which need not be ingest's. It
+    # reads a post's id, blog and time only, so the text goes before the
+    # comments are read.
+    posts = [ingest_mod.RawPost(post_id, blog_id, "", "", published_at)
+             for post_id, blog_id, _, _, published_at in
+             ingest_mod.load_posts(paths["posts"], cfg.utc_offset, reload=True).records]
+    comments = ingest_mod.load_comments(
+        paths["comments"], {p.post_id for p in posts}, reload=True).records
+    profiles = ingest_mod.load_profiles(paths["profiles"], reload=True).records
     window = None
     if cfg.window_start is not None:  # the config admits both bounds or neither
         # windows without an explicit offset use the dump's local convention
@@ -692,12 +717,10 @@ def cmd_stats(stage: Stage) -> dict:
             min_posts=cfg.min_posts,
             require_monthly=cfg.require_monthly,
         )
-    elif loaded["posts"]:
-        window = profilestats.dataset_window(loaded["posts"], cfg.min_posts, cfg.require_monthly)
+    elif posts:
+        window = profilestats.dataset_window(posts, cfg.min_posts, cfg.require_monthly)
     report = profilestats.build_stats_report(
-        loaded["posts"], loaded["comments"], loaded["profiles"],
-        window, cfg.utc_offset, cfg.comment_threshold,
-    )
+        posts, comments, profiles, window, cfg.utc_offset, cfg.comment_threshold)
 
     demo = report.demographics
     payload = {
@@ -865,8 +888,12 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, {name: getattr(args, name) for name in field_names})
         stage = Stage(cfg, args.command)
-        counts = STAGE_FUNCS[args.command][0](stage)
-        stage.write_manifest(counts)
+        try:
+            counts = STAGE_FUNCS[args.command][0](stage)
+            stage.write_manifest(counts)
+            stage.commit()
+        finally:
+            stage.discard()  # nothing is left to discard once committed
     except ConfigError as err:
         for problem in err.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -244,9 +244,9 @@ def merge_layers(
     return LayeredGraph(nodes=tuple(sorted(nodes)), edges=tuple(edges), arcs=arcs)
 
 
-def to_dot(graph: LayeredGraph) -> str:
-    """Collapsed view as DOT for visualization tools. Each id is a quoted DOT
-    string, with ``"`` escaped (blog ids hold no ``\\``)."""
+def to_dot(graph: LayeredGraph) -> list[str]:
+    """Collapsed view as the lines of a DOT file for visualization tools. Each
+    id is a quoted DOT string, with ``"`` escaped (blog ids hold no ``\\``)."""
     quoted = {node: '"' + node.replace('"', '\\"') + '"' for node in graph.nodes}
     lines = ["digraph blognet {"]
     for node in graph.nodes:
@@ -254,4 +254,4 @@ def to_dot(graph: LayeredGraph) -> str:
     for src, dst in graph.arcs:
         lines.append(f"  {quoted[src]} -> {quoted[dst]};")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return lines

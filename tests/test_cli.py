@@ -1518,6 +1518,57 @@ def test_out_dir_through_a_file_is_one_config_error(sub, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [file] and file.read_text("utf-8") == "kept"
 
 
+def tree(out: Path) -> dict[str, bytes | None]:
+    """Each path under ``out``: a file's bytes, or None for a directory."""
+    return {path.relative_to(out).as_posix(): path.read_bytes() if path.is_file() else None
+            for path in (out.rglob("*") if out.exists() else ())}
+
+
+# a fault ingest finds in a dump file it reads after the posts: (the file, a
+# line that makes it faulty)
+LATE_FAULTS = {
+    "comments": ("comments.jsonl", (SMALLBLOG / "comments.jsonl").read_bytes().splitlines()[0]),
+    "profiles": ("profiles.jsonl", b"\xff"),
+}
+
+
+@pytest.mark.parametrize("earlier_run", [False, True])
+@pytest.mark.parametrize("case", sorted(LATE_FAULTS))
+def test_an_ingest_that_fails_after_reading_the_posts_leaves_the_tree_as_it_was(
+        case, earlier_run, tmp_path, capsys):
+    """ingest writes the posts before it reads the comments, so it stages its
+    files and puts them in place only when it succeeds: a fault in a later
+    file leaves no ingest directory, or an earlier run's unchanged, not the
+    posts of this run beside the other files of that one."""
+    out = tmp_path / "out"
+    if earlier_run:
+        assert main(["ingest", *fixture_flags(out)]) == EXIT_OK
+        assert (out / "ingest").is_dir()
+    before = tree(out)
+    flags = flags_with_extra_post(tmp_path)  # other posts than the earlier run's
+    name, line = LATE_FAULTS[case]
+    faulty = tmp_path / name
+    faulty.write_bytes((SMALLBLOG / name).read_bytes() + line + b"\n")
+    flags[flags.index(f"--{case}") + 1] = str(faulty)
+    capsys.readouterr()
+    assert main(["ingest", *flags]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {name}:" if case == "comments"
+                                              else f"data error: {faulty}")
+    assert tree(out) == before
+    assert (out / "ingest").exists() == earlier_run
+
+
+def test_a_stage_rerun_replaces_its_directory_and_clears_a_killed_runs_files(tmp_path):
+    out = tmp_path / "out"
+    run_pipeline(out, ["ingest"])
+    written = tree(out)
+    (out / "ingest/stray.txt").write_text("not ingest's", encoding="utf-8")
+    (out / ".ingest.partial").mkdir()  # as a run killed while writing leaves it
+    (out / ".ingest.partial/posts.jsonl").write_text("half", encoding="utf-8")
+    run_pipeline(out, ["ingest"])
+    assert tree(out) == written
+
+
 # a post at the end of the datetime range: stats would read it one second on
 # (the dataset window's end), or at the dump's +03:30
 @pytest.mark.parametrize("stamp, reason", [

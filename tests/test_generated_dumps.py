@@ -137,11 +137,10 @@ def traced(run) -> tuple[int, int]:
         tracemalloc.stop()
 
 
-def test_build_holds_the_records_of_one_ingest_file_at_a_time(tmp_path, monkeypatch):
-    """``build`` drops each ingest file's records once it has taken their
-    edges and blog ids, so its peak stays below the posts and comments held
-    together. Blocks of 64 lines split each file into many, as blocks of
-    4,096 split a paper-scale dump's."""
+def generate_and_ingest(tmp_path: Path, monkeypatch) -> None:
+    """Generate a dump in ``tmp_path``, the working directory from here on,
+    and ingest it into ``out``. Blocks of 64 lines split each file into
+    many, as blocks of 4,096 split a paper-scale dump's."""
     monkeypatch.setattr(ingest, "_BLOCK", 64)
     params = Params(
         blogs=200, posts=600, words_per_post=60, links_per_post=1.5, max_links=6,
@@ -152,12 +151,51 @@ def test_build_holds_the_records_of_one_ingest_file_at_a_time(tmp_path, monkeypa
     monkeypatch.chdir(tmp_path)
     assert main(["ingest", "--config", "dump/config.json", "--out-dir", "out"]) == EXIT_OK
 
-    def posts_and_comments():
-        posts = ingest.load_posts("out/ingest/posts.jsonl", reload=True).records
-        return posts, ingest.load_comments(
-            "out/ingest/comments.jsonl", {p.post_id for p in posts}, reload=True).records
 
-    held, _ = traced(posts_and_comments)
-    stage = cli.Stage(load_config("dump/config.json", {"out_dir": "out"}), "build")
-    _, peak = traced(lambda: cli.cmd_build(stage))
-    assert peak < held
+def stage_peak(name: str) -> int:
+    """The most ``tracemalloc`` traces at once while stage ``name`` runs
+    over the dump and ``out``."""
+    stage = cli.Stage(load_config("dump/config.json", {"out_dir": "out"}), name)
+    return traced(lambda: getattr(cli, f"cmd_{name}")(stage))[1]
+
+
+def dump_records() -> list[list]:
+    """The records of the four dump files, as ``ingest`` reads them."""
+    cfg = load_config("dump/config.json")
+    posts = ingest.load_posts(cfg.posts, cfg.utc_offset).records
+    return [posts,
+            ingest.load_comments(cfg.comments, {p.post_id for p in posts}, cfg.utc_offset).records,
+            ingest.load_blogroll(cfg.blogroll).records,
+            ingest.load_profiles(cfg.profiles).records]
+
+
+def ingested_posts_and_comments() -> list[list]:
+    """The records of ``ingest``'s posts and comments, as later stages reload them."""
+    posts = ingest.load_posts("out/ingest/posts.jsonl", reload=True).records
+    return [posts, ingest.load_comments(
+        "out/ingest/comments.jsonl", {p.post_id for p in posts}, reload=True).records]
+
+
+def test_ingest_holds_the_records_of_one_dump_file_at_a_time(tmp_path, monkeypatch):
+    """``ingest`` writes and drops each file's records before it reads the
+    next, so its peak stays below the four files' records held together."""
+    generate_and_ingest(tmp_path, monkeypatch)
+    held, _ = traced(dump_records)
+    assert stage_peak("ingest") < held
+
+
+def test_build_holds_the_records_of_one_ingest_file_at_a_time(tmp_path, monkeypatch):
+    """``build`` drops each ingest file's records once it has taken their
+    edges and blog ids, so its peak stays below the posts and comments held
+    together."""
+    generate_and_ingest(tmp_path, monkeypatch)
+    held, _ = traced(ingested_posts_and_comments)
+    assert stage_peak("build") < held
+
+
+def test_stats_holds_no_post_text_while_it_reads_the_comments(tmp_path, monkeypatch):
+    """``stats`` keeps a post's id, blog and time only, so its peak stays
+    below the posts and comments held together."""
+    generate_and_ingest(tmp_path, monkeypatch)
+    held, _ = traced(ingested_posts_and_comments)
+    assert stage_peak("stats") < held

@@ -337,7 +337,7 @@ def test_extraction_deterministic():
 
 def test_dot_export():
     g = merge_layers([[Edge("a", "b", "blogroll")]], extra_nodes=["c"])
-    dot = graphbuild.to_dot(g)
+    dot = "\n".join(graphbuild.to_dot(g))
     assert dot.startswith("digraph")
     assert '"a" -> "b";' in dot
     assert '"c";' in dot
@@ -345,7 +345,7 @@ def test_dot_export():
 
 def test_dot_escapes_quotes_in_blog_ids():
     g = merge_layers([[Edge('q"x', "b01", "citation")]])
-    dot = graphbuild.to_dot(g)
+    dot = "\n".join(graphbuild.to_dot(g))
     assert dot.splitlines()[1:-1] == ['  "b01";', '  "q\\"x";', '  "q\\"x" -> "b01";']
 
 
