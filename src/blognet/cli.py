@@ -27,7 +27,7 @@ import math
 import shutil
 import sys
 from dataclasses import asdict, dataclass, field, replace
-from itertools import compress, islice, zip_longest
+from itertools import compress, islice, takewhile, zip_longest
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
@@ -144,6 +144,7 @@ class Stage:
     name: str
     inputs: dict[str, Path] = field(default_factory=dict)  # manifest key -> file read
     outputs: list[str] = field(default_factory=list)  # file names written
+    made: list[Path] = field(default_factory=list)  # staging's new parents, innermost first
 
     @property
     def dir(self) -> Path:
@@ -187,6 +188,7 @@ class Stage:
         if not self.outputs:
             try:
                 _remove(self.staging)
+                self.made = list(takewhile(lambda p: not p.exists(), self.staging.parents))
                 self.staging.mkdir(parents=True)
             except OSError as err:  # such as a file where a directory must be
                 raise ConfigError([f"output.out_dir {self.cfg.out_dir}: {err.strerror}"]) from None
@@ -245,8 +247,14 @@ class Stage:
         _remove(old)
 
     def discard(self) -> None:
-        """Remove ``staging``, if the stage has not committed it."""
+        """Remove ``staging``, if the stage has not committed it, and each
+        directory ``output`` made for it that is left empty."""
         _remove(self.staging)
+        for path in self.made:
+            try:
+                path.rmdir()
+            except OSError:  # not empty: the stage committed, or another put files there
+                break
 
 
 # --- stages -------------------------------------------------------------------

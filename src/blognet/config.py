@@ -20,7 +20,7 @@ from datetime import timedelta
 from pathlib import Path
 from typing import Any, Callable
 
-from .ingest import InputFileError, decode_json, parse_timestamp, read_text
+from .ingest import InputFileError, _split_url, decode_json, parse_timestamp, read_text
 
 TFIDF_VARIANTS = ("raw_ln", "log_tf", "smooth_idf")
 
@@ -140,13 +140,27 @@ FLAG_TYPES = {name: _TYPES[f.type.removesuffix(" | None")][0] for name, f in _FI
 def parse_host_pattern(pattern: str) -> tuple[bool, str]:
     """Read a ``{blog}.host`` or ``host/{blog}`` pattern, case-insensitively:
     whether the blog is the subdomain, and the rest of the pattern lowercased
-    (the ``.host`` suffix or the host). Any other pattern raises ValueError."""
+    (the ``.host`` suffix or the host). Any other pattern raises ValueError,
+    as does one whose host is empty or is not the host ``_split_url`` reads
+    back from ``http://host/``, or a ``host/{blog}`` host starting ``www.``,
+    which resolution drops from every URL's host: none can match a URL."""
     lowered = pattern.strip().lower()
-    if lowered.startswith("{blog}."):
-        return True, lowered[len("{blog}"):]
-    if lowered.endswith("/{blog}"):
-        return False, lowered[:-len("/{blog}")]
-    raise ValueError(f"{pattern!r} must look like '{{blog}}.host' or 'host/{{blog}}'")
+    subdomain = lowered.startswith("{blog}.")
+    if subdomain:
+        host = lowered[len("{blog}."):]
+    elif lowered.endswith("/{blog}"):
+        host = lowered[:-len("/{blog}")]
+    else:
+        raise ValueError(f"{pattern!r} must look like '{{blog}}.host' or 'host/{{blog}}'")
+    try:
+        read_back = _split_url(f"http://{host}/")[1]
+    except ValueError:
+        read_back = None
+    if not host or read_back != host:
+        raise ValueError(f"{pattern!r} can match no URL: no URL has the host {host!r}")
+    if not subdomain and host.startswith("www."):
+        raise ValueError(f"{pattern!r} can match no URL: resolution drops a host's 'www.'")
+    return subdomain, "." + host if subdomain else host
 
 
 def _coerce(annotation: str, value: Any) -> Any:

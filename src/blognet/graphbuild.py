@@ -37,7 +37,9 @@ class UrlResolver:
     Two pattern shapes are supported, configurable together (read by
     ``config.parse_host_pattern``): ``{blog}.example.com`` (subdomain form;
     the path is ignored) and ``example.com/{blog}`` (path form; the first
-    path segment names the blog). Patterns and hosts compare
+    path segment names the blog); a pattern that can match no URL is
+    rejected there. Each URL is split by ``ingest._split_url``, by the same
+    rules on every interpreter. Patterns and hosts compare
     case-insensitively, and a host may carry a leading ``www.`` label.
     Anything else, including malformed URLs, resolves to None and is
     treated as external.

@@ -14,15 +14,16 @@ not as ingest writes it raises ArtifactError naming ``file:line``.
 from __future__ import annotations
 
 import functools
+import ipaddress
 import json
 import re
+import unicodedata
 from datetime import datetime, timedelta, timezone
 from itertools import compress, count, filterfalse, islice, repeat
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple, get_type_hints
-from urllib.parse import urlsplit
 
 GENDERS = ("male", "female", "unspecified")
 EDUCATION_LEVELS = ("below-diploma", "diploma", "bachelor", "master", "doctorate", "unspecified")
@@ -170,23 +171,32 @@ def canonical_slug(value: str) -> str:
     return slug
 
 
-# A URL that ``urlsplit`` splits as this pattern reads it: scheme://host,
-# then an optional path, query and fragment. The host is ASCII letters,
-# digits, "." and "-", and nothing holds a tab or a line break, which
-# ``urlsplit`` deletes before splitting.
-_SIMPLE_URL_RE = re.compile(
-    r"([A-Za-z][A-Za-z0-9+.-]*)://([A-Za-z0-9.-]*)(/[^?#\t\r\n]*)?(?:[?#][^\t\r\n]*)?")
+# [scheme:][//authority]path, then the query and fragment (RFC 3986
+# appendix B), with a scheme only where one is valid
+_URL_RE = re.compile(r"(?:([A-Za-z][A-Za-z0-9+.-]*):)?(?://([^/?#]*))?([^?#]*)")
+_C0_OR_SPACE = "".join(map(chr, range(0x21)))
 
 
 def _split_url(url: str) -> tuple[str, str | None, str]:
-    """``url``'s scheme, host and path as ``urlsplit(url)`` gives them in its
-    ``scheme``, ``hostname`` and ``path``; raises ValueError where it does."""
-    simple = _SIMPLE_URL_RE.fullmatch(url)
-    if simple:
-        scheme, host, path = simple.groups()
-        return scheme.lower(), host.lower() or None, path or ""
-    parts = urlsplit(url)
-    return parts.scheme, parts.hostname, parts.path
+    """``url``'s scheme, host and path as CPython 3.11.7's ``urlsplit`` gives
+    them (``scheme``, ``hostname``, ``path``), and a ValueError where it
+    raises one, whatever the interpreter. The README states the rules."""
+    url = url.lstrip(_C0_OR_SPACE).replace("\t", "").replace("\r", "").replace("\n", "")
+    scheme, authority, path = _URL_RE.match(url).groups("")
+    if ("[" in authority) != ("]" in authority):
+        raise ValueError(f"unpaired bracket in {authority!r}")
+    if "[" in authority:
+        bracketed = authority.partition("[")[2].partition("]")[0]
+        if not re.fullmatch(r"v[0-9A-Fa-f]+\..+", bracketed):
+            ipaddress.IPv6Address(bracketed)  # a ValueError if it is not one
+    if not authority.isascii():
+        folded = unicodedata.normalize("NFKC", authority.replace("@", "").replace(":", ""))
+        if any(c in folded for c in "/?#@:"):
+            raise ValueError(f"{authority!r} holds URL delimiters under NFKC")
+    host = authority.rpartition("@")[2]
+    host = host.partition("[")[2].partition("]")[0] if "[" in host else host.partition(":")[0]
+    host, percent, zone = host.partition("%")
+    return scheme.lower(), host.lower() + percent + zone or None, path
 
 
 def read_lines(path: str | Path, encoding: str = "utf-8",

@@ -281,11 +281,17 @@ def strip_html_by_parser(raw: str) -> str:
     return " ".join("".join(parser.parts).split())
 
 
+def split_by_urlsplit(url: str) -> tuple[str, str | None, str]:
+    """``ingest._split_url(url)`` as ``urlsplit`` gives it; its rules are
+    those of the interpreter that runs it."""
+    parts = urlsplit(url)
+    return parts.scheme, parts.hostname, parts.path
+
+
 def resolve_by_urlsplit(resolver: graphbuild.UrlResolver, url: str) -> str | None:
     """``resolver.resolve(url)`` with every URL split by ``urlsplit``."""
     try:
-        parts = urlsplit(url.strip())
-        host = parts.hostname
+        _scheme, host, path = split_by_urlsplit(url.strip())
     except ValueError:
         return None
     if not host:
@@ -298,7 +304,7 @@ def resolve_by_urlsplit(resolver: graphbuild.UrlResolver, url: str) -> str | Non
                 return label
     for pattern_host in resolver._path_hosts:
         if host == pattern_host:
-            segment = parts.path.lstrip("/").split("/", 1)[0]
+            segment = path.lstrip("/").split("/", 1)[0]
             if segment:
                 return segment.lower()
     return None
@@ -334,11 +340,10 @@ def blogroll_url_error(url: str) -> str | None:
     """The quarantine reason ``load_blogroll`` gives a stripped target URL,
     splitting it on every call; None when it is accepted."""
     try:
-        parts = urlsplit(url)
-        host = parts.hostname
+        scheme, host, _path = split_by_urlsplit(url)
     except ValueError:
         return f"invalid URL {url!r}"
-    if parts.scheme not in ("http", "https") or not host:
+    if scheme not in ("http", "https") or not host:
         return f"invalid URL {url!r}"
     return None
 

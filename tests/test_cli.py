@@ -1558,6 +1558,24 @@ def test_an_ingest_that_fails_after_reading_the_posts_leaves_the_tree_as_it_was(
     assert (out / "ingest").exists() == earlier_run
 
 
+@pytest.mark.parametrize("out_dir, existed", [("out", False), ("a/b/out", False), ("out", True)])
+def test_a_failed_stage_removes_the_directories_it_made(out_dir, existed, tmp_path, capsys):
+    """The out-dir and the parents that the stage made for its staging
+    directory go with it; an out-dir that was there stays, empty."""
+    run = tmp_path / "run"
+    run.mkdir()
+    if existed:
+        (run / out_dir).mkdir()
+    comments = tmp_path / "comments.jsonl"
+    comments.write_bytes((SMALLBLOG / "comments.jsonl").read_bytes()
+                         + LATE_FAULTS["comments"][1] + b"\n")
+    flags = fixture_flags(run / out_dir)
+    flags[flags.index("--comments") + 1] = str(comments)
+    assert main(["ingest", *flags]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: comments.jsonl:")
+    assert tree(run) == ({out_dir: None} if existed else {})
+
+
 def test_a_stage_rerun_replaces_its_directory_and_clears_a_killed_runs_files(tmp_path):
     out = tmp_path / "out"
     run_pipeline(out, ["ingest"])

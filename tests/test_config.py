@@ -168,6 +168,15 @@ REJECTIONS = [
     ({"graphbuild": {"host_patterns": ["blogs.example.com"]}},
      "graphbuild.host_patterns entry 'blogs.example.com' must look like "
      "'{blog}.host' or 'host/{blog}'"),
+    *(({"graphbuild": {"host_patterns": [pattern]}},
+       f"graphbuild.host_patterns entry {pattern!r} can match no URL: no URL has the host "
+       f"{host!r}")
+      for pattern, host in [("/{blog}", ""), ("{blog}.", ""), ("{blog}./x", "/x"),
+                            ("a:b/{blog}", "a:b"), ("[::1]/{blog}", "[::1]"),
+                            ("{blog}.blogville.example:8080", "blogville.example:8080")]),
+    ({"graphbuild": {"host_patterns": ["www.blogville.example/{blog}"]}},
+     "graphbuild.host_patterns entry 'www.blogville.example/{blog}' can match no URL: "
+     "resolution drops a host's 'www.'"),
     ({"graphclean": {"min_component_size": 0}},
      "graphclean.min_component_size must be an integer >= 1"),
     ({"graphclean": {"isolated_strict": "no"}}, "graphclean.isolated_strict must be a boolean"),

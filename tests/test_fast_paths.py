@@ -1,21 +1,22 @@
-"""The package's markup reader (``textprep.strip_html``) and exact URL fast
-path (``ingest._split_url``) against the parsers they stand in for: generated
+"""The package's markup reader (``textprep.strip_html``) and URL reader
+(``ingest._split_url``) against the parsers they stand in for: generated
 input compared with ``HTMLParser`` fed whole and with ``urlsplit``
 (differential testing, McKeeman 1998), and the package's output compared
 across every CPython 3.10+ on the host.
 
-URLs the fast path does not take go to ``urlsplit``, whose rules differ
-between interpreter releases, so only URLs the fast path takes are compared
-across interpreters. All markup is read by the package, so markup of every
-kind is.
+Both readers keep the rules of the tier-1 interpreter, 3.11.7, where
+``html.parser`` and ``urlsplit`` change between releases, so the generated
+input is compared under the interpreter that runs the tests, and the
+package's output on the fixture, the corpus and named cases under every
+other one. The URLs those releases split differently are pinned by name.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
-from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 import blognet
 from blognet import graphbuild, ingest, textprep
 from conftest import FIXTURES
-from oracles import resolve_by_urlsplit, strip_html_by_parser
+from oracles import resolve_by_urlsplit, split_by_urlsplit, strip_html_by_parser
 from test_digests import other_interpreters
 
 CORPUS = FIXTURES / "fast_paths.json"
@@ -97,8 +98,8 @@ def test_strip_html_cases(raw, expected):
     assert textprep.strip_html(raw) == expected == strip_html_by_parser(raw)
 
 
-# each list's first part holds what the fast path reads, the rest what it
-# leaves to urlsplit
+# each list's first part holds what a plain URL (``PLAIN_URL_RE``) holds,
+# the rest what only other URLs do
 SCHEMES = (["http", "https", "HTTP", "hTtPs", "ftp", "git+ssh", "a.b-c"], ["1x", "-x", ""])
 SEPARATORS = (["://"], [":", "//", ":///", ":/"])
 USERINFO = ([""], ["user@", "u:p@", "@"])
@@ -117,7 +118,7 @@ def urls(draw, simple: bool) -> str:
                   for parts in (SCHEMES, SEPARATORS, USERINFO, HOSTS, PORTS, PATHS, QUERIES))
     if simple:
         return url
-    if draw(st.integers(0, 3)) == 0:  # urlsplit deletes these wherever they are
+    if draw(st.integers(0, 3)) == 0:  # the readers delete these wherever they are
         at = draw(st.integers(0, len(url)))
         url = url[:at] + draw(st.sampled_from(["\t", "\n", "\r"])) + url[at:]
     pad = draw(st.sampled_from(["", " ", "\x1f"]))
@@ -131,26 +132,53 @@ def outcome(split, url):
         return "ValueError"
 
 
-def split_by_urlsplit(url):
-    parts = urlsplit(url)
-    return parts.scheme, parts.hostname, parts.path
-
+# A plain URL: scheme://host, then an optional path, query and fragment; the
+# host is ASCII letters, digits, "." and "-", and nothing holds a tab or a
+# line break. Every citation URL of the benchmark's dumps is one.
+PLAIN_URL_RE = re.compile(
+    r"([A-Za-z][A-Za-z0-9+.-]*)://([A-Za-z0-9.-]*)(/[^?#\t\r\n]*)?(?:[?#][^\t\r\n]*)?")
 
 RESOLVER = graphbuild.UrlResolver(["{blog}.blogville.example", "blogville.example/{blog}"])
 
 
-def test_url_fast_path_matches_urlsplit():
-    taken = []
+def test_split_url_matches_urlsplit():
+    plain = []
 
     @settings(max_examples=1000, deadline=None)
     @given(st.one_of(urls(simple=True), urls(simple=False)))
     def check(url):
-        taken.append(bool(ingest._SIMPLE_URL_RE.fullmatch(url)))
+        plain.append(bool(PLAIN_URL_RE.fullmatch(url)))
         assert outcome(ingest._split_url, url) == outcome(split_by_urlsplit, url)
         assert RESOLVER.resolve(url) == resolve_by_urlsplit(RESOLVER, url)
 
     check()
-    assert len(taken) / 5 <= sum(taken) <= len(taken) * 4 / 5
+    assert len(plain) / 5 <= sum(plain) <= len(plain) * 4 / 5
+
+
+# URLs that CPython releases split differently, with the package's split:
+# 3.11.7's, which 3.12.1 and 3.13.0 share
+NAMED_URLS = {
+    # 3.10.13 takes a scheme that does not start with a letter
+    "1x://b01.blogville.example/": ("", None, "1x://b01.blogville.example/"),
+    "-:x": ("", None, "-:x"),
+    # 3.13.13 raises on text beside the brackets
+    "http://[::1]x/": ("http", "::1", "/"),
+    "http://a[::1]/": ("http", "::1", "/"),
+    "https://[::1] ": ("https", "::1", ""),
+    # 3.10.13 takes any bracketed text
+    "http://[bad]/": "ValueError",
+    "http://[1.2.3.4]/": "ValueError",
+    "http://[]/": "ValueError",
+    "http://u[x]@h/": "ValueError",
+    "http://[V1.X]/": "ValueError",
+    # all agree: a zone keeps its case
+    "http://[::1%ETH0]/": ("http", "::1%ETH0", "/"),
+}
+
+
+def test_named_urls_split_as_on_the_tier1_interpreter():
+    assert {url: outcome(ingest._split_url, url) for url in NAMED_URLS} == NAMED_URLS
+    assert RESOLVER.resolve("1x://b01.blogville.example/") is None
 
 
 # markup beyond plain tags: comments, declarations, marked sections, script
@@ -169,8 +197,9 @@ def test_markup_beyond_plain_tags_matches_html_parser():
 
 
 # run by each interpreter: the stripped text of every title and body of the
-# fixture, of the corpus and of ``BEYOND_PLAIN_TAGS``, and the resolution of
-# every citation URL in the fixture and of the corpus's URLs
+# fixture, of the corpus and of ``BEYOND_PLAIN_TAGS``, the resolution of every
+# citation URL in the fixture, of the corpus's URLs and of ``NAMED_URLS``,
+# and the split of the last two
 RUN_FAST_PATHS = """
 import json, sys
 from blognet import graphbuild, ingest, textprep
@@ -179,11 +208,19 @@ posts = ingest.load_posts(sys.argv[2]).records
 resolver = graphbuild.UrlResolver(corpus["patterns"])
 markup = [text for post in posts for text in (post.title, post.body)] + corpus["markup"]
 markup += json.loads(sys.argv[3])
+urls = corpus["urls"] + json.loads(sys.argv[4])
 links = [url for post in posts for url, relative in graphbuild._candidate_links(post.body)
          if not relative]
+
+def split(url):
+    try:
+        return ingest._split_url(url)
+    except ValueError:
+        return "ValueError"
+
 print(json.dumps({"markup": [textprep.strip_html(text) for text in markup],
-                  "urls": [resolver.resolve(url) for url in links + corpus["urls"]],
-                  "splits": [ingest._split_url(url) for url in corpus["urls"]]}))
+                  "urls": [resolver.resolve(url) for url in links + urls],
+                  "splits": [split(url) for url in urls]}))
 """
 
 
@@ -191,15 +228,10 @@ def fast_path_results(python: str) -> dict:
     env = {**os.environ, "PYTHONPATH": str(Path(blognet.__file__).parents[1]),
            "PYTHONDONTWRITEBYTECODE": "1"}
     run = subprocess.run([python, "-c", RUN_FAST_PATHS, str(CORPUS), str(SMALLBLOG_POSTS),
-                          json.dumps(BEYOND_PLAIN_TAGS)],
+                          json.dumps(BEYOND_PLAIN_TAGS), json.dumps(list(NAMED_URLS))],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, f"{python}: {run.stderr}"
     return json.loads(run.stdout)
-
-
-def test_corpus_takes_the_fast_paths():
-    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
-    assert [url for url in corpus["urls"] if not ingest._SIMPLE_URL_RE.fullmatch(url)] == []
 
 
 def test_fast_paths_give_the_same_results_under_every_other_interpreter():
