@@ -618,14 +618,9 @@ def cmd_clean(stage: Stage) -> dict:
     cleaned = graphclean.filter_components(pruned, labeling, cfg.min_component_size)
     metrics_after = graphclean.graph_metrics(cleaned, cfg.clustering_variant)
 
-    labels = cleaned.labels
-    cleaned_rows = [
-        (labels[u], labels[v], weight)
-        for u, (out, weights) in enumerate(zip(cleaned.adj, cleaned.weights))
-        for v, weight in zip(out, weights)
-    ]
-
-    stage.write_csv("graph_cleaned.csv", cleaned_rows)
+    label = cleaned.labels.__getitem__
+    stage.write_csv("graph_cleaned.csv", zip(map(label, cleaned.sources),
+                                             map(label, cleaned.targets), cleaned.weights))
     ingest_mod.write_lines(stage.output("nodes_kept.txt"), cleaned.labels)
     stage.write_csv("scc_histogram.csv", sorted(histogram.items()))
     payload = {
@@ -664,7 +659,7 @@ def _read_cleaned_graph(stage: Stage) -> SimpleDigraph:
     graph = _digraph(labels, list(rows),
                      f"{stage.inputs['arcs']} (nodes from {nodes_path.name})")
     if not stage.cfg.weighted_rank:  # the weights were checked all the same
-        graph = replace(graph, weights=tuple((1,) * len(out) for out in graph.adj))
+        graph = replace(graph, weights=(1,) * graph.arc_count)
     return graph
 
 

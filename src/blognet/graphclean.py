@@ -7,9 +7,10 @@ coefficient, SCC count).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -17,15 +18,16 @@ from typing import Iterable, NamedTuple, Sequence
 class SimpleDigraph:
     """Weighted directed graph without parallel arcs or self-loops.
 
-    Nodes are dense integer indices into ``labels``; adjacency lists are
-    sorted tuples so traversal order (and thus every downstream artifact)
-    is deterministic. ``weights[u][i]`` is the weight of arc
-    ``u -> adj[u][i]``, kept in the type it arrived in.
+    Nodes are dense integer indices into ``labels``. Arc ``i`` runs from
+    ``sources[i]`` to ``targets[i]`` and weighs ``weights[i]``, kept in the
+    type it arrived in. The arcs are sorted by (source, target), so traversal
+    order (and thus every downstream artifact) is deterministic.
     """
 
     labels: tuple[str, ...]
-    adj: tuple[tuple[int, ...], ...]
-    weights: tuple[tuple[float, ...], ...]
+    sources: tuple[int, ...]
+    targets: tuple[int, ...]
+    weights: tuple[float, ...]
 
     @property
     def n(self) -> int:
@@ -33,16 +35,16 @@ class SimpleDigraph:
 
     @property
     def arc_count(self) -> int:
-        return sum(len(out) for out in self.adj)
+        return len(self.targets)
+
+    @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's out-neighbours in ascending order, derived from the arcs."""
+        bounds = [bisect_left(self.sources, u) for u in range(self.n + 1)]
+        return tuple(self.targets[start:end] for start, end in zip(bounds, bounds[1:]))
 
     def arcs(self) -> Iterable[tuple[int, int]]:
-        for u, out in enumerate(self.adj):
-            for v in out:
-                yield u, v
-
-    def in_degrees(self) -> list[int]:
-        deg = Counter(v for out in self.adj for v in out)
-        return [deg[v] for v in range(self.n)]
+        return zip(self.sources, self.targets)
 
     @classmethod
     def from_arcs(
@@ -74,26 +76,22 @@ class SimpleDigraph:
                 raise ValueError(f"self-loop on {src!r}; drop self-loops before building")
             out = out_maps[u]
             out[v] = out.get(v, 0) + weight
-        adj, weights = [], []
-        for out in out_maps:
-            targets, arc_weights = zip(*sorted(out.items())) if out else ((), ())
-            adj.append(targets)
-            weights.append(arc_weights)
-        return cls(labels=ordered, adj=tuple(adj), weights=tuple(weights))
+        sources = tuple(chain.from_iterable(repeat(u, len(out)) for u, out in enumerate(out_maps)))
+        targets = tuple(chain.from_iterable(map(sorted, out_maps)))
+        weights = tuple(out_maps[u][v] for u, v in zip(sources, targets))
+        return cls(ordered, sources, targets, weights)
 
     def subgraph(self, keep: Iterable[int]) -> "SimpleDigraph":
         """Induced subgraph on ``keep``, nodes reindexed in ascending order;
         surviving arcs keep their weights."""
         kept = sorted(set(keep))
         remap = {old: new for new, old in enumerate(kept)}
-        adj, weights = [], []
-        for old in kept:
-            out = self.adj[old]
-            survives = [v in remap for v in out]
-            adj.append(tuple([remap[v] for v in compress(out, survives)]))
-            weights.append(tuple(compress(self.weights[old], survives)))
+        survives = [u in remap and v in remap for u, v in self.arcs()]
         return SimpleDigraph(
-            labels=tuple(self.labels[i] for i in kept), adj=tuple(adj), weights=tuple(weights)
+            labels=tuple(self.labels[i] for i in kept),
+            sources=tuple(map(remap.__getitem__, compress(self.sources, survives))),
+            targets=tuple(map(remap.__getitem__, compress(self.targets, survives))),
+            weights=tuple(compress(self.weights, survives)),
         )
 
 
@@ -134,10 +132,9 @@ def remove_isolated(
     mode additionally requires no incoming arc. The pass is not iterated:
     nodes that lose their last out-neighbor to a removal stay.
     """
-    in_deg = g.in_degrees() if strict else [0] * g.n
-    isolated = [not out and not in_deg[v] for v, out in enumerate(g.adj)]
-    kept = (v for v, gone in enumerate(isolated) if not gone)
-    return g.subgraph(kept), tuple(compress(g.labels, isolated))
+    linked = set(g.sources).union(g.targets) if strict else set(g.sources)
+    removed = tuple(label for v, label in enumerate(g.labels) if v not in linked)
+    return g.subgraph(linked), removed
 
 
 def strongly_connected_components(g: SimpleDigraph) -> ComponentLabeling:
@@ -239,10 +236,10 @@ def clustering_coefficient(g: SimpleDigraph, variant: str = "mean_local") -> flo
         raise ValueError(f"unknown clustering variant {variant!r}")
     if g.n == 0:
         return 0.0
-    nbrs = [set(out) for out in g.adj]  # the undirected neighbors
-    for u, out in enumerate(g.adj):
-        for v in out:
-            nbrs[v].add(u)
+    nbrs: list[set[int]] = [set() for _ in g.labels]  # the undirected neighbors
+    for u, v in g.arcs():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     # links_twice[v] counts each edge among v's neighbors from both of its
     # endpoints; an edge v-u shares its common neighbors with v and with u,
     # so each edge's intersection is taken once

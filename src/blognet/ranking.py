@@ -9,7 +9,6 @@ beyond floating-point associativity.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -29,12 +28,9 @@ class RankScores(NamedTuple):
 
 
 def _weighted_arcs(g: SimpleDigraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(source, target, weight) of every arc, in ``g.arcs()`` order."""
-    arcs = g.arc_count
-    src = np.repeat(np.arange(g.n), np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n))
-    dst = np.fromiter(chain.from_iterable(g.adj), dtype=np.int64, count=arcs)
-    w = np.fromiter(chain.from_iterable(g.weights), dtype=np.float64, count=arcs)
-    return src, dst, w
+    """``g``'s source, target and weight columns as arrays."""
+    return (np.array(g.sources, dtype=np.int64), np.array(g.targets, dtype=np.int64),
+            np.array(g.weights, dtype=np.float64))
 
 
 def _to_scores(kind: str, vec: np.ndarray, iterations: int, converged: bool) -> RankScores:

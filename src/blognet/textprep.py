@@ -245,6 +245,23 @@ def _drop_alef_marks(text: str) -> str:
     return "".join(pieces) + text[copied:] if pieces else text
 
 
+def _nfc(text: str) -> str:
+    """``unicodedata.normalize("NFC", text)``, without its quadratic step.
+
+    CPython puts each run of combining marks in canonical order by insertion
+    sort, quadratic in the run's length. So the text is decomposed here and
+    each run stably sorted by combining class, which is that order; NFC then
+    finds the runs ordered and only composes them.
+    """
+    if unicodedata.is_normalized("NFC", text):
+        return text
+    nfd = {char: unicodedata.normalize("NFD", char) for char in set(text)}
+    runs = itertools.groupby("".join(map(nfd.__getitem__, text)),
+                             lambda char: unicodedata.combining(char) > 0)
+    ordered = "".join(char for _, run in runs for char in sorted(run, key=unicodedata.combining))
+    return unicodedata.normalize("NFC", ordered)
+
+
 def _unify_chars(text: str, unify_alef: bool) -> str:
     # NFC can re-create mapped codepoints by composing a base letter with a
     # stray combining mark (e.g. alef + madda), so iterate to a fixpoint.
@@ -256,7 +273,7 @@ def _unify_chars(text: str, unify_alef: bool) -> str:
     prev = None
     while text != prev:
         prev = text
-        text = unicodedata.normalize("NFC", text)
+        text = _nfc(text)
         if unify_alef and any(mark in text for mark in _ALEF_MARKS):
             text = _drop_alef_marks(text)
         for src, dst in chain:

@@ -7,8 +7,8 @@ sums, clustering via triple enumeration. The similarity matrix, character
 unification, tokenization, per-blog documents, href masking, blog-id checks,
 blogroll URL resolution and validation, HTML stripping, URL resolution,
 timestamp parsing and formatting, the validating dump loaders, artifact CSV
-reading, JSONL writing, layer merging and per-node clustering keep the slow,
-direct versions that the faster library code replaced.
+reading, JSONL writing, layer merging, per-node clustering and the per-node
+digraph keep the slow, direct versions that the faster library code replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import unicodedata
 from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
 from html.parser import HTMLParser
-from itertools import count
+from itertools import compress, count
 from operator import itemgetter
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -609,3 +609,35 @@ def clustering_by_neighbour_sets(g: graphclean.SimpleDigraph, variant: str = "me
     if variant == "mean_local":
         return local_sum / g.n
     return closed / triplets if triplets else 0.0
+
+
+def adjacency_by_out_maps(labels, arcs) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple, ...]]:
+    """``graphclean.SimpleDigraph.from_arcs`` as per-node tuples: each node's
+    out-neighbours in ascending order and their weights, summed in one dict
+    per node. The labels and arcs must be valid."""
+    index = {label: i for i, label in enumerate(labels)}
+    out_maps: list[dict] = [{} for _ in labels]
+    for src, dst, *weight in arcs:
+        out, v = out_maps[index[src]], index[dst]
+        out[v] = out.get(v, 0) + (weight[0] if weight else 1)
+    adj, weights = [], []
+    for out in out_maps:
+        targets, arc_weights = zip(*sorted(out.items())) if out else ((), ())
+        adj.append(targets)
+        weights.append(arc_weights)
+    return tuple(adj), tuple(weights)
+
+
+def subgraph_by_out_lists(adj, weights, keep) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple, ...]]:
+    """``graphclean.SimpleDigraph.subgraph`` over the per-node tuples of
+    ``adjacency_by_out_maps``: nodes reindexed in ascending order, and each
+    kept node's surviving out-neighbours filtered with their weights."""
+    kept = sorted(set(keep))
+    remap = {old: new for new, old in enumerate(kept)}
+    sub_adj, sub_weights = [], []
+    for old in kept:
+        out = adj[old]
+        survives = [v in remap for v in out]
+        sub_adj.append(tuple([remap[v] for v in compress(out, survives)]))
+        sub_weights.append(tuple(compress(weights[old], survives)))
+    return tuple(sub_adj), tuple(sub_weights)

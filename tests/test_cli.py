@@ -1578,12 +1578,17 @@ def test_a_failed_stage_removes_the_directories_it_made(out_dir, existed, tmp_pa
 
 def test_a_stage_rerun_replaces_its_directory_and_clears_a_killed_runs_files(tmp_path):
     out = tmp_path / "out"
-    run_pipeline(out, ["ingest"])
+    run_pipeline(out, ["ingest", "build"])
     written = tree(out)
     (out / "ingest/stray.txt").write_text("not ingest's", encoding="utf-8")
     (out / ".ingest.partial").mkdir()  # as a run killed while writing leaves it
     (out / ".ingest.partial/posts.jsonl").write_text("half", encoding="utf-8")
     run_pipeline(out, ["ingest"])
+    assert tree(out) == written
+    # a file, or a link to nothing, where the staging directory goes
+    (out / ".ingest.partial").write_text("half", encoding="utf-8")
+    (out / ".build.partial").symlink_to(tmp_path / "nowhere")
+    run_pipeline(out, ["ingest", "build"])
     assert tree(out) == written
 
 

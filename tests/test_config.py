@@ -173,7 +173,8 @@ REJECTIONS = [
        f"{host!r}")
       for pattern, host in [("/{blog}", ""), ("{blog}.", ""), ("{blog}./x", "/x"),
                             ("a:b/{blog}", "a:b"), ("[::1]/{blog}", "[::1]"),
-                            ("{blog}.blogville.example:8080", "blogville.example:8080")]),
+                            ("{blog}.blogville.example:8080", "blogville.example:8080"),
+                            ("{blog}.ex[ample", "ex[ample"), ("ex[ample/{blog}", "ex[ample")]),
     ({"graphbuild": {"host_patterns": ["www.blogville.example/{blog}"]}},
      "graphbuild.host_patterns entry 'www.blogville.example/{blog}' can match no URL: "
      "resolution drops a host's 'www.'"),

@@ -16,10 +16,12 @@ from blognet.graphclean import (
     strongly_connected_components,
 )
 from oracles import (
+    adjacency_by_out_maps,
     brute_mean_local_clustering,
     clustering_by_neighbour_sets,
     random_arcs,
     scc_by_reachability,
+    subgraph_by_out_lists,
 )
 
 
@@ -68,10 +70,6 @@ class TestSimpleDigraph:
         assert sub.labels == ("n001", "n002")
         assert list(sub.arcs()) == [(0, 1)]
 
-    def test_degrees(self):
-        g = graph(3, [(0, 1), (0, 2), (1, 2)])
-        assert g.in_degrees() == [0, 1, 2]
-
 
 class TestArcWeights:
     def test_pairs_weigh_one_and_parallel_weights_sum(self):
@@ -80,8 +78,8 @@ class TestArcWeights:
             [("a", "c", 2), ("a", "b"), ("a", "c", 3), ("b", "c", 0.5), ("b", "c", 0.25)],
         )
         assert g.adj == ((1, 2), (2,), ())
-        assert g.weights == ((1, 5), (0.75,), ())
-        assert type(g.weights[0][1]) is int  # integer weights stay integers
+        assert (g.sources, g.targets, g.weights) == ((0, 0, 1), (1, 2, 2), (1, 5, 0.75))
+        assert type(g.weights[1]) is int  # integer weights stay integers
 
     @pytest.mark.parametrize("weight", [0, -3, float("nan"), float("inf"), "3", None])
     def test_weight_must_be_finite_and_positive(self, weight):
@@ -99,11 +97,63 @@ class TestArcWeights:
         assert removed == ("e",)
         assert pruned.labels == tuple("abcdf")
         assert pruned.adj == ((1,), (0, 2), (3,), (2,), (0,))
-        assert pruned.weights == ((4,), (2, 3), (7,), (1,), (6,))
+        assert pruned.weights == (4, 2, 3, 7, 1, 6)
         kept = filter_components(pruned, strongly_connected_components(pruned), min_size=2)
         assert kept.labels == tuple("abcd")
         assert kept.adj == ((1,), (0, 2), (3,), (2,))
-        assert kept.weights == ((4,), (2, 3), (7,), (1,))
+        assert kept.weights == (4, 2, 3, 7, 1)
+
+
+@st.composite
+def weighted_arcs(draw) -> tuple[tuple[str, ...], list[tuple[str, str, float]]]:
+    """The labels and arcs of a ``digraphs()`` graph, in a drawn order, each
+    arc once or twice (parallel arcs sum) with an int or a float weight."""
+    g = draw(digraphs())
+    weight = st.one_of(st.integers(1, 9), st.floats(0.125, 8.0))
+    arcs = [(g.labels[u], g.labels[v], draw(weight))
+            for u, v in g.arcs() for _ in range(draw(st.integers(1, 2)))]
+    return g.labels, draw(st.permutations(arcs))
+
+
+def by_source(g: SimpleDigraph) -> tuple[tuple, tuple]:
+    """``g``'s target and weight columns cut into one tuple per source node."""
+    targets: list[list[int]] = [[] for _ in g.labels]
+    weights: list[list[float]] = [[] for _ in g.labels]
+    for u, v, w in zip(g.sources, g.targets, g.weights):
+        targets[u].append(v)
+        weights[u].append(w)
+    return tuple(map(tuple, targets)), tuple(map(tuple, weights))
+
+
+def typed(weights: tuple[tuple, ...]) -> list[list[tuple]]:
+    """Each weight with its type, since 5 == 5.0: integer weights stay int."""
+    return [[(w, type(w)) for w in out] for out in weights]
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_arcs(), st.booleans(), st.integers(1, 4), st.data())
+def test_arc_columns_hold_the_per_node_oracles_arcs(labelled, strict, min_size, data):
+    labels, arcs = labelled
+    g = SimpleDigraph.from_arcs(labels, arcs)
+    adj, weights = adjacency_by_out_maps(labels, arcs)
+    has_in = {v for out in adj for v in out}
+    labeling = strongly_connected_components(g)
+    keep = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    cases = [
+        (g, range(g.n)),
+        (g.subgraph(keep), keep),
+        (remove_isolated(g, strict)[0],
+         [v for v, out in enumerate(adj) if out or strict and v in has_in]),
+        (filter_components(g, labeling, min_size),
+         [v for v in range(g.n) if labeling.size_of(v) >= min_size]),
+    ]
+    for result, kept in cases:
+        out_targets, out_weights = subgraph_by_out_lists(adj, weights, kept)
+        result_targets, result_weights = by_source(result)
+        assert result.labels == tuple(labels[v] for v in sorted(kept))
+        assert result_targets == out_targets
+        assert typed(result_weights) == typed(out_weights)
+        assert list(result.arcs()) == sorted(set(result.arcs()))
 
 
 class TestRemoveIsolated:

@@ -4,6 +4,7 @@ import math
 import random
 import shutil
 import time
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -553,32 +554,49 @@ def test_tfidf_of_an_empty_corpus_is_value_error():
         textprep.vectorize_tfidf(textprep.NormalizedDocument("a", ("x",)), vocab, 0)
 
 
+def assert_linear_growth(fn, small_input, large_input) -> None:
+    """Assert that ``fn`` takes at most ~2.3x per doubling, plus 1 ms, over
+    the two doublings from ``small_input`` to ``large_input``.
+
+    Each input is called once to warm up. Then 9 rounds time the two back to
+    back in CPU time, in alternating order, and the bound must hold in one
+    round. A shared host's speed drifts for a second at a time (the same call
+    took 1.75x as long for a while), so the best time of each input taken
+    apart can come from two speeds, while one round's pair shares one. A
+    function that grows 4x per doubling passes only if its small input runs
+    3x slow within a round. The collector is off: its full passes cost what
+    the rest of the suite left on the heap, not what the input costs.
+    """
+    def seconds(arg) -> float:
+        start = time.process_time()
+        fn(arg)
+        return time.process_time() - start
+
+    inputs = (small_input, large_input)
+    rounds = []
+    gc.collect()
+    gc.disable()
+    try:
+        for arg in inputs:
+            fn(arg)
+        for round_ in range(9):
+            times = [0.0, 0.0]
+            for i in (0, 1) if round_ % 2 else (1, 0):
+                times[i] = seconds(inputs[i])
+            rounds.append(times)
+    finally:
+        gc.enable()
+    small, large = min(rounds, key=lambda times: times[1] - 2.3 ** 2 * times[0])
+    assert large <= 2.3 ** 2 * small + 0.001, f"{small:.4f} s, then {large:.4f} s at 4x"
+
+
 # HTMLParser reads markup left open again from each "<" in it, and searches
 # to the end of the input for each comment or marked section end, so read
 # that way these grow ~4x per doubling
 @pytest.mark.parametrize("unit", ["<a ", "x <a", "<a x=1 ", "<!--a>", "<!-- -- a>",
                                   "<![CDATA[a>", "<![if x>", "<a x='>'b"])
 def test_unclosed_start_tags_strip_in_linear_time(unit):
-    def seconds(raw: str) -> float:
-        start = time.process_time()
-        strip_html(raw)
-        return time.process_time() - start
-
-    small, large = math.inf, math.inf
-    # the collector's full passes cost what the rest of the suite left on the
-    # heap, not what this input costs
-    gc.collect()
-    gc.disable()
-    try:
-        # the best of 5 CPU times each, the two sizes taken in turn, so that
-        # a busy host slows both alike
-        for _ in range(5):
-            small = min(small, seconds(unit * 2000))
-            large = min(large, seconds(unit * 8000))
-    finally:
-        gc.enable()
-    # ~2.3x per doubling at most, over two doublings from 6 KB of "<a "
-    assert large <= 2.3 ** 2 * small + 0.001
+    assert_linear_growth(strip_html, unit * 2000, unit * 8000)
     assert strip_html(unit * 3) == " ".join((unit * 3).split())
 
 
@@ -598,11 +616,13 @@ def test_each_packaged_stop_word_is_the_one_token_tokenize_reads(unify_alef):
     assert "می‌کند" in stops  # a ZWNJ inside a term is part of it
 
 
-def test_prep_strips_a_post_of_48_kb_of_unclosed_tags_in_seconds(tmp_path, monkeypatch):
+def test_prep_reads_posts_of_unclosed_tags_or_of_combining_marks_in_seconds(tmp_path,
+                                                                           monkeypatch):
     shutil.copytree(FIXTURES / "smallblog", tmp_path / "dump")
     monkeypatch.chdir(tmp_path / "dump")
     with open("posts.jsonl", "a", encoding="utf-8") as fh:
-        for post_id, body in [("huge", "<a " * 16000), ("huge2", "<!-- -- a>" * 16000)]:
+        for post_id, body in [("huge", "<a " * 16000), ("huge2", "<!-- -- a>" * 16000),
+                              ("huge3", "\u0651\u0654\u0654" * 32000)]:
             post = {"post_id": post_id, "blog_id": "b01", "title": "t", "body": body,
                     "published_at": "2010-04-05T10:00:00Z"}
             fh.write(json.dumps(post) + "\n")
@@ -641,24 +661,23 @@ def test_composing_marks_unify_as_the_translate_oracle_does(text):
 # it back into a bare alef: one whole-text pass per mark, ~4x per doubling
 @pytest.mark.parametrize("mark", ["\u0653", "\u0654", "\u0655"])
 def test_alef_with_composing_marks_normalizes_in_linear_time(mark):
-    def seconds(copies: int) -> float:
-        text = "\u0627" + mark * copies
-        best = math.inf
-        for _ in range(5):
-            start = time.perf_counter()
-            normalize(text)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    gc.collect()
-    gc.disable()
-    try:
-        small, large = seconds(1000), seconds(4000)
-    finally:
-        gc.enable()
-    # ~2.3x per doubling at most, over two doublings
-    assert large <= 2.3 ** 2 * small + 0.001
+    assert_linear_growth(normalize, "\u0627" + mark * 1000, "\u0627" + mark * 4000)
     assert normalize("\u0627" + mark * 3) == "\u0627"
+
+
+# NFC puts a run of combining marks in canonical order by insertion sort: a
+# shadda (class 33) after each pair of hamzas (230), or a Tibetan vowel sign
+# that decomposes into classes 129 and 130 before an acute (230), is moved
+# back over the whole run, ~4x per doubling
+@pytest.mark.parametrize("unit", ["\u0651\u0654\u0654", "\u0f73\u0301"])
+def test_combining_mark_runs_normalize_in_linear_time(unit):
+    assert_linear_growth(normalize, unit * 2000, unit * 8000)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=COMPOSING_ALPHABET + "\u0f73\u0344\uac00\uac01\u11a9", max_size=40))
+def test_nfc_composes_as_unicodedata_does(text):
+    assert textprep._nfc(text) == unicodedata.normalize("NFC", text)
 
 
 def test_prep_normalizes_a_post_of_48_kb_of_alef_maddas_in_seconds(tmp_path, monkeypatch):
